@@ -32,7 +32,7 @@ from .diagnostics import (
     step_identity_residual,
     time_modulus,
 )
-from .fe import FESpace, QuadratureRule, ReferenceElement, build_space, eval_basis, quad_rule
+from .fe import FESpace, QuadratureRule, ReferenceElement, build_space, quad_rule
 from .fileio import ConfigError, parse_config, write_ledger_csv, write_rate_table_csv, write_vtk
 from .linsolve import LinearSolveError, solve_momentum, solve_spd
 from .mesh import (
@@ -52,15 +52,14 @@ from .mms import (
     zero_case,
 )
 from .scheme import (
+    Level,
     SchemeConfig,
     SchemeError,
-    State,
     Trajectory,
     YhElement,
-    bdf2_step,
-    first_step_backward_euler,
     init_state,
     run,
+    step,
 )
 
 __version__ = "0.1.0"

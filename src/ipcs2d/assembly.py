@@ -132,9 +132,7 @@ def assemble_convection(space_u, w_coeffs, geom=None):
     cd = space_u.cell_dofs
     wx = space_u.component(w_coeffs, 0)[cd]
     wy = space_u.component(w_coeffs, 1)[cd]
-    w_at_q = np.stack(
-        [np.einsum("qi,ci->cq", phi, wx), np.einsum("qi,ci->cq", phi, wy)], axis=-1
-    )
+    w_at_q = eval_at_quad(space_u, geom, w_coeffs)
     div_w = np.einsum("cqi,ci->cq", gphi[..., 0], wx) + np.einsum(
         "cqi,ci->cq", gphi[..., 1], wy
     )
@@ -204,6 +202,17 @@ def _time_average_weights(t_lo, t_hi, cutoff):
     return nodes, coeffs
 
 
+def _load_vector(space_u, geom, vals):
+    # (vals, phi_i) for every velocity basis function; vals: (M, nq, 2)
+    # vector field at the rule points of every cell
+    phi, _ = space_u.ref.eval(geom.rule.points)
+    elem = np.einsum("q,cqd,qi,c->cid", geom.rule.weights, vals, phi, geom.detJ)
+    out = np.zeros(2 * space_u.n_scalar)
+    for c in range(2):
+        np.add.at(space_u.component(out, c), space_u.cell_dofs.ravel(), elem[..., c].ravel())
+    return out
+
+
 def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None):
     """Load vector of the window-averaged forcing together with the squared
     quadrature norm of the averaged field.
@@ -226,14 +235,9 @@ def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None):
         fbar[..., 0] += ck * np.asarray(fx, dtype=float)
         fbar[..., 1] += ck * np.asarray(fy, dtype=float)
 
-    phi, _ = space_u.ref.eval(geom.rule.points)
     w = geom.rule.weights
-    elem = np.einsum("q,cqd,qi,c->cid", w, fbar, phi, geom.detJ)
-    F = np.zeros(2 * space_u.n_scalar)
-    for c in range(2):
-        np.add.at(space_u.component(F, c), space_u.cell_dofs.ravel(), elem[..., c].ravel())
     f_norm_sq = float(np.einsum("q,cqd,cqd,c->", w, fbar, fbar, geom.detJ))
-    return F, f_norm_sq
+    return _load_vector(space_u, geom, fbar), f_norm_sq
 
 
 def eval_at_quad(space, geom, coeffs):
@@ -325,10 +329,6 @@ class OperatorSet:
         """(base + grad(phi), grad psi_q) for every pressure basis function."""
         return self.G.T @ base + self.N_p @ phi
 
-    def div_functional(self, vec):
-        """(div v, psi_q) for v in U_h."""
-        return self.D.T @ vec
-
     def coupling_gap(self):
         """max |D + G| over rows of interior velocity dofs (identically
         zero up to rounding for conforming assembly)."""
@@ -351,7 +351,6 @@ def project_L2_onto_Uh(space_u, g, ops=None, tol=1e-12):
     result satisfies the homogeneous boundary condition exactly.
     """
     geom = CellGeometry(space_u.mesh, quad_rule(6))
-    phi, _ = space_u.ref.eval(geom.rule.points)
     x = geom.phys[..., 0]
     y = geom.phys[..., 1]
     gx, gy = g(x, y)
@@ -359,12 +358,7 @@ def project_L2_onto_Uh(space_u, g, ops=None, tol=1e-12):
         [np.asarray(gx, dtype=float) * np.ones_like(x), np.asarray(gy, dtype=float) * np.ones_like(x)],
         axis=-1,
     )
-    w = geom.rule.weights
-    elem = np.einsum("q,cqd,qi,c->cid", w, gvals, phi, geom.detJ)
-    rhs = np.zeros(2 * space_u.n_scalar)
-    for c in range(2):
-        np.add.at(space_u.component(rhs, c), space_u.cell_dofs.ravel(), elem[..., c].ravel())
-
+    rhs = _load_vector(space_u, geom, gvals)
     M_u = ops.M_u if ops is not None else assemble_mass(space_u)
     free = space_u.free
     out = np.zeros(2 * space_u.n_scalar)

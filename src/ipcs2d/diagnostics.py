@@ -74,9 +74,9 @@ class EnergyLedger:
     """Per-level rows of energy quantities and identity residuals.
 
     rows[m] is a dict with the CSV_COLUMNS keys plus in-memory extras
-    (gradp_sq, utilde_norm_sq, f_norm_sq, residual_weak_div).  The scalar
-    utilde1_minus_u0_sq is kept separately; it enters the energy bound but
-    belongs to no single level."""
+    (gradp_sq, utilde_norm_sq, f_norm_sq, residual_weak_div, residual_skew).
+    The scalar utilde1_minus_u0_sq is kept separately; it enters the energy
+    bound but belongs to no single level."""
 
     def __init__(self, dt, mu):
         self.dt = dt
@@ -95,136 +95,120 @@ def _relative_residual(lhs_terms, rhs_terms):
     return abs(sum(lhs_terms) - sum(rhs_terms)) / scale
 
 
-def record_level(ledger, ops, dt, mu, window, f_dot, f_norm_sq, skew_residual=0.0):
-    """Compute and append the ledger row of the newest level in window
-    (= [level m-2 or None, level m-1 or None, level m]).  Returns the row."""
+def _level_norms(ops, window):
+    """Squared norms of the newest level of window (= [level m-2 or None,
+    level m-1 or None, level m]), keyed by their ledger column names.  At
+    level 1 the jump |utilde^1 - u^0|^2 of the start-up identity is added
+    as utilde1_minus_u0_sq."""
     prev2, prev, cur = window
-    m = cur.m
-    u_sq = ops.yh_norm_sq(cur.u.base, cur.u.phi)
-    utilde_sq = ops.norm_u_sq(cur.utilde)
-    split_sq = ops.grad_p_sq(cur.u.phi)
-    gradp_sq = ops.grad_p_sq(cur.p)
-    grad_utilde_sq = ops.grad_u_sq(cur.utilde)
-    if prev is None:
+    base, phi = cur.u.base, cur.u.phi
+    u_sq = ops.yh_norm_sq(base, phi)
+    norms = {
+        "norm_u_sq": u_sq,
         # reporting convention at level 0: the missing level -1 field is
         # taken to be u^0 itself
-        two_minus_sq = u_sq
-    else:
-        two_minus_sq = ops.yh_norm_sq(
-            2.0 * cur.u.base - prev.u.base, 2.0 * cur.u.phi - prev.u.phi
-        )
-    dt2_gradp_sq = (4.0 / 3.0) * dt * dt * gradp_sq
+        "norm_2u_minus_um1_sq": u_sq
+        if prev is None
+        else ops.yh_norm_sq(2.0 * base - prev.u.base, 2.0 * phi - prev.u.phi),
+        "split_err_sq": ops.grad_p_sq(phi),
+        "second_diff_sq": 0.0
+        if prev2 is None
+        else ops.yh_norm_sq(
+            base - 2.0 * prev.u.base + prev2.u.base, phi - 2.0 * prev.u.phi + prev2.u.phi
+        ),
+        "grad_utilde_sq": ops.grad_u_sq(cur.utilde),
+        "gradp_sq": ops.grad_p_sq(cur.p),
+        "utilde_norm_sq": ops.norm_u_sq(cur.utilde),
+    }
+    if cur.m == 1:
+        norms["utilde1_minus_u0_sq"] = ops.yh_norm_sq(cur.utilde - prev.u.base, -prev.u.phi)
+    return norms
 
-    second_diff_sq = 0.0
-    if prev2 is not None:
-        second_diff_sq = ops.yh_norm_sq(
-            cur.u.base - 2.0 * prev.u.base + prev2.u.base,
-            cur.u.phi - 2.0 * prev.u.phi + prev2.u.phi,
-        )
 
-    residual_pythagoras = _relative_residual([u_sq, split_sq], [utilde_sq])
+def _identity_residual(m, new, old, dt, mu, f_dot):
+    """Relative residual of the energy identity (module docstring) of the
+    step arriving at level m.  new and old are the _level_norms of levels m
+    and m-1 (old is unused at level 0); f_dot = (f^m, utilde^m)."""
+    if m == 0:
+        lhs = [new["norm_u_sq"], dt * dt * new["gradp_sq"]]
+        return _relative_residual(lhs, [new["utilde_norm_sq"]])
+    if m == 1:
+        lhs = [
+            new["norm_u_sq"] / dt,
+            new["utilde1_minus_u0_sq"] / dt,
+            -old["norm_u_sq"] / dt,
+            dt * new["gradp_sq"],
+            -dt * old["gradp_sq"],
+            2.0 * mu * new["grad_utilde_sq"],
+        ]
+        return _relative_residual(lhs, [2.0 * f_dot])
+    lhs = [
+        new["norm_u_sq"] / dt,
+        -old["norm_u_sq"] / dt,
+        new["norm_2u_minus_um1_sq"] / dt,
+        -old["norm_2u_minus_um1_sq"] / dt,
+        new["second_diff_sq"] / dt,
+        3.0 * new["split_err_sq"] / dt,
+        (4.0 * dt / 3.0) * new["gradp_sq"],
+        -(4.0 * dt / 3.0) * old["gradp_sq"],
+        4.0 * mu * new["grad_utilde_sq"],
+    ]
+    return _relative_residual(lhs, [4.0 * f_dot])
+
+
+def record_level(ledger, ops, dt, mu, window, f_dot, f_norm_sq):
+    """Compute and append the ledger row of the newest level in window
+    (= [level m-2 or None, level m-1 or None, level m]); the previous row
+    of the ledger must be level m-1.  Returns the row."""
+    cur = window[2]
+    row = _level_norms(ops, window)
+    residual_identity = _identity_residual(
+        cur.m, row, ledger.rows[-1] if ledger.rows else None, dt, mu, f_dot
+    )
+    if cur.m == 1:
+        ledger.utilde1_minus_u0_sq = row.pop("utilde1_minus_u0_sq")
+    u_sq = row["norm_u_sq"]
 
     wd = ops.weak_divergence(cur.u.base, cur.u.phi)
-    denom = math.sqrt(u_sq) * ops.grad_psi_norms
     if u_sq > 0.0:
-        residual_weak_div = float(np.max(np.abs(wd) / denom))
+        residual_weak_div = float(np.max(np.abs(wd) / (math.sqrt(u_sq) * ops.grad_psi_norms)))
     else:
         residual_weak_div = float(np.max(np.abs(wd))) if wd.size else 0.0
 
-    if m == 0:
-        residual_identity = _relative_residual(
-            [u_sq, dt * dt * gradp_sq], [utilde_sq]
-        )
-    elif m == 1:
-        u0_sq = ledger.rows[0]["norm_u_sq"]
-        gradp0_sq = ledger.rows[0]["gradp_sq"]
-        diff_sq = ops.yh_norm_sq(cur.utilde - prev.u.base, -prev.u.phi)
-        ledger.utilde1_minus_u0_sq = diff_sq
-        lhs = [
-            u_sq / dt,
-            diff_sq / dt,
-            -u0_sq / dt,
-            dt * gradp_sq,
-            -dt * gradp0_sq,
-            2.0 * mu * grad_utilde_sq,
-        ]
-        residual_identity = _relative_residual(lhs, [2.0 * f_dot])
-    else:
-        row_prev = ledger.rows[m - 1]
-        lhs = [
-            u_sq / dt,
-            -row_prev["norm_u_sq"] / dt,
-            two_minus_sq / dt,
-            -row_prev["norm_2u_minus_um1_sq"] / dt,
-            second_diff_sq / dt,
-            3.0 * split_sq / dt,
-            (4.0 * dt / 3.0) * gradp_sq,
-            -(4.0 * dt / 3.0) * row_prev["gradp_sq"],
-            4.0 * mu * grad_utilde_sq,
-        ]
-        residual_identity = _relative_residual(lhs, [4.0 * f_dot])
-
-    row = {
-        "step": m,
-        "t": cur.t,
-        "norm_u_sq": u_sq,
-        "norm_2u_minus_um1_sq": two_minus_sq,
-        "dt2_gradp_sq": dt2_gradp_sq,
-        "E_h": u_sq + two_minus_sq + dt2_gradp_sq,
-        "split_err_sq": split_sq,
-        "second_diff_sq": second_diff_sq,
-        "grad_utilde_sq": grad_utilde_sq,
-        "f_dot_utilde": f_dot,
-        "residual_identity": residual_identity,
-        "residual_pythagoras": residual_pythagoras,
-        # extras, not serialized
-        "gradp_sq": gradp_sq,
-        "utilde_norm_sq": utilde_sq,
-        "f_norm_sq": f_norm_sq,
-        "residual_weak_div": residual_weak_div,
-        "residual_skew": skew_residual,
-    }
+    dt2_gradp_sq = (4.0 / 3.0) * dt * dt * row["gradp_sq"]
+    row.update(
+        step=cur.m,
+        t=cur.t,
+        dt2_gradp_sq=dt2_gradp_sq,
+        E_h=u_sq + row["norm_2u_minus_um1_sq"] + dt2_gradp_sq,
+        f_dot_utilde=f_dot,
+        residual_identity=residual_identity,
+        residual_pythagoras=_relative_residual(
+            [u_sq, row["split_err_sq"]], [row["utilde_norm_sq"]]
+        ),
+        # extras below are not serialized
+        f_norm_sq=f_norm_sq,
+        residual_weak_div=residual_weak_div,
+        residual_skew=cur.skew,
+    )
     ledger.rows.append(row)
     return row
 
 
-def step_identity_residual(state_m, state_mp1, ops, F, dt, mu):
-    """Relative residual of the per-step energy identity between two
-    consecutive states (the arrival level must be m >= 2, so state_m must
-    carry its own previous level).  F is the load vector of the arrival
-    level.  Self-contained recomputation from the state fields; the run
-    ledger records the same quantity incrementally."""
-    if state_m.m < 1 or state_mp1.m != state_m.m + 1:
-        raise ValueError("need consecutive states with m >= 1")
-    if state_m.u_prev is None:
-        raise ValueError("state_m must carry its previous level")
-    cur, prev = state_mp1, state_m
-    u_sq = ops.yh_norm_sq(cur.u.base, cur.u.phi)
-    u_prev_sq = ops.yh_norm_sq(prev.u.base, prev.u.phi)
-    two_sq = ops.yh_norm_sq(
-        2.0 * cur.u.base - prev.u.base, 2.0 * cur.u.phi - prev.u.phi
-    )
-    two_prev_sq = ops.yh_norm_sq(
-        2.0 * prev.u.base - prev.u_prev.base, 2.0 * prev.u.phi - prev.u_prev.phi
-    )
-    sd_sq = ops.yh_norm_sq(
-        cur.u.base - 2.0 * prev.u.base + prev.u_prev.base,
-        cur.u.phi - 2.0 * prev.u.phi + prev.u_prev.phi,
-    )
-    split_sq = ops.grad_p_sq(cur.u.phi)
-    lhs = [
-        u_sq / dt,
-        -u_prev_sq / dt,
-        two_sq / dt,
-        -two_prev_sq / dt,
-        sd_sq / dt,
-        3.0 * split_sq / dt,
-        (4.0 * dt / 3.0) * ops.grad_p_sq(cur.p),
-        -(4.0 * dt / 3.0) * ops.grad_p_sq(prev.p),
-        4.0 * mu * ops.grad_u_sq(cur.utilde),
-    ]
-    f_dot = float(F @ cur.utilde)
-    return _relative_residual(lhs, [4.0 * f_dot])
+def step_identity_residual(window, ops, F, dt, mu):
+    """Relative residual of the per-step energy identity of the step
+    arriving at the newest level of window (= [level m-2, level m-1,
+    level m], m >= 2).  F is the load vector of the arrival level.
+    Self-contained recomputation from the level fields; the run ledger
+    records the same quantity incrementally."""
+    prev2, prev, cur = window
+    if cur.m < 2 or prev.m != cur.m - 1 or (prev2 is not None and prev2.m != cur.m - 2):
+        raise ValueError("need consecutive levels arriving at m >= 2")
+    if prev2 is None:
+        raise ValueError("the window must carry the previous level of window[1]")
+    old = _level_norms(ops, [None, prev2, prev])
+    new = _level_norms(ops, window)
+    return _identity_residual(cur.m, new, old, dt, mu, float(F @ cur.utilde))
 
 
 def _safe_ratio(num, den):
@@ -416,15 +400,8 @@ def time_modulus(traj, tau):
     return total
 
 
-def discrete_gronwall_bound(b, nu, dt):
-    """Bound sequence of the implicit discrete Gronwall lemma.
-
-    For nonnegative b and any sequence a with
-        a_{n+1} <= b_{n+1} + nu dt sum_{j=1}^{n+1} a_j,
-    requiring nu dt < 1, the lemma gives (0-based input/output, entry i
-    bounding a_{i+1}):
-        bound_i = b_i + nu dt sum_{k<=i} r^{i-k+1} b_k,  r = 1/(1 - nu dt).
-    """
+def _gronwall_args(b, nu, dt):
+    # validated b and the ratio r = 1/(1 - nu dt) of both bound forms
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a nonempty 1-d array")
@@ -434,7 +411,19 @@ def discrete_gronwall_bound(b, nu, dt):
         raise ValueError("need nu >= 0 and dt > 0")
     if 1.0 - nu * dt <= 0.0:
         raise ValueError("the lemma requires nu * dt < 1, got %g" % (nu * dt))
-    r = 1.0 / (1.0 - nu * dt)
+    return b, 1.0 / (1.0 - nu * dt)
+
+
+def discrete_gronwall_bound(b, nu, dt):
+    """Bound sequence of the implicit discrete Gronwall lemma.
+
+    For nonnegative b and any sequence a with
+        a_{n+1} <= b_{n+1} + nu dt sum_{j=1}^{n+1} a_j,
+    requiring nu dt < 1, the lemma gives (0-based input/output, entry i
+    bounding a_{i+1}):
+        bound_i = b_i + nu dt sum_{k<=i} r^{i-k+1} b_k,  r = 1/(1 - nu dt).
+    """
+    b, r = _gronwall_args(b, nu, dt)
     bounds = np.empty_like(b)
     s = 0.0
     for i, bi in enumerate(b):
@@ -449,16 +438,7 @@ def gronwall_monotone_bound(b, nu, dt):
     Entry i bounds a_{i+1} by b_i * (1 - nu dt)^{-(i+1)}; it dominates the
     general bound entrywise exactly when b is nondecreasing, which is
     validated here."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("b must be a nonempty 1-d array")
+    b, r = _gronwall_args(b, nu, dt)
     if np.any(np.diff(b) < 0):
         raise ValueError("closed form needs nondecreasing b")
-    if np.any(b < 0):
-        raise ValueError("the lemma requires nonnegative b")
-    if nu < 0 or dt <= 0:
-        raise ValueError("need nu >= 0 and dt > 0")
-    if 1.0 - nu * dt <= 0.0:
-        raise ValueError("the lemma requires nu * dt < 1, got %g" % (nu * dt))
-    r = 1.0 / (1.0 - nu * dt)
     return b * r ** np.arange(1, b.size + 1)

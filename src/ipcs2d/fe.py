@@ -15,7 +15,6 @@ __all__ = [
     "ReferenceElement",
     "QuadratureRule",
     "quad_rule",
-    "eval_basis",
     "FESpace",
     "build_space",
 ]
@@ -92,12 +91,6 @@ class ReferenceElement:
         return vals, grads
 
 
-def eval_basis(degree, points):
-    """Convenience wrapper: values and gradients of the degree-1 or -2
-    basis at the given reference points."""
-    return ReferenceElement(degree).eval(points)
-
-
 class QuadratureRule:
     """Symmetric quadrature on the reference triangle.
 
@@ -109,10 +102,6 @@ class QuadratureRule:
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         self.degree = degree
-
-    @property
-    def n_points(self):
-        return len(self.weights)
 
 
 def _orbit3(a):

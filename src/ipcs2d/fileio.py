@@ -26,6 +26,8 @@ never used in norms — the cellwise flag appends the unaveraged per-cell
 field as CELL_DATA).  All writers are deterministic for a fixed input.
 """
 
+import math
+
 import numpy as np
 
 from .assembly import CellGeometry
@@ -68,9 +70,9 @@ def parse_config(path):
     """Parse and validate a config file into a SchemeConfig.
 
     The manufactured case named by "case" supplies the initial velocity
-    and forcing.  Violations (unknown key, malformed value, non-positive
-    dt/T/mu, degree outside {1, 2}) raise ConfigError anchored to the
-    offending line."""
+    and forcing.  Violations (unknown key, malformed value, non-finite
+    float, non-positive dt/T/mu, T < dt, degree outside {1, 2}) raise
+    ConfigError anchored to the offending line."""
     values = {}
     where = {}
     with open(path) as fh:
@@ -101,6 +103,8 @@ def parse_config(path):
                 parsed = val
         except ValueError:
             raise ConfigError("%s:%d: malformed value %r for key %r" % (path, ln, val, key)) from None
+        if key in _FLOAT_KEYS and not math.isfinite(parsed):
+            raise ConfigError("%s:%d: %s must be finite (got %r)" % (path, ln, key, parsed))
         values[key] = parsed
         where[key] = ln
 
@@ -110,6 +114,7 @@ def parse_config(path):
 
     check("dt", lambda v: v > 0, "dt must be positive")
     check("T", lambda v: v > 0, "T must be positive")
+    check("T", lambda v: v >= values.get("dt", 0.0), "T must be at least dt")
     check("mu", lambda v: v > 0, "mu must be positive")
     check("mesh_n", lambda v: v >= 1, "mesh_n must be a positive integer")
     check("f_cutoff", lambda v: v > 0, "f_cutoff must be positive")
@@ -145,26 +150,24 @@ def parse_config(path):
     )
 
 
+def _write_csv(path, columns, rows):
+    # the first column is an integer index, the rest full-precision floats
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            parts = [str(row[columns[0]])] + ["%.17g" % row[c] for c in columns[1:]]
+            fh.write(",".join(parts) + "\n")
+
+
 def write_ledger_csv(ledger, path):
     """Serialize the energy ledger, one row per time level, with the
     documented column set."""
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in ledger.rows:
-            parts = [str(row["step"])]
-            parts += ["%.17g" % row[c] for c in CSV_COLUMNS[1:]]
-            fh.write(",".join(parts) + "\n")
+    _write_csv(path, CSV_COLUMNS, ledger.rows)
 
 
 def write_rate_table_csv(rows, path):
     """Serialize a convergence study table."""
-    columns = ["n", "dt", "err_u_L2", "err_u_H1", "err_p_L2", "rate_u", "rate_p"]
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            parts = [str(row["n"])]
-            parts += ["%.17g" % row[c] for c in columns[1:]]
-            fh.write(",".join(parts) + "\n")
+    _write_csv(path, ["n", "dt", "err_u_L2", "err_u_H1", "err_p_L2", "rate_u", "rate_p"], rows)
 
 
 def _vertex_averaged_grad_phi(space_p, phi_coeffs):

@@ -118,7 +118,6 @@ class Mesh:
                 count[e] += 1
                 triangle_edges[c, le] = e
         self.edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        self.edge_index = index
         self.triangle_edges = triangle_edges
         count = np.array(count)
         bad = np.flatnonzero(count > 2)
@@ -232,79 +231,56 @@ def read_mesh(path):
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
+    # (line number, text) of the content lines, last first so pop() reads in order
+    content = [(ln, raw.strip()) for ln, raw in enumerate(lines, 1)]
+    content = [(ln, text) for ln, text in reversed(content) if text and not text.startswith("#")]
 
-    pos = 0
+    def next_line(expected):
+        if not content:
+            raise MeshFormatError("line %d: expected %s, got end of file" % (len(lines), expected))
+        ln, text = content.pop()
+        return ln, text, text.split()
 
-    def next_content():
-        nonlocal pos
-        while pos < len(lines):
-            stripped = lines[pos].strip()
-            pos += 1
-            if stripped and not stripped.startswith("#"):
-                return stripped, pos
-        return None, pos
-
-    def expect_header(keyword):
-        text, ln = next_content()
-        if text is None:
-            raise MeshFormatError("line %d: expected '%s <count>', got end of file" % (ln, keyword))
-        parts = text.split()
+    def section(keyword, what, form, convert):
+        # header "<keyword> <count>", then count records matching form;
+        # returns the records and their line numbers
+        header = "'%s <count>'" % keyword
+        ln, text, parts = next_line(header)
         if len(parts) != 2 or parts[0] != keyword:
-            raise MeshFormatError("line %d: expected '%s <count>', got %r" % (ln, keyword, text))
+            raise MeshFormatError("line %d: expected %s, got %r" % (ln, header, text))
         try:
-            return int(parts[1])
+            count = int(parts[1])
         except ValueError:
-            raise MeshFormatError("line %d: malformed count in %r" % (ln, text)) from None
-
-    nv = expect_header("vertices")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        text, ln = next_content()
-        if text is None:
-            raise MeshFormatError("line %d: expected vertex %d of %d" % (ln, i, nv))
-        parts = text.split()
-        if len(parts) != 2:
-            raise MeshFormatError("line %d: expected 'x y', got %r" % (ln, text))
-        try:
-            vertices[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise MeshFormatError("line %d: malformed coordinate in %r" % (ln, text)) from None
-
-    nt = expect_header("triangles")
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        text, ln = next_content()
-        if text is None:
-            raise MeshFormatError("line %d: expected triangle %d of %d" % (ln, i, nt))
-        parts = text.split()
-        if len(parts) != 3:
-            raise MeshFormatError("line %d: expected 'i j k', got %r" % (ln, text))
-        try:
-            triangles[i] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError("line %d: malformed index in %r" % (ln, text)) from None
-
-    flags = None
-    text, ln = next_content()
-    if text is not None:
-        parts = text.split()
-        if len(parts) != 2 or parts[0] != "boundary":
-            raise MeshFormatError("line %d: expected 'boundary <count>' or end of file, got %r" % (ln, text))
-        nb = int(parts[1])
-        flags = np.zeros(nv, dtype=bool)
-        for i in range(nb):
-            text, ln = next_content()
-            if text is None:
-                raise MeshFormatError("line %d: expected boundary vertex %d of %d" % (ln, i, nb))
+            count = -1
+        if count < 0:
+            raise MeshFormatError("line %d: malformed count in %r" % (ln, text))
+        records, where = [], []
+        for i in range(count):
+            ln, text, parts = next_line("%s %d of %d" % (what, i, count))
+            if len(parts) != len(form.split()):
+                raise MeshFormatError("line %d: expected '%s', got %r" % (ln, form, text))
             try:
-                idx = int(text)
+                records.append([convert(p) for p in parts])
             except ValueError:
-                raise MeshFormatError("line %d: malformed boundary index %r" % (ln, text)) from None
-            if not 0 <= idx < nv:
+                raise MeshFormatError("line %d: malformed %s %d in %r" % (ln, what, i, text)) from None
+            where.append(ln)
+        return records, where
+
+    vertices, _ = section("vertices", "vertex", "x y", float)
+    triangles, _ = section("triangles", "triangle", "i j k", int)
+    flags = None
+    if content:
+        flags = np.zeros(len(vertices), dtype=bool)
+        for (idx,), ln in zip(*section("boundary", "boundary vertex", "v", int)):
+            if not 0 <= idx < len(vertices):
                 raise MeshFormatError("line %d: boundary vertex %d out of range" % (ln, idx))
             flags[idx] = True
 
-    return Mesh(vertices, triangles, boundary_vertex_flags=flags)
+    return Mesh(
+        np.array(vertices, dtype=float).reshape(-1, 2),
+        np.array(triangles, dtype=np.int64).reshape(-1, 3),
+        boundary_vertex_flags=flags,
+    )
 
 
 def write_mesh(mesh, path):

@@ -19,7 +19,7 @@ def scalar_loads(space, g_comp, rule):
     per-triangle loops: an arithmetic path independent of the package's
     vectorized assembly."""
     mesh = space.mesh
-    vals, _ = pk.eval_basis(space.degree, rule.points)
+    vals, _ = pk.ReferenceElement(space.degree).eval(rule.points)
     v0 = mesh.vertices[mesh.triangles[:, 0]]
     e1 = mesh.vertices[mesh.triangles[:, 1]] - v0
     e2 = mesh.vertices[mesh.triangles[:, 2]] - v0
@@ -42,7 +42,7 @@ def evaluate_fe(space, scalar_coeffs, x, y):
         mat = np.column_stack([v[1] - v[0], v[2] - v[0]])
         xi, eta = np.linalg.solve(mat, np.array([x, y]) - v[0])
         if xi >= -1e-12 and eta >= -1e-12 and xi + eta <= 1.0 + 1e-12:
-            vals, _ = pk.eval_basis(space.degree, [(xi, eta)])
+            vals, _ = pk.ReferenceElement(space.degree).eval([(xi, eta)])
             return float(vals[0] @ scalar_coeffs[space.cell_dofs[c]])
     raise AssertionError("point (%g, %g) not located in any cell" % (x, y))
 

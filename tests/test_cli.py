@@ -73,6 +73,19 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
     assert "dt must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("mesh_n = 4\ndt = 0.01\nT = inf\n", ":3: T must be finite"),
+        ("mesh_n = 4\ndt = 0.01\nT = 0.001\n", ":3: T must be at least dt"),
+    ],
+)
+def test_out_of_range_time_is_a_usage_error(tmp_path, capsys, body, message):
+    cfg = write_cfg(tmp_path, body)
+    assert main(["verify", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unreachable_solver_tolerance_is_a_failure(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

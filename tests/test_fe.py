@@ -18,12 +18,12 @@ def reference_point(a, b):
 
 
 def test_p1_vertex_kronecker():
-    vals, _ = pk.eval_basis(1, [(0.0, 0.0)])
+    vals, _ = pk.ReferenceElement(1).eval([(0.0, 0.0)])
     assert np.allclose(vals[0], [1.0, 0.0, 0.0])
 
 
 def test_p2_edge_midpoint_kronecker():
-    vals, _ = pk.eval_basis(2, [(0.5, 0.0)])
+    vals, _ = pk.ReferenceElement(2).eval([(0.5, 0.0)])
     assert np.allclose(vals[0, :3], 0.0, atol=1e-15)
     # local node 5 sits at (1/2, 0), the edge opposite vertex 2
     assert np.isclose(vals[0, 5], 1.0)
@@ -32,7 +32,7 @@ def test_p2_edge_midpoint_kronecker():
 
 def test_partition_of_unity_barycenter():
     for degree in (1, 2):
-        vals, _ = pk.eval_basis(degree, [(1.0 / 3.0, 1.0 / 3.0)])
+        vals, _ = pk.ReferenceElement(degree).eval([(1.0 / 3.0, 1.0 / 3.0)])
         assert np.isclose(vals.sum(), 1.0)
 
 
@@ -44,7 +44,7 @@ def test_partition_of_unity_barycenter():
 )
 def test_partition_of_unity_everywhere(degree, a, b):
     x, y = reference_point(a, b)
-    vals, grads = pk.eval_basis(degree, [(x, y)])
+    vals, grads = pk.ReferenceElement(degree).eval([(x, y)])
     assert abs(vals.sum() - 1.0) < 1e-13
     assert np.abs(grads.sum(axis=1)).max() < 1e-12
 
@@ -60,9 +60,9 @@ def test_basis_gradients_match_finite_differences(degree, a, b, angle):
     x, y = reference_point(0.5 * a, 0.5 * b)
     d = np.array([math.cos(angle), math.sin(angle)])
     eps = 1e-6
-    vp, _ = pk.eval_basis(degree, [(x + eps * d[0], y + eps * d[1])])
-    vm, _ = pk.eval_basis(degree, [(x - eps * d[0], y - eps * d[1])])
-    _, grads = pk.eval_basis(degree, [(x, y)])
+    vp, _ = pk.ReferenceElement(degree).eval([(x + eps * d[0], y + eps * d[1])])
+    vm, _ = pk.ReferenceElement(degree).eval([(x - eps * d[0], y - eps * d[1])])
+    _, grads = pk.ReferenceElement(degree).eval([(x, y)])
     fd = (vp[0] - vm[0]) / (2.0 * eps)
     assert np.abs(grads[0] @ d - fd).max() < 1e-8
 

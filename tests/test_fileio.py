@@ -85,6 +85,10 @@ def test_config_optional_keys_are_honored(tmp_path):
         ("mesh_n = 4\ndt = 0.1\nT = 1\ncase = custom\n", "needs API construction"),
         ("mesh_n = 4\ndt = 0.1\nT = 1\ncase = poiseuille\n", "unknown case"),
         ("dt = 0.1\n", "missing required key"),
+        ("mesh_n = 4\ndt = 0.1\nT = inf\n", ":3: T must be finite"),
+        ("mesh_n = 4\ndt = nan\nT = 1\n", ":2: dt must be finite"),
+        ("mesh_n = 4\ndt = 0.1\nT = 1\ntol_momentum = inf\n", ":4: tol_momentum must be finite"),
+        ("mesh_n = 4\ndt = 0.01\nT = 0.001\n", ":3: T must be at least dt"),
     ],
 )
 def test_config_violations_raise(tmp_path, text, match):

@@ -117,6 +117,10 @@ def test_dangling_vertex_flagged_unused(tmp_path):
         ("vertices 3\n0 0\n1 0\nzap\n", "expected 'x y'"),
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 5\n", "out of range"),
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1\n", "expected 'i j k'"),
+        ("vertices -1\n", "line 1: malformed count"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles -2\n", "line 5: malformed count"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary x\n", "line 7: malformed count"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary -1\n", "line 7: malformed count"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, fragment):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ipcs2d as pk
-from ipcs2d.scheme import State, first_step_backward_euler, init_state
+from ipcs2d.scheme import Level, init_state, step
 
 from oracles import DenseScheme
 
@@ -44,6 +44,9 @@ def vortex_u0(x, y):
         (dict(dt=0.1, T=1.0, store_every=1.5), "store_every"),
         (dict(dt=0.1, T=1.0, f_cutoff=0.0), "f_cutoff"),
         (dict(dt=0.1, T=1.0, f_cutoff=-1.0), "f_cutoff"),
+        (dict(dt=float("nan"), T=1.0), "dt must be positive and finite"),
+        (dict(dt=0.1, T=float("inf")), "must be finite"),
+        (dict(dt=0.1, T=1.0, mu=float("inf")), "mu must be positive and finite"),
     ],
 )
 def test_config_rejects_bad_parameters(kwargs, match):
@@ -178,11 +181,23 @@ def test_single_step_run_equals_manual_composition(setup_cache):
 
     state0 = init_state(ops, u0, dt)
     F1, _ = ops.load(f, 0.5 * dt, 1.5 * dt)
-    state1 = first_step_backward_euler(state0, ops, dt, 1.0, F1)
+    state1 = step(None, state0, ops, dt, 1.0, F1)
     assert np.array_equal(traj.levels[0].utilde, state0.utilde)
     assert np.array_equal(traj.levels[1].utilde, state1.utilde)
     assert np.array_equal(traj.levels[1].p, state1.p)
     assert np.array_equal(traj.levels[1].u.phi, state1.u.phi)
+
+
+def test_gates_fire_inside_run(setup_cache):
+    mesh, su, sp, _ = setup_cache(4, 1, 1)
+    ops = pk.build_operators(su, sp)
+    orig = ops.convection
+    # a mass term added to the convection feeds energy into every step
+    ops.convection = lambda w: orig(w) + 1e-3 * ops.M_u
+    u0, f = affine_case()
+    cfg = pk.SchemeConfig(dt=0.05, T=0.1, mesh=mesh, degree_u=1, degree_p=1, u0=u0, f=f)
+    with pytest.raises(pk.SchemeError, match="energy identity violated at step 1:"):
+        pk.run(cfg, ops=ops)
 
 
 def test_unforced_energy_is_monotone(unforced_run):
@@ -228,9 +243,9 @@ def manual_states(ops, case, dt, mu, n_steps):
         F, _ = ops.load(case.f, (m - 0.5) * dt, (m + 0.5) * dt)
         loads.append(F)
         if m == 1:
-            states.append(first_step_backward_euler(states[0], ops, dt, mu, F))
+            states.append(step(None, states[0], ops, dt, mu, F))
         else:
-            states.append(pk.bdf2_step(states[-1], ops, dt, mu, F))
+            states.append(step(states[-2], states[-1], ops, dt, mu, F))
     return states, loads
 
 
@@ -240,7 +255,7 @@ def test_step_identity_residual_accepts_true_steps(setup_cache):
     dt = 0.02
     states, loads = manual_states(ops, case, dt, 1.0, 5)
     for m in range(2, 6):
-        res = pk.step_identity_residual(states[m - 1], states[m], ops, loads[m], dt, 1.0)
+        res = pk.step_identity_residual(states[m - 2 : m + 1], ops, loads[m], dt, 1.0)
         assert res <= 1e-9
 
 
@@ -252,12 +267,12 @@ def test_step_identity_residual_detects_perturbation(setup_cache):
     good = states[3]
     rng = np.random.default_rng(23)
     bump = 1e-3 * rng.standard_normal(su.ndofs)
-    bad = State(
-        good.m, good.t, good.utilde, good.utilde_prev,
-        pk.YhElement(good.u.base + bump, good.u.phi), good.u_prev,
-        good.p, good.p_prev,
+    bad = Level(
+        good.m, good.t, good.utilde,
+        pk.YhElement(good.u.base + bump, good.u.phi),
+        good.p,
     )
-    res = pk.step_identity_residual(states[2], bad, ops, loads[3], dt, 1.0)
+    res = pk.step_identity_residual([states[1], states[2], bad], ops, loads[3], dt, 1.0)
     assert res > 1e-5
 
 
@@ -267,13 +282,11 @@ def test_step_identity_residual_validates_inputs(setup_cache):
     dt = 0.02
     states, loads = manual_states(ops, case, dt, 1.0, 3)
     with pytest.raises(ValueError, match="consecutive"):
-        pk.step_identity_residual(states[0], states[1], ops, loads[1], dt, 1.0)
+        pk.step_identity_residual([None, states[0], states[1]], ops, loads[1], dt, 1.0)
     with pytest.raises(ValueError, match="consecutive"):
-        pk.step_identity_residual(states[1], states[3], ops, loads[3], dt, 1.0)
-    s1 = states[1]
-    stripped = State(s1.m, s1.t, s1.utilde, s1.utilde_prev, s1.u, None, s1.p, s1.p_prev)
+        pk.step_identity_residual([states[0], states[1], states[3]], ops, loads[3], dt, 1.0)
     with pytest.raises(ValueError, match="previous level"):
-        pk.step_identity_residual(stripped, states[2], ops, loads[2], dt, 1.0)
+        pk.step_identity_residual([None, states[1], states[2]], ops, loads[2], dt, 1.0)
 
 
 def test_forcing_cutoff_changes_only_clipped_windows(setup_cache):
