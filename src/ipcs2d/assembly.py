@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe import quad_rule
-from .linsolve import solve_spd
+from .linsolve import factor_poisson, solve_direct
 
 __all__ = [
     "CellGeometry",
@@ -78,23 +78,33 @@ def assembly_rule(degree_u, degree_p):
 def _phys_grads(space, geom):
     # gphi[c, q, i, d] = reference gradient pushed through cell c
     _, dphi = space.ref.eval(geom.rule.points)
-    return np.einsum("qie,ced->cqid", dphi, geom.inv_j)
+    return dphi @ geom.inv_j[:, None]
 
 
-def _scatter(space, elem):
-    # elem: (M, nloc, nloc) element matrices -> scalar CSR
-    cd = space.cell_dofs
-    nloc = cd.shape[1]
-    rows = np.repeat(cd, nloc, axis=1).ravel()
-    cols = np.tile(cd, (1, nloc)).ravel()
-    n = space.n_scalar
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+class _Scatter:
+    """COO -> CSR map of one space's element matrices, computed once: the
+    CSR slot of every entry, the pattern repeated once per component."""
 
+    def __init__(self, space):
+        cd = space.cell_dofs
+        nloc = cd.shape[1]
+        n, k = space.n_scalar, space.components
+        key = np.repeat(cd, nloc, axis=1).ravel() * n + np.tile(cd, (1, nloc)).ravel()
+        keys, self.slot = np.unique(key, return_inverse=True)
+        self.nnz = keys.size
+        row_end = np.searchsorted(keys, n * np.arange(1, n + 1))
+        self.indices = np.concatenate([keys % n + c * n for c in range(k)])
+        self.indptr = np.concatenate([[0]] + [row_end + c * self.nnz for c in range(k)])
+        self.shape = (k * n, k * n)
+        self.k = k
 
-def _vectorize(space, scalar_csr):
-    if space.components == 1:
-        return scalar_csr
-    return sp.block_diag([scalar_csr] * space.components, format="csr")
+    def __call__(self, elem):
+        # elem: (M, nloc, nloc) element matrices -> CSR, block diagonal for
+        # vector spaces; index arrays are copied, as callers may edit them
+        data = np.bincount(self.slot, weights=elem.ravel(), minlength=self.nnz)
+        return sp.csr_matrix(
+            (np.tile(data, self.k), self.indices.copy(), self.indptr.copy()), shape=self.shape
+        )
 
 
 def assemble_mass(space, geom=None):
@@ -104,7 +114,7 @@ def assemble_mass(space, geom=None):
     phi, _ = space.ref.eval(geom.rule.points)
     w = geom.rule.weights
     elem = np.einsum("q,qi,qj,c->cij", w, phi, phi, geom.detJ)
-    return _vectorize(space, _scatter(space, elem))
+    return _Scatter(space)(elem)
 
 def assemble_stiffness(space, geom=None):
     """H1 seminorm (grad, grad) matrix of the space."""
@@ -113,10 +123,10 @@ def assemble_stiffness(space, geom=None):
     gphi = _phys_grads(space, geom)
     w = geom.rule.weights
     elem = np.einsum("q,cqid,cqjd,c->cij", w, gphi, gphi, geom.detJ)
-    return _vectorize(space, _scatter(space, elem))
+    return _Scatter(space)(elem)
 
 
-def assemble_convection(space_u, w_coeffs, geom=None):
+def assemble_convection(space_u, w_coeffs, geom=None, grads=None, scatter=None):
     """Skew-symmetrized convection matrix B(w) with entries
 
         B[i, j] = ((w . grad) phi_j, phi_i) + 1/2 ((div w) phi_j, phi_i)
@@ -124,23 +134,25 @@ def assemble_convection(space_u, w_coeffs, geom=None):
     acting blockwise on both velocity components.  For w and v with
     homogeneous boundary values, v^T B(w) v integrates to exactly zero,
     and the quadrature is exact for the cubic-in-k integrand, so the
-    cancellation holds to rounding."""
+    cancellation holds to rounding.  grads (the pushed-forward basis
+    gradients of geom) and scatter (the space's _Scatter) are recomputed
+    when not given."""
     if geom is None:
         geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, 1))
+    grads = _phys_grads(space_u, geom) if grads is None else grads
+    scatter = _Scatter(space_u) if scatter is None else scatter
+    M, nq, nloc, _ = grads.shape
     phi, _ = space_u.ref.eval(geom.rule.points)
-    gphi = _phys_grads(space_u, geom)
-    cd = space_u.cell_dofs
-    wx = space_u.component(w_coeffs, 0)[cd]
-    wy = space_u.component(w_coeffs, 1)[cd]
-    w_at_q = eval_at_quad(space_u, geom, w_coeffs)
-    div_w = np.einsum("cqi,ci->cq", gphi[..., 0], wx) + np.einsum(
-        "cqi,ci->cq", gphi[..., 1], wy
-    )
-    wq = geom.rule.weights
-    conv = np.einsum("cqd,cqjd->cqj", w_at_q, gphi)
-    elem = np.einsum("q,qi,cqj,c->cij", wq, phi, conv, geom.detJ)
-    elem += 0.5 * np.einsum("q,cq,qi,qj,c->cij", wq, div_w, phi, phi, geom.detJ)
-    return _vectorize(space_u, _scatter(space_u, elem))
+    wphi = geom.rule.weights[:, None] * phi
+    # (phi_i phi_j) per rule point, weighted
+    phi2 = (wphi[:, :, None] * phi[:, None, :]).reshape(nq, nloc * nloc)
+    # w_cd[c, i, d]: component d of w at local dof i of cell c
+    w_cd = np.stack([space_u.component(w_coeffs, d)[space_u.cell_dofs] for d in range(2)], -1)
+    w_at_q = phi @ w_cd
+    div_w = (grads.reshape(M, nq, 2 * nloc) @ w_cd.reshape(M, 2 * nloc, 1))[..., 0]
+    conv = grads[..., 0] * w_at_q[..., 0, None] + grads[..., 1] * w_at_q[..., 1, None]
+    elem = wphi.T @ conv + 0.5 * (div_w @ phi2).reshape(M, nloc, nloc)
+    return scatter(elem * geom.detJ[:, None, None])
 
 
 def assemble_couplings(space_u, space_p, geom=None):
@@ -275,6 +287,7 @@ class OperatorSet:
     M_u, A_u : vector mass and stiffness on the velocity space
     D, G : coupling matrices (see assemble_couplings)
     N_p, M_p : pressure stiffness and mass
+    solve_poisson(b, tol) : zero-mean solve with N_p, factored once
 
     plus the inner products the projection scheme and its energy ledger
     need.  Fields of the composite space U_h + grad(P_h) are handled as
@@ -291,12 +304,15 @@ class OperatorSet:
         self.D, self.G = assemble_couplings(space_u, space_p, self.geom)
         self.M_p = assemble_mass(space_p, self.geom)
         self.N_p = assemble_stiffness(space_p, self.geom)
+        self.grads_u = _phys_grads(space_u, self.geom)
+        self.scatter_u = _Scatter(space_u)
+        self.solve_poisson = factor_poisson(self.N_p, self.M_p)
         # |grad psi_q| per pressure basis function, for normalized
         # divergence residuals
         self.grad_psi_norms = np.sqrt(self.N_p.diagonal())
 
     def convection(self, w_coeffs):
-        return assemble_convection(self.space_u, w_coeffs, self.geom)
+        return assemble_convection(self.space_u, w_coeffs, self.geom, self.grads_u, self.scatter_u)
 
     def load(self, f, t_lo, t_hi, cutoff=None):
         return assemble_load(self.space_u, f, t_lo, t_hi, cutoff, self.geom)
@@ -360,7 +376,9 @@ def project_L2_onto_Uh(space_u, g, ops=None, tol=1e-12):
     )
     rhs = _load_vector(space_u, geom, gvals)
     M_u = ops.M_u if ops is not None else assemble_mass(space_u)
-    free = space_u.free
-    out = np.zeros(2 * space_u.n_scalar)
-    out[free] = solve_spd(M_u[free][:, free].tocsr(), rhs[free], tol=tol)
-    return out
+    # both components share the scalar mass block and its free dofs
+    n = space_u.n_scalar
+    free = space_u.free[:n]
+    out = np.zeros((2, n))
+    out[:, free] = solve_direct(M_u[:n, :n][free][:, free], rhs.reshape(2, n)[:, free].T, tol, "mass").T
+    return out.ravel()

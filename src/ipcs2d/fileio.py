@@ -34,7 +34,7 @@ from .assembly import CellGeometry
 from .diagnostics import CSV_COLUMNS
 from .fe import quad_rule
 from .mms import case_by_name
-from .scheme import SchemeConfig
+from .scheme import MAX_STEPS, SchemeConfig
 
 __all__ = [
     "ConfigError",
@@ -71,8 +71,8 @@ def parse_config(path):
 
     The manufactured case named by "case" supplies the initial velocity
     and forcing.  Violations (unknown key, malformed value, non-finite
-    float, non-positive dt/T/mu, T < dt, degree outside {1, 2}) raise
-    ConfigError anchored to the offending line."""
+    float, non-positive dt/T/mu, T < dt, more than MAX_STEPS steps, degree
+    outside {1, 2}) raise ConfigError anchored to the offending line."""
     values = {}
     where = {}
     with open(path) as fh:
@@ -115,6 +115,8 @@ def parse_config(path):
     check("dt", lambda v: v > 0, "dt must be positive")
     check("T", lambda v: v > 0, "T must be positive")
     check("T", lambda v: v >= values.get("dt", 0.0), "T must be at least dt")
+    check("dt", lambda v: values.get("T", v) / v <= MAX_STEPS,
+          "dt gives more than %d steps to T" % MAX_STEPS)
     check("mu", lambda v: v > 0, "mu must be positive")
     check("mesh_n", lambda v: v >= 1, "mesh_n must be a positive integer")
     check("f_cutoff", lambda v: v > 0, "f_cutoff must be positive")

@@ -1,22 +1,26 @@
 """Linear solves used by the time stepper.
 
-Two entry points: conjugate gradients for the symmetric positive
-(semi-)definite pressure and mass solves, and a sparse LU factorization
-for the nonsymmetric momentum systems.  Both verify the final residual
-against the requested tolerance with a fresh matrix-vector product and
-raise LinearSolveError (carrying the achieved residual) instead of
-returning a silently inaccurate solution.
+Every solve verifies its final residual with a fresh matrix-vector
+product and raises LinearSolveError (carrying the achieved residual)
+instead of returning a silently inaccurate solution.  One refine-and-
+verify routine serves both direct solvers:
 
-The conjugate gradient loop is written out rather than delegated so the
-iteration cap (10 times the system size) and the zero-mean handling of the
-singular pressure Poisson operator are exactly as documented: the right
-side is first projected onto the complement of the constant vector, and
-the mass-weighted mean of the solution is removed afterwards.
+  * solve_direct: sparse LU (minimum degree ordering on A^T + A), one
+    factorization for all columns of b; solve_momentum is its entry for
+    the momentum system of a step;
+  * factor_poisson: the pure-Neumann pressure Poisson operator factored
+    once with one dof pinned; each solve projects the right side onto the
+    complement of the constant kernel and shifts the solution to zero
+    mass-weighted mean.
+
+solve_spd is conjugate gradients for symmetric positive (semi-)definite
+systems with the same zero-mean handling, written out so the iteration
+cap (10 times the system size) is exactly as documented.
 """
 
 import numpy as np
 
-__all__ = ["LinearSolveError", "solve_spd", "solve_momentum"]
+__all__ = ["LinearSolveError", "solve_spd", "solve_direct", "solve_momentum", "factor_poisson"]
 
 
 class LinearSolveError(RuntimeError):
@@ -105,35 +109,78 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
     return x
 
 
-def solve_momentum(A, b, tol=1e-12):
-    """Direct sparse LU solve of a momentum system to relative residual
-    tol, with iterative refinement as a safety margin.  Raises
-    LinearSolveError when the factorization cannot deliver the tolerance
-    (singular system, catastrophic conditioning)."""
-    from scipy.sparse.linalg import splu
-
-    b = np.asarray(b, dtype=float)
+def _refine(solve, A, b, tol, what):
+    """solve(b), refined with up to three correction sweeps until the fresh
+    residual |b - A x| is at most tol |b| (Frobenius norm over the columns
+    of a multi-column b); raises LinearSolveError otherwise."""
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    try:
-        lu = splu(A.tocsc())
-    except RuntimeError as exc:
-        raise LinearSolveError("momentum matrix factorization failed: %s" % exc) from exc
-    x = lu.solve(b)
+    x = solve(b)
     for _ in range(3):
         r = b - A @ x
         res = float(np.linalg.norm(r))
         if not np.isfinite(res):
-            raise LinearSolveError("momentum solve produced non-finite values")
+            raise LinearSolveError("%s solve produced non-finite values" % what)
         if res <= tol * bnorm:
             return x
-        x = x + lu.solve(r)
+        x = x + solve(r)
     res = float(np.linalg.norm(b - A @ x))
     if res <= tol * bnorm:
         return x
     raise LinearSolveError(
-        "momentum solve stalled at relative residual %.3e (tolerance %.1e)"
-        % (res / bnorm, tol),
+        "%s solve stalled at relative residual %.3e (tolerance %.1e)"
+        % (what, res / bnorm, tol),
         residual=res / bnorm,
     )
+
+
+def _factor(A, what):
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise LinearSolveError("%s matrix factorization failed: %s" % (what, exc)) from exc
+
+
+def solve_direct(A, b, tol=1e-12, what="linear"):
+    """Direct sparse LU solve to relative residual tol, with iterative
+    refinement as a safety margin.  b may hold one right side per column;
+    they share the factorization.  Raises LinearSolveError, naming the
+    system as what, when the factorization cannot deliver the tolerance
+    (singular system, catastrophic conditioning)."""
+    b = np.asarray(b, dtype=float)
+    if not np.any(b):
+        return np.zeros_like(b)
+    return _refine(_factor(A, what).solve, A, b, tol, what)
+
+
+def solve_momentum(A, b, tol=1e-12):
+    """solve_direct of the momentum system of one step.  It keeps its own
+    name so that a traced run (perfbench/spans.py) counts one momentum
+    solve per step."""
+    return solve_direct(A, b, tol, "momentum")
+
+
+def factor_poisson(N, mass):
+    """Factor the pure-Neumann Poisson operator N once, with its first dof
+    pinned to zero, and return solve(b, tol).
+
+    Like solve_spd(N, b, tol, zero_mean=True, mass=mass), the solve
+    projects b onto the complement of the constant kernel, verifies the
+    residual against the unpinned N, and shifts the solution to zero
+    mass-weighted mean."""
+    lu = _factor(N[1:, 1:], "pressure Poisson")
+    w = mass @ np.ones(N.shape[0])
+
+    def pinned(r):
+        x = np.zeros_like(r)
+        x[1:] = lu.solve(r[1:])
+        return x
+
+    def solve(b, tol=1e-12):
+        x = _refine(pinned, N, b - b.mean(), tol, "pressure Poisson")
+        return x - float(w @ x) / float(w.sum())
+
+    return solve

@@ -263,6 +263,8 @@ def read_mesh(path):
                 records.append([convert(p) for p in parts])
             except ValueError:
                 raise MeshFormatError("line %d: malformed %s %d in %r" % (ln, what, i, text)) from None
+            if not np.all(np.isfinite(records[-1])):
+                raise MeshFormatError("line %d: non-finite %s %d in %r" % (ln, what, i, text))
             where.append(ln)
         return records, where
 

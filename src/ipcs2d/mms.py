@@ -65,11 +65,10 @@ def _broadcast1(fn):
     return call
 
 
-def _broadcastn(fns):
-    fns = [(_broadcast1(fn)) for fn in fns]
-
+def _broadcastn(fn):
     def call(t, x, y):
-        return tuple(fn(t, x, y) for fn in fns)
+        x = np.asarray(x, dtype=float)
+        return tuple(np.asarray(v, dtype=float) * np.ones_like(x) for v in fn(t, x, y))
 
     return call
 
@@ -90,13 +89,12 @@ def _case_from_expressions(name, mu, u1e, u2e, pe, t, x, y):
         + pe.diff(y)
     )
     args = (t, x, y)
-    lam = lambda e: sympy.lambdify(args, e, modules="numpy")
-    u = _broadcastn([lam(u1e), lam(u2e)])
-    p = _broadcast1(lam(pe))
-    f = _broadcastn([lam(sympy.simplify(f1e)), lam(sympy.simplify(f2e))])
-    grad_u = _broadcastn(
-        [lam(u1e.diff(x)), lam(u1e.diff(y)), lam(u2e.diff(x)), lam(u2e.diff(y))]
-    )
+    # one function per vector field, its common subexpressions evaluated once
+    lam_all = lambda *es: _broadcastn(sympy.lambdify(args, es, modules="numpy", cse=True))
+    u = lam_all(u1e, u2e)
+    p = _broadcast1(sympy.lambdify(args, pe, modules="numpy"))
+    f = lam_all(sympy.simplify(f1e), sympy.simplify(f2e))
+    grad_u = lam_all(u1e.diff(x), u1e.diff(y), u2e.diff(x), u2e.diff(y))
     return ManufacturedCase(name, mu, u, p, f, grad_u)
 
 

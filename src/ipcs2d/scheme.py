@@ -40,7 +40,7 @@ import numpy as np
 from . import diagnostics
 from .assembly import build_operators, project_L2_onto_Uh
 from .fe import build_space
-from .linsolve import solve_momentum, solve_spd
+from .linsolve import solve_momentum
 from .mesh import generate_structured_unit_square
 
 __all__ = [
@@ -53,6 +53,9 @@ __all__ = [
     "step",
     "run",
 ]
+
+# the most time steps a run may take; a larger T/dt is a mistake, not a run
+MAX_STEPS = 10**7
 
 # (ledger column, tolerance, message) of the gates every level must pass
 GATES = (
@@ -106,7 +109,8 @@ class SchemeConfig:
     evaluable slightly beyond the final time (closed-form forcings are).
     If it is not, set f_cutoff to the time beyond which f is treated as
     zero, which scales clipped windows down proportionally.  dt is
-    adjusted to divide T exactly (recorded in the run warnings).  When
+    adjusted to divide T exactly (recorded in the run warnings), in at
+    most MAX_STEPS steps.  When
     require_coupling is set, construction rejects combinations with
     h**(degree_u + 1) > coupling_c * dt, the regime the splitting
     analysis assumes for spatial refinement studies.
@@ -136,6 +140,10 @@ class SchemeConfig:
             raise ValueError("dt must be positive and finite, got %g" % dt)
         if not dt <= T < math.inf:
             raise ValueError("final time T=%g must be finite and at least dt=%g" % (T, dt))
+        if T / dt > MAX_STEPS:
+            raise ValueError(
+                "T/dt = %.3g steps exceeds the limit of %d steps" % (T / dt, MAX_STEPS)
+            )
         if not 0 < mu < math.inf:
             raise ValueError("viscosity mu must be positive and finite, got %g" % mu)
         if (mesh is None) == (mesh_n is None):
@@ -215,7 +223,7 @@ def init_state(ops, u0, dt, tol_poisson=1e-12):
     utilde0 = project_L2_onto_Uh(ops.space_u, u0, ops, tol=tol_poisson)
     _check_finite(utilde0, "projected initial velocity", 0)
     rhs = (ops.G.T @ utilde0) / dt
-    p0 = solve_spd(ops.N_p, rhs, tol=tol_poisson, zero_mean=True, mass=ops.M_p)
+    p0 = ops.solve_poisson(rhs, tol_poisson)
     return Level(0, 0.0, utilde0, YhElement(utilde0, -dt * p0), p0)
 
 
@@ -247,16 +255,18 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12):
     m = cur.m + 1
 
     B = ops.convection(w_advect)
-    S = (a0 / dt) * ops.M_u + B + mu * ops.A_u
-    rhs = F + ops.D @ cur.p + history / dt
-    free = ops.space_u.free
-    utilde = np.zeros(ops.space_u.ndofs)
-    utilde[free] = solve_momentum(S[free][:, free].tocsr(), rhs[free], tol=tol_momentum)
+    # every operator is block diagonal, one scalar block per component, and
+    # both components have the same free dofs: one factorization, two columns
+    n = ops.space_u.n_scalar
+    free = ops.space_u.free[:n]
+    S = ((a0 / dt) * ops.M_u[:n, :n] + B[:n, :n] + mu * ops.A_u[:n, :n])[free][:, free]
+    rhs = (F + ops.D @ cur.p + history / dt).reshape(2, n)[:, free].T
+    utilde = np.zeros((2, n))
+    utilde[:, free] = solve_momentum(S, rhs, tol=tol_momentum).T
+    utilde = utilde.ravel()
     _check_finite(utilde, "intermediate velocity", m)
 
-    dp = solve_spd(
-        ops.N_p, -(a0 / dt) * (ops.D.T @ utilde), tol=tol_poisson, zero_mean=True, mass=ops.M_p
-    )
+    dp = ops.solve_poisson(-(a0 / dt) * (ops.D.T @ utilde), tol_poisson)
     u = YhElement(utilde, -(dt / a0) * dp)
     return Level(m, m * dt, utilde, u, cur.p + dp, _skew_residual(ops, B, w_advect, utilde))
 

@@ -78,6 +78,7 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
     [
         ("mesh_n = 4\ndt = 0.01\nT = inf\n", ":3: T must be finite"),
         ("mesh_n = 4\ndt = 0.01\nT = 0.001\n", ":3: T must be at least dt"),
+        ("mesh_n = 4\ndt = 1e-300\nT = 1\n", ":2: dt gives more than 10000000 steps"),
     ],
 )
 def test_out_of_range_time_is_a_usage_error(tmp_path, capsys, body, message):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import ipcs2d as pk
 from ipcs2d import LinearSolveError
@@ -29,14 +30,15 @@ def test_pressure_poisson_matches_dense_kkt(setup_cache):
     dense = DenseScheme(mesh.vertices, mesh.triangles, mesh.boundary_vertex_flags)
     c = spp.interpolate(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
     b = ops.N_p @ c  # compatible right side by construction
-    x = solve_spd(ops.N_p, b, zero_mean=True, mass=ops.M_p)
-    x_dense = dense.poisson_zero_mean(b)
-    assert np.abs(x - x_dense).max() < 1e-10
-    # both equal c shifted to mass-weighted zero mean
-    w = ops.M_p @ np.ones(spp.ndofs)
-    c_shift = c - float(w @ c) / float(w.sum())
-    assert np.abs(x - c_shift).max() < 1e-10
-    assert abs(float(w @ x)) < 1e-12
+    # conjugate gradients, and the operator set's factored solve
+    for x in (solve_spd(ops.N_p, b, zero_mean=True, mass=ops.M_p), ops.solve_poisson(b)):
+        x_dense = dense.poisson_zero_mean(b)
+        assert np.abs(x - x_dense).max() < 1e-10
+        # both equal c shifted to mass-weighted zero mean
+        w = ops.M_p @ np.ones(spp.ndofs)
+        c_shift = c - float(w @ c) / float(w.sum())
+        assert np.abs(x - c_shift).max() < 1e-10
+        assert abs(float(w @ x)) < 1e-12
 
 
 def test_momentum_solve_on_scaled_mass(setup_cache):
@@ -61,6 +63,39 @@ def test_random_diagonally_dominant_systems():
     A_gen = sp.csr_matrix(B + n * np.eye(n))
     x0 = rng.standard_normal(n)
     assert np.abs(solve_momentum(A_gen, A_gen @ x0) - x0).max() < 1e-10
+
+
+def test_momentum_columns_share_one_factorization():
+    rng = np.random.default_rng(3)
+    n = 60
+    A = sp.csr_matrix(rng.standard_normal((n, n)) * 0.1 + n * np.eye(n))
+    B = rng.standard_normal((n, 2))
+    X = solve_momentum(A, B)
+    for k in range(2):
+        x = solve_momentum(A, B[:, k])
+        assert np.abs(X[:, k] - x).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_two_column_failure_reports_stacked_residual(monkeypatch):
+    class HalfStep:
+        # a deliberately poor factorization of diag(2, 4): r / 4 is exact
+        # for the second unknown and halves the residual of the first
+        def solve(self, r):
+            return r / 4.0
+
+    # solve_momentum looks splu up at call time
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *args, **kwargs: HalfStep())
+    errors = []
+    for A, b in (
+        (sp.diags([2.0, 4.0]).tocsr(), np.eye(2)),
+        (sp.diags([2.0, 4.0, 2.0, 4.0]).tocsr(), np.array([1.0, 0.0, 0.0, 1.0])),
+    ):
+        with pytest.raises(LinearSolveError, match="stalled") as info:
+            solve_momentum(A, b, tol=1e-3)
+        errors.append(info.value.residual)
+    # first column: residual 1/2^4 after the solve and three corrections;
+    # second column: exact.  Relative to the Frobenius norm sqrt(2) of b
+    assert errors[0] == errors[1] == pytest.approx(1.0 / (16.0 * np.sqrt(2.0)), rel=1e-15)
 
 
 def test_negative_definite_system_is_reported():

@@ -121,6 +121,8 @@ def test_dangling_vertex_flagged_unused(tmp_path):
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles -2\n", "line 5: malformed count"),
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary x\n", "line 7: malformed count"),
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary -1\n", "line 7: malformed count"),
+        ("vertices 3\n0 0\n1 nan\n0 1\ntriangles 1\n0 1 2\n", "line 3: non-finite vertex"),
+        ("vertices 3\n0 0\n1 0\n-inf 1\ntriangles 1\n0 1 2\n", "line 4: non-finite vertex"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, fragment):

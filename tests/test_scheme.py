@@ -47,6 +47,7 @@ def vortex_u0(x, y):
         (dict(dt=float("nan"), T=1.0), "dt must be positive and finite"),
         (dict(dt=0.1, T=float("inf")), "must be finite"),
         (dict(dt=0.1, T=1.0, mu=float("inf")), "mu must be positive and finite"),
+        (dict(dt=1e-300, T=1.0), "T/dt = 1e\\+300 steps exceeds the limit of 10000000 steps"),
     ],
 )
 def test_config_rejects_bad_parameters(kwargs, match):
@@ -186,6 +187,34 @@ def test_single_step_run_equals_manual_composition(setup_cache):
     assert np.array_equal(traj.levels[1].utilde, state1.utilde)
     assert np.array_equal(traj.levels[1].p, state1.p)
     assert np.array_equal(traj.levels[1].u.phi, state1.u.phi)
+
+
+def test_step_matches_full_system_solve(setup_cache):
+    # the momentum system as one two-component solve, before it was split
+    # into a scalar block shared by both components
+    from scipy.sparse.linalg import spsolve
+
+    _, su, _, ops = setup_cache(4, 2, 1)
+    u0, f = affine_case()
+    dt, mu = 0.05, 1.0
+    level0 = init_state(ops, u0, dt)
+    F1, _ = ops.load(f, 0.5 * dt, 1.5 * dt)
+    level1 = step(None, level0, ops, dt, mu, F1)
+    F2, _ = ops.load(f, 1.5 * dt, 2.5 * dt)
+    level2 = step(level0, level1, ops, dt, mu, F2)
+    for prev, cur, F, new in ((None, level0, F1, level1), (level0, level1, F2, level2)):
+        r = ops.yh_pair_with_u(cur.u.base, cur.u.phi)
+        if prev is None:
+            a0, w, history = 1.0, cur.utilde, r
+        else:
+            a0, w = 1.5, 2.0 * cur.utilde - prev.utilde
+            history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.u.base, prev.u.phi)
+        S = ((a0 / dt) * ops.M_u + ops.convection(w) + mu * ops.A_u).tocsr()
+        rhs = F + ops.D @ cur.p + history / dt
+        free = su.free
+        ref = np.zeros(su.ndofs)
+        ref[free] = spsolve(S[free][:, free].tocsc(), rhs[free])
+        assert np.abs(new.utilde - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_gates_fire_inside_run(setup_cache):
