@@ -13,6 +13,8 @@ zeros at Dirichlet entries; constrained rows/columns are eliminated only
 inside the linear solves.
 """
 
+import inspect
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -218,22 +220,61 @@ def _load_vector(space_u, geom, vals):
     # (vals, phi_i) for every velocity basis function; vals: (M, nq, 2)
     # vector field at the rule points of every cell
     phi, _ = space_u.ref.eval(geom.rule.points)
-    elem = np.einsum("q,cqd,qi,c->cid", geom.rule.weights, vals, phi, geom.detJ)
+    elem = np.einsum("q,cqd,qi,c->cid", geom.rule.weights, vals, phi, geom.detJ, optimize=True)
     out = np.zeros(2 * space_u.n_scalar)
     for c in range(2):
         np.add.at(space_u.component(out, c), space_u.cell_dofs.ravel(), elem[..., c].ravel())
     return out
 
 
+def _eval_user_field(fn, name, x, y, t=None):
+    """Values of a user vector field at the points x, y, shape x.shape + (2,).
+
+    fn is called as fn(x, y), or as fn(t, x, y) when t is given.  A value
+    that is not a callable of those arguments, or a result other than two
+    finite components broadcastable to x.shape, raises ValueError naming
+    the callable, the expected shape and the time."""
+    args = (x, y) if t is None else (t, x, y)
+    where = "%s(x, y)" % name if t is None else "%s(t, x, y) at t=%r" % (name, float(t))
+    expected = "%s must return two finite components of shape %s" % (where, x.shape)
+    if not callable(fn):
+        raise ValueError("%s: %s is %r, not a callable" % (expected, name, fn))
+    try:
+        inspect.signature(fn).bind(*args)
+    except TypeError as exc:
+        raise ValueError(
+            "%s: it cannot be called with %d arguments (%s)" % (expected, len(args), exc)
+        ) from None
+    except ValueError:
+        pass  # no signature to inspect; the call itself decides
+    out = fn(*args)
+    try:
+        comps = tuple(out)
+    except TypeError:
+        raise ValueError("%s: got a %s" % (expected, type(out).__name__)) from None
+    if len(comps) != 2:
+        raise ValueError("%s: got %d values" % (expected, len(comps)))
+    vals = np.empty(x.shape + (2,))
+    for c, comp in enumerate(comps):
+        try:
+            vals[..., c] = comp
+        except (TypeError, ValueError) as exc:
+            raise ValueError("%s: component %d: %s" % (expected, c, exc)) from None
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("%s: got non-finite values" % expected)
+    return vals
+
+
 def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None):
     """Load vector of the window-averaged forcing together with the squared
     quadrature norm of the averaged field.
 
-    f(t, x, y) must return the two force components for array x, y.  The
-    average over [t_lo, t_hi] uses three-point Gauss in time; integration
-    is clipped at the cutoff while the denominator keeps the full window,
-    and the norm uses the same spatial rule as the load so the discrete
-    Cauchy-Schwarz pairing with velocity fields is exact.
+    f(t, x, y) must return the two finite force components for array x, y
+    (otherwise ValueError, naming f and t).  The average over [t_lo, t_hi]
+    uses three-point Gauss in time; integration is clipped at the cutoff
+    while the denominator keeps the full window, and the norm uses the same
+    spatial rule as the load so the discrete Cauchy-Schwarz pairing with
+    velocity fields is exact.
 
     Returns (F, f_norm_sq)."""
     if geom is None:
@@ -243,9 +284,7 @@ def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None):
     y = geom.phys[..., 1]
     fbar = np.zeros(geom.phys.shape[:2] + (2,))
     for tk, ck in zip(nodes, coeffs):
-        fx, fy = f(tk, x, y)
-        fbar[..., 0] += ck * np.asarray(fx, dtype=float)
-        fbar[..., 1] += ck * np.asarray(fy, dtype=float)
+        fbar += ck * _eval_user_field(f, "f", x, y, tk)
 
     w = geom.rule.weights
     f_norm_sq = float(np.einsum("q,cqd,cqd,c->", w, fbar, fbar, geom.detJ))
@@ -361,20 +400,17 @@ def build_operators(space_u, space_p):
 def project_L2_onto_Uh(space_u, g, ops=None, tol=1e-12):
     """L2 projection of a vector field onto the velocity space.
 
-    g(x, y) must return the two components for array x, y.  The right side
-    is integrated with the degree-6 rule (the integrand is not polynomial
-    in general); the mass solve runs on the interior dofs only, so the
-    result satisfies the homogeneous boundary condition exactly.
+    g(x, y) must return the two finite components for array x, y
+    (otherwise ValueError, naming g as u0, the initial velocity the scheme
+    projects with it).  The right side is integrated with the degree-6
+    rule (the integrand is not polynomial in general); the mass solve runs
+    on the interior dofs only, so the result satisfies the homogeneous
+    boundary condition exactly.
     """
     geom = CellGeometry(space_u.mesh, quad_rule(6))
     x = geom.phys[..., 0]
     y = geom.phys[..., 1]
-    gx, gy = g(x, y)
-    gvals = np.stack(
-        [np.asarray(gx, dtype=float) * np.ones_like(x), np.asarray(gy, dtype=float) * np.ones_like(x)],
-        axis=-1,
-    )
-    rhs = _load_vector(space_u, geom, gvals)
+    rhs = _load_vector(space_u, geom, _eval_user_field(g, "u0", x, y))
     M_u = ops.M_u if ops is not None else assemble_mass(space_u)
     # both components share the scalar mass block and its free dofs
     n = space_u.n_scalar

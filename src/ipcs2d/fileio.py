@@ -189,6 +189,11 @@ def _vertex_averaged_grad_phi(space_p, phi_coeffs):
     return acc / weight[:, None]
 
 
+def _write_rows(fh, template, rows):
+    # one formatted line per row of a 2-D array, written in one call
+    fh.write((template * len(rows)) % tuple(np.asarray(rows).ravel().tolist()))
+
+
 def write_vtk(level, space_u, space_p, path, cellwise=False):
     """Write one stored level as a legacy ASCII VTK unstructured grid.
 
@@ -198,38 +203,29 @@ def write_vtk(level, space_u, space_p, path, cellwise=False):
     centroids."""
     mesh = space_u.mesh
     nv = mesh.n_vertices
-    ux = space_u.component(level.utilde, 0)[:nv]
-    uy = space_u.component(level.utilde, 1)[:nv]
-    p = level.p[:nv]
-    gphi = _vertex_averaged_grad_phi(space_p, level.u.phi)
-    bx = space_u.component(level.u.base, 0)[:nv]
-    by = space_u.component(level.u.base, 1)[:nv]
-    projx = bx + gphi[:, 0]
-    projy = by + gphi[:, 1]
+    n = space_u.n_scalar
+    # (nv, 2) vertex values; vertices are the first nv scalar dofs
+    utilde = level.utilde.reshape(2, n)[:, :nv].T
+    proj = level.u.base.reshape(2, n)[:, :nv].T + _vertex_averaged_grad_phi(space_p, level.u.phi)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("time level %d t=%.17g\n" % (level.m, level.t))
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % nv)
-        for x, y in mesh.vertices:
-            fh.write("%.17g %.17g 0\n" % (x, y))
+        _write_rows(fh, "%.17g %.17g 0\n", mesh.vertices)
         nt = mesh.n_triangles
         fh.write("CELLS %d %d\n" % (nt, 4 * nt))
-        for a, b, c in mesh.triangles:
-            fh.write("3 %d %d %d\n" % (a, b, c))
+        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
         fh.write("CELL_TYPES %d\n" % nt)
         fh.write("5\n" * nt)
         fh.write("POINT_DATA %d\n" % nv)
         fh.write("VECTORS u_tilde double\n")
-        for vx, vy in zip(ux, uy):
-            fh.write("%.17g %.17g 0\n" % (vx, vy))
+        _write_rows(fh, "%.17g %.17g 0\n", utilde)
         fh.write("VECTORS u_proj double\n")
-        for vx, vy in zip(projx, projy):
-            fh.write("%.17g %.17g 0\n" % (vx, vy))
+        _write_rows(fh, "%.17g %.17g 0\n", proj)
         fh.write("SCALARS p double\nLOOKUP_TABLE default\n")
-        for v in p:
-            fh.write("%.17g\n" % v)
+        _write_rows(fh, "%.17g\n", level.p[:nv, None])
         if cellwise:
             centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
             phi_u, _ = space_u.ref.eval(centroid)
@@ -243,5 +239,4 @@ def write_vtk(level, space_u, space_p, path, cellwise=False):
             )
             fh.write("CELL_DATA %d\n" % nt)
             fh.write("VECTORS u_proj_cell double\n")
-            for vx, vy in zip(cbx + cg[:, 0], cby + cg[:, 1]):
-                fh.write("%.17g %.17g 0\n" % (vx, vy))
+            _write_rows(fh, "%.17g %.17g 0\n", np.column_stack((cbx + cg[:, 0], cby + cg[:, 1])))

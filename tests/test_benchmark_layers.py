@@ -45,6 +45,9 @@ def test_traced_quickstart_attributes_every_step(tmp_path, monkeypatch):
     counts = result["counts"]
     assert counts["linsolve.momentum_calls"] == spec["n_steps"]
     assert counts["assembly.convection_calls"] == spec["n_steps"]
+    # every forcing evaluation goes through the case's (wrapped) f: three
+    # Gauss nodes per step, 2 n^2 cells, the 7-point rule of P2/P1
+    assert counts["mms.forcing_points"] == 3 * spec["n_steps"] * 2 * spec["mesh_n"] ** 2 * 7
     names = {span[0] for span in result["spans"]}
-    for name in ("scheme.step", "linsolve.momentum", "diagnostics.record_level"):
+    for name in ("mms.case", "scheme.step", "linsolve.momentum", "diagnostics.record_level"):
         assert name in names

@@ -200,3 +200,55 @@ def test_vtk_point_vectors_are_vertex_coefficients(tmp_path, tiny_run):
     pdx = lines.index("LOOKUP_TABLE default")
     for v in range(mesh.n_vertices):
         assert math.isclose(float(lines[pdx + 1 + v]), traj.final.p[v], abs_tol=1e-15)
+
+
+def reference_vtk_text(level, su, sp, cellwise):
+    # the writer as it was before it batched each block: one formatted
+    # write per line, kept as the byte-for-byte reference
+    from ipcs2d.assembly import CellGeometry
+    from ipcs2d.fe import quad_rule
+    from ipcs2d.fileio import _vertex_averaged_grad_phi
+
+    mesh = su.mesh
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    gphi = _vertex_averaged_grad_phi(sp, level.u.phi)
+    ux, uy = su.component(level.utilde, 0)[:nv], su.component(level.utilde, 1)[:nv]
+    bx, by = su.component(level.u.base, 0)[:nv], su.component(level.u.base, 1)[:nv]
+    out = ["# vtk DataFile Version 3.0\n", "time level %d t=%.17g\n" % (level.m, level.t),
+           "ASCII\nDATASET UNSTRUCTURED_GRID\n", "POINTS %d double\n" % nv]
+    out += ["%.17g %.17g 0\n" % (x, y) for x, y in mesh.vertices]
+    out.append("CELLS %d %d\n" % (nt, 4 * nt))
+    out += ["3 %d %d %d\n" % (a, b, c) for a, b, c in mesh.triangles]
+    out += ["CELL_TYPES %d\n" % nt, "5\n" * nt, "POINT_DATA %d\n" % nv, "VECTORS u_tilde double\n"]
+    out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(ux, uy)]
+    out.append("VECTORS u_proj double\n")
+    out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(bx + gphi[:, 0], by + gphi[:, 1])]
+    out.append("SCALARS p double\nLOOKUP_TABLE default\n")
+    out += ["%.17g\n" % v for v in level.p[:nv]]
+    if cellwise:
+        centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
+        phi_u, _ = su.ref.eval(centroid)
+        _, dpsi = sp.ref.eval(centroid)
+        geom = CellGeometry(mesh, quad_rule(1))
+        cbx = np.einsum("qi,ci->c", phi_u, su.component(level.u.base, 0)[su.cell_dofs])
+        cby = np.einsum("qi,ci->c", phi_u, su.component(level.u.base, 1)[su.cell_dofs])
+        cg = np.einsum("qie,ced,ci->cd", dpsi, geom.inv_j, level.u.phi[sp.cell_dofs])
+        out += ["CELL_DATA %d\n" % nt, "VECTORS u_proj_cell double\n"]
+        out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(cbx + cg[:, 0], cby + cg[:, 1])]
+    return "".join(out)
+
+
+@pytest.mark.parametrize("cellwise", [False, True])
+def test_vtk_matches_line_by_line_reference(tmp_path, setup_cache, cellwise):
+    from ipcs2d.scheme import Level, YhElement
+
+    _, su, sp, _ = setup_cache(3, 2, 1)
+    rng = np.random.default_rng(17)
+    level = Level(
+        7, 0.35, rng.standard_normal(su.ndofs),
+        YhElement(rng.standard_normal(su.ndofs), rng.standard_normal(sp.ndofs)),
+        rng.standard_normal(sp.ndofs),
+    )
+    path = tmp_path / "fields.vtk"
+    pk.write_vtk(level, su, sp, path, cellwise=cellwise)
+    assert path.read_text() == reference_vtk_text(level, su, sp, cellwise)

@@ -2,6 +2,7 @@
 norms against closed forms, and the convergence studies."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,44 @@ def test_stream_vortex_frozen_point_values():
     f1, f2 = case.f(SAMPLE_T, SAMPLE_X, SAMPLE_Y)
     assert math.isclose(float(f1), SAMPLE_F[0], rel_tol=1e-12)
     assert math.isclose(float(f2), SAMPLE_F[1], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.01])
+def test_forcing_is_the_momentum_residual(mu):
+    # du/dt + (u . grad) u - mu lap(u) + grad p from the exact fields by
+    # central differences, independent of how the forcing was rewritten
+    case = pk.stream_vortex_case(mu=mu)
+    rng = np.random.default_rng(41)
+    t, x, y = rng.uniform(0.0, 1.0, size=(3, 50))
+    h = 5e-4
+
+    def central(fn, dt=0.0, dx=0.0, dy=0.0):
+        plus = fn(t + dt, x + dx, y + dy)
+        minus = fn(t - dt, x - dx, y - dy)
+        return [(a - b) / (2.0 * h) for a, b in zip(plus, minus)]
+
+    u1, u2 = case.u(t, x, y)
+    g11, g12, g21, g22 = case.grad_u(t, x, y)
+    du1_dt, du2_dt = central(case.u, dt=h)
+    d11_dx, _, d21_dx, _ = central(case.grad_u, dx=h)
+    _, d12_dy, _, d22_dy = central(case.grad_u, dy=h)
+    (dp_dx,) = central(lambda t, x, y: (case.p(t, x, y),), dx=h)
+    (dp_dy,) = central(lambda t, x, y: (case.p(t, x, y),), dy=h)
+    r1 = du1_dt + u1 * g11 + u2 * g12 - mu * (d11_dx + d12_dy) + dp_dx
+    r2 = du2_dt + u1 * g21 + u2 * g22 - mu * (d21_dx + d22_dy) + dp_dy
+
+    f1, f2 = case.f(t, x, y)
+    scale = max(np.abs(f1).max(), np.abs(f2).max())
+    assert np.abs(f1 - r1).max() <= 1e-5 * scale
+    assert np.abs(f2 - r2).max() <= 1e-5 * scale
+
+
+def test_stream_vortex_case_builds_within_budget():
+    t0 = time.perf_counter()
+    case = pk.stream_vortex_case(mu=1.0)
+    elapsed = time.perf_counter() - t0
+    assert case.name == "stream_vortex"
+    assert elapsed < 1.5
 
 
 def test_stream_vortex_initial_energy():

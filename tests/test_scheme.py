@@ -240,8 +240,44 @@ def test_nonfinite_initial_data_is_rejected():
         dt=0.05, T=0.1, mesh_n=2, degree_u=1, degree_p=1,
         u0=lambda x, y: (np.full_like(x, np.nan), 0.0 * y),
     )
-    with pytest.raises((pk.SchemeError, pk.LinearSolveError)):
+    with pytest.raises(ValueError, match="u0\\(x, y\\) .*: got non-finite values"):
         pk.run(cfg)
+
+
+U0_EXPECTED = "u0\\(x, y\\) must return two finite components of shape \\(8, 12\\): "
+F_EXPECTED = "f\\(t, x, y\\) at t=%s must return two finite components of shape \\(8, 3\\): "
+T_NODE = "0\\.06127016653792\\d*"  # first Gauss node of the window [0.05, 0.15]
+
+
+@pytest.mark.parametrize(
+    "which,fn,match",
+    [
+        ("u0", None, U0_EXPECTED + "u0 is None, not a callable"),
+        ("u0", lambda t, x, y: (x, y), U0_EXPECTED + "it cannot be called with 2 arguments"),
+        ("u0", lambda x, y: (x, y, x), U0_EXPECTED + "got 3 values"),
+        ("u0", lambda x, y: 1.0, U0_EXPECTED + "got a float"),
+        ("u0", lambda x, y: (x[:, :2], y), U0_EXPECTED + "component 0: could not broadcast"),
+        ("u0", lambda x, y: (x, np.full_like(y, np.nan)), U0_EXPECTED + "got non-finite values"),
+        ("f", None, F_EXPECTED % T_NODE + "f is None, not a callable"),
+        ("f", lambda x, y: (x, y), F_EXPECTED % T_NODE + "it cannot be called with 3 arguments"),
+        ("f", lambda t, x, y: (x, y, x), F_EXPECTED % T_NODE + "got 3 values"),
+        ("f", lambda t, x, y: (x.ravel(), y), F_EXPECTED % T_NODE + "component 0: could not broadcast"),
+        ("f", lambda t, x, y: (x, np.where(t > 0.07, np.nan, y)),
+         F_EXPECTED % "0\\.1" + "got non-finite values"),
+        ("f", lambda t, x, y: (np.full_like(x, np.inf), y), F_EXPECTED % T_NODE + "got non-finite values"),
+    ],
+    ids=["u0-none", "u0-arity", "u0-three", "u0-scalar", "u0-shape", "u0-nan",
+         "f-none", "f-arity", "f-three", "f-shape", "f-nan-later", "f-inf"],
+)
+def test_user_callables_are_checked(setup_cache, which, fn, match):
+    # u0 goes through the L2 projection of level 0, f through a step's load
+    _, _, _, ops = setup_cache(2, 1, 1)
+    dt = 0.1
+    with pytest.raises(ValueError, match=match):
+        if which == "u0":
+            init_state(ops, fn, dt)
+        else:
+            ops.load(fn, 0.5 * dt, 1.5 * dt)
 
 
 def test_store_every_keeps_endpoints(stream_case_run):
