@@ -56,7 +56,6 @@ from .scheme import (
     SchemeConfig,
     SchemeError,
     Trajectory,
-    YhElement,
     init_state,
     run,
     step,

@@ -101,27 +101,25 @@ def _level_norms(ops, window):
     level 1 the jump |utilde^1 - u^0|^2 of the start-up identity is added
     as utilde1_minus_u0_sq."""
     prev2, prev, cur = window
-    base, phi = cur.u.base, cur.u.phi
-    u_sq = ops.yh_norm_sq(base, phi)
+    ut, phi = cur.utilde, cur.phi
+    u_sq = ops.yh_norm_sq(ut, phi)
     norms = {
         "norm_u_sq": u_sq,
         # reporting convention at level 0: the missing level -1 field is
         # taken to be u^0 itself
         "norm_2u_minus_um1_sq": u_sq
         if prev is None
-        else ops.yh_norm_sq(2.0 * base - prev.u.base, 2.0 * phi - prev.u.phi),
+        else ops.yh_norm_sq(2.0 * ut - prev.utilde, 2.0 * phi - prev.phi),
         "split_err_sq": ops.grad_p_sq(phi),
         "second_diff_sq": 0.0
         if prev2 is None
-        else ops.yh_norm_sq(
-            base - 2.0 * prev.u.base + prev2.u.base, phi - 2.0 * prev.u.phi + prev2.u.phi
-        ),
-        "grad_utilde_sq": ops.grad_u_sq(cur.utilde),
+        else ops.yh_norm_sq(ut - 2.0 * prev.utilde + prev2.utilde, phi - 2.0 * prev.phi + prev2.phi),
+        "grad_utilde_sq": ops.grad_u_sq(ut),
         "gradp_sq": ops.grad_p_sq(cur.p),
-        "utilde_norm_sq": ops.norm_u_sq(cur.utilde),
+        "utilde_norm_sq": ops.norm_u_sq(ut),
     }
     if cur.m == 1:
-        norms["utilde1_minus_u0_sq"] = ops.yh_norm_sq(cur.utilde - prev.u.base, -prev.u.phi)
+        norms["utilde1_minus_u0_sq"] = ops.yh_norm_sq(ut - prev.utilde, -prev.phi)
     return norms
 
 
@@ -169,7 +167,7 @@ def record_level(ledger, ops, dt, mu, window, f_dot, f_norm_sq):
         ledger.utilde1_minus_u0_sq = row.pop("utilde1_minus_u0_sq")
     u_sq = row["norm_u_sq"]
 
-    wd = ops.weak_divergence(cur.u.base, cur.u.phi)
+    wd = ops.weak_divergence(cur.utilde, cur.phi)
     if u_sq > 0.0:
         residual_weak_div = float(np.max(np.abs(wd) / (math.sqrt(u_sq) * ops.grad_psi_norms)))
     else:
@@ -329,19 +327,19 @@ def interpolant_difference_norms(traj):
 
     u_minus_utilde = 0.0
     for lv in levels[1:]:
-        u_minus_utilde += ops.grad_p_sq(lv.u.phi)
+        u_minus_utilde += ops.grad_p_sq(lv.phi)
 
     u_minus_ubar = 0.0
     ubar_minus_uhat = 0.0
     for m in range(1, n):
         a, bq, c = levels[m + 1], levels[m], levels[m - 1]
         u_minus_ubar += ops.yh_norm_sq(
-            a.u.base - 2.0 * bq.u.base + c.u.base, a.u.phi - 2.0 * bq.u.phi + c.u.phi
+            a.utilde - 2.0 * bq.utilde + c.utilde, a.phi - 2.0 * bq.phi + c.phi
         )
         # (2u^m - u^{m-1}) - (2utilde^m - utilde^{m-1}) is a pure gradient
-        ubar_minus_uhat += ops.grad_p_sq(2.0 * bq.u.phi - c.u.phi)
+        ubar_minus_uhat += ops.grad_p_sq(2.0 * bq.phi - c.phi)
     if n >= 1:
-        ubar_minus_uhat += ops.grad_p_sq(levels[1].u.phi)
+        ubar_minus_uhat += ops.grad_p_sq(levels[1].phi)
 
     return {
         "u_minus_utilde_sq": dt * u_minus_utilde,

@@ -2,7 +2,8 @@
 
 Config grammar: one "key = value" per line, '#' starts a comment.  Keys:
 
-    mesh_n       grid resolution of the structured unit-square mesh
+    mesh_n       grid resolution of the structured unit-square mesh, 1 to
+                 MAX_MESH_N = 1024
     degree_u     velocity degree, 1 or 2 (default 2)
     degree_p     pressure degree, 1 or 2 (default 1)
     dt           time step (adjusted down to the nearest divisor of T)
@@ -33,6 +34,7 @@ import numpy as np
 from .assembly import CellGeometry
 from .diagnostics import CSV_COLUMNS
 from .fe import quad_rule
+from .mesh import MAX_MESH_N
 from .mms import case_by_name
 from .scheme import MAX_STEPS, SchemeConfig
 
@@ -71,8 +73,9 @@ def parse_config(path):
 
     The manufactured case named by "case" supplies the initial velocity
     and forcing.  Violations (unknown key, malformed value, non-finite
-    float, non-positive dt/T/mu, T < dt, more than MAX_STEPS steps, degree
-    outside {1, 2}) raise ConfigError anchored to the offending line."""
+    float, non-positive dt/T/mu, T < dt, more than MAX_STEPS steps, mesh_n
+    above MAX_MESH_N, degree outside {1, 2}) raise ConfigError anchored to
+    the offending line."""
     values = {}
     where = {}
     with open(path) as fh:
@@ -119,6 +122,7 @@ def parse_config(path):
           "dt gives more than %d steps to T" % MAX_STEPS)
     check("mu", lambda v: v > 0, "mu must be positive")
     check("mesh_n", lambda v: v >= 1, "mesh_n must be a positive integer")
+    check("mesh_n", lambda v: v <= MAX_MESH_N, "mesh_n must be at most %d" % MAX_MESH_N)
     check("f_cutoff", lambda v: v > 0, "f_cutoff must be positive")
     check("degree_u", lambda v: v in (1, 2), "degree_u must be 1 or 2")
     check("degree_p", lambda v: v in (1, 2), "degree_p must be 1 or 2")
@@ -206,7 +210,7 @@ def write_vtk(level, space_u, space_p, path, cellwise=False):
     n = space_u.n_scalar
     # (nv, 2) vertex values; vertices are the first nv scalar dofs
     utilde = level.utilde.reshape(2, n)[:, :nv].T
-    proj = level.u.base.reshape(2, n)[:, :nv].T + _vertex_averaged_grad_phi(space_p, level.u.phi)
+    proj = utilde + _vertex_averaged_grad_phi(space_p, level.phi)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -232,10 +236,10 @@ def write_vtk(level, space_u, space_p, path, cellwise=False):
             _, dpsi = space_p.ref.eval(centroid)
             geom = CellGeometry(mesh, quad_rule(1))
             cd_u = space_u.cell_dofs
-            cbx = np.einsum("qi,ci->c", phi_u, space_u.component(level.u.base, 0)[cd_u])
-            cby = np.einsum("qi,ci->c", phi_u, space_u.component(level.u.base, 1)[cd_u])
+            cbx = np.einsum("qi,ci->c", phi_u, space_u.component(level.utilde, 0)[cd_u])
+            cby = np.einsum("qi,ci->c", phi_u, space_u.component(level.utilde, 1)[cd_u])
             cg = np.einsum(
-                "qie,ced,ci->cd", dpsi, geom.inv_j, level.u.phi[space_p.cell_dofs]
+                "qie,ced,ci->cd", dpsi, geom.inv_j, level.phi[space_p.cell_dofs]
             )
             fh.write("CELL_DATA %d\n" % nt)
             fh.write("VECTORS u_proj_cell double\n")

@@ -34,6 +34,10 @@ _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
 
 _COORD_TOL = 1e-12
 
+# the finest structured grid: 2 * 1024^2 triangles and 8.4M quadratic
+# velocity dofs; a larger n is a mistake, not a run
+MAX_MESH_N = 1024
+
 
 class MeshFormatError(ValueError):
     """Raised for malformed mesh files or non-conforming triangulations."""
@@ -186,10 +190,12 @@ def generate_structured_unit_square(n):
     lower-left to upper-right diagonal.
 
     Produces (n+1)^2 vertices and 2 n^2 congruent right isoceles triangles
-    with mesh size h = sqrt(2)/n.
+    with mesh size h = sqrt(2)/n, for 1 <= n <= MAX_MESH_N.
     """
     if int(n) != n or n < 1:
         raise ValueError("grid resolution n must be a positive integer, got %r" % (n,))
+    if n > MAX_MESH_N:
+        raise ValueError("grid resolution n=%d exceeds the limit of %d" % (n, MAX_MESH_N))
     n = int(n)
     side = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(side, side, indexing="xy")

@@ -3,14 +3,11 @@
 A manufactured case carries closed-form velocity/pressure fields and the
 forcing that makes them solve the momentum equation
 
-    f = du/dt + (u . grad) u - mu lap(u) + grad p,
+    f = du/dt + (u . grad) u - mu lap(u) + grad p.
 
-derived symbolically at construction: differentiated, expanded, grouped
-by its time-dependent factors with common factors pulled out
-(factor_terms), then lambdified with shared subexpressions.  It is not
-passed through sympy.simplify, which took about 4 s per case; the grouped
-form takes well under 0.1 s and evaluates about as fast as the simplified
-one, while factor_terms alone evaluated about 25% slower at 57,344 points.
+Each callable evaluates the sines and cosines of pi x and pi y once per
+call and builds every other factor from them; the derivation is in the
+stream_vortex_case docstring.
 
 The stock case drives a decaying vortex from the stream function
 psi = sin^2(pi x) sin^2(pi y) cos(t), so the velocity is divergence free
@@ -20,15 +17,14 @@ cos(pi x) cos(pi y) cos(t) has zero mean.
 Error norms evaluate the discrete fields against the exact ones with a
 quadrature two degrees above the FE degree.  Velocity errors are reported
 for both discrete velocities: the intermediate field and the end-of-step
-field (base plus cellwise pressure-gradient correction).  The H1 seminorm
-error uses the intermediate field, the only one with a conforming
-gradient.
+field (the intermediate one plus the cellwise pressure-gradient
+correction).  The H1 seminorm error uses the intermediate field, the only
+one with a conforming gradient.
 """
 
 import math
 
 import numpy as np
-import sympy
 
 from .assembly import CellGeometry, eval_at_quad, eval_grad_at_quad
 from .fe import quad_rule
@@ -64,76 +60,77 @@ class ManufacturedCase:
         return self.u(0.0, x, y)
 
 
-def _broadcast1(fn):
-    def call(t, x, y):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(fn(t, x, y), dtype=float) * np.ones_like(x)
-
-    return call
-
-
-def _broadcastn(fn):
-    def call(t, x, y):
-        x = np.asarray(x, dtype=float)
-        return tuple(np.asarray(v, dtype=float) * np.ones_like(x) for v in fn(t, x, y))
-
-    return call
-
-
-def _collect_in_time(expr, t):
-    # group the expanded forcing by its time-dependent factors (cos t,
-    # sin t), then pull out common factors: it evaluates about as fast as
-    # the sympy.simplify form at a small fraction of the cost.  The factors
-    # are sorted so the grouping, and so the rounding, ignores hash order.
-    expr = sympy.expand(expr)
-    factors = sorted((a for a in expr.atoms(sympy.Function) if a.has(t)), key=sympy.default_sort_key)
-    return sympy.factor_terms(sympy.collect(expr, factors))
-
-
-def _case_from_expressions(name, mu, u1e, u2e, pe, t, x, y):
-    f1e = (
-        u1e.diff(t)
-        + u1e * u1e.diff(x)
-        + u2e * u1e.diff(y)
-        - mu * (u1e.diff(x, 2) + u1e.diff(y, 2))
-        + pe.diff(x)
-    )
-    f2e = (
-        u2e.diff(t)
-        + u1e * u2e.diff(x)
-        + u2e * u2e.diff(y)
-        - mu * (u2e.diff(x, 2) + u2e.diff(y, 2))
-        + pe.diff(y)
-    )
-    args = (t, x, y)
-    # one function per vector field, its common subexpressions evaluated once
-    lam_all = lambda *es: _broadcastn(sympy.lambdify(args, es, modules="numpy", cse=True))
-    u = lam_all(u1e, u2e)
-    p = _broadcast1(sympy.lambdify(args, pe, modules="numpy"))
-    f = lam_all(_collect_in_time(f1e, t), _collect_in_time(f2e, t))
-    grad_u = lam_all(u1e.diff(x), u1e.diff(y), u2e.diff(x), u2e.diff(y))
-    return ManufacturedCase(name, mu, u, p, f, grad_u)
-
-
 def stream_vortex_case(mu=1.0):
     """Decaying vortex: u = (d/dy, -d/dx) of sin^2(pi x) sin^2(pi y) cos(t)
-    with pressure cos(pi x) cos(pi y) cos(t)."""
+    with pressure cos(pi x) cos(pi y) cos(t).
+
+    With s = sin(pi .), c = cos(pi .) and the double angles S = 2 s c =
+    sin(2 pi .) and 1 - 2 s^2 = cos(2 pi .) in x and y:
+
+        u         = pi cos t (sx^2 Sy, -Sx sy^2)
+        grad u    = pi^2 cos t (Sx Sy, 2 sx^2 (1 - 2 sy^2),
+                                -2 (1 - 2 sx^2) sy^2, -Sx Sy)
+        (u.grad)u = 2 pi^3 cos^2 t sx^2 sy^2 (Sx, Sy)
+        lap u     = 2 pi^3 cos t (Sy (1 - 4 sx^2), Sx (4 sy^2 - 1))
+        grad p    = -pi cos t (sx cy, cx sy)
+
+    with du/dt = -pi sin t (sx^2 Sy, -Sx sy^2), and
+    f = du/dt + (u.grad)u - mu lap u + grad p."""
     if mu <= 0:
         raise ValueError("viscosity mu must be positive")
-    t, x, y = sympy.symbols("t x y")
-    psi = sympy.sin(sympy.pi * x) ** 2 * sympy.sin(sympy.pi * y) ** 2 * sympy.cos(t)
-    u1 = psi.diff(y)
-    u2 = -psi.diff(x)
-    p = sympy.cos(sympy.pi * x) * sympy.cos(sympy.pi * y) * sympy.cos(t)
-    return _case_from_expressions("stream_vortex", mu, u1, u2, p, t, x, y)
+    pi = math.pi
+
+    def trig(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        sx, cx = np.sin(pi * x), np.cos(pi * x)
+        sy, cy = np.sin(pi * y), np.cos(pi * y)
+        return sx, cx, 2.0 * sx * cx, sy, cy, 2.0 * sy * cy
+
+    def u(t, x, y):
+        sx, _, Sx, sy, _, Sy = trig(x, y)
+        a = pi * np.cos(t)
+        return a * sx * sx * Sy, -a * Sx * sy * sy
+
+    def grad_u(t, x, y):
+        sx, _, Sx, sy, _, Sy = trig(x, y)
+        a = pi * pi * np.cos(t)
+        g11 = a * Sx * Sy
+        return (
+            g11,
+            2.0 * a * sx * sx * (1.0 - 2.0 * sy * sy),
+            -2.0 * a * (1.0 - 2.0 * sx * sx) * sy * sy,
+            -g11,
+        )
+
+    def p(t, x, y):
+        _, cx, _, _, cy, _ = trig(x, y)
+        return cx * cy * np.cos(t)
+
+    def f(t, x, y):
+        sx, cx, Sx, sy, cy, Sy = trig(x, y)
+        ct, st = np.cos(t), np.sin(t)
+        sx2, sy2 = sx * sx, sy * sy
+        convect = 2.0 * pi**3 * ct * ct * sx2 * sy2
+        diffuse = 2.0 * pi**3 * mu * ct
+        return (
+            -pi * st * sx2 * Sy + convect * Sx - diffuse * Sy * (1.0 - 4.0 * sx2) - pi * ct * sx * cy,
+            pi * st * Sx * sy2 + convect * Sy - diffuse * Sx * (4.0 * sy2 - 1.0) - pi * ct * cx * sy,
+        )
+
+    return ManufacturedCase("stream_vortex", mu, u, p, f, grad_u)
 
 
 def zero_case(mu=1.0):
     """Identically zero flow; useful as a smoke case (all discrete fields
     and all errors must vanish exactly)."""
-    t, x, y = sympy.symbols("t x y")
-    zero = sympy.Integer(0)
-    return _case_from_expressions("zero", mu, zero, zero, zero, t, x, y)
+
+    def zeros(n):
+        return lambda t, x, y: tuple(np.zeros(np.shape(x)) for _ in range(n))
+
+    return ManufacturedCase(
+        "zero", mu, zeros(2), lambda t, x, y: np.zeros(np.shape(x)), zeros(2), zeros(4)
+    )
 
 
 _CASES = {"stream_vortex": stream_vortex_case, "zero": zero_case}
@@ -161,9 +158,7 @@ def _field_errors_at(traj, case, geom, level):
 
     ue1, ue2 = case.u(t, X, Y)
     utilde = eval_at_quad(ops.space_u, geom, level.utilde)
-    base = eval_at_quad(ops.space_u, geom, level.u.base)
-    gphi = eval_grad_at_quad(ops.space_p, geom, level.u.phi)
-    uh = base + gphi
+    uh = utilde + eval_grad_at_quad(ops.space_p, geom, level.phi)
 
     def l2sq(d1, d2):
         return float(np.einsum("q,cq,c->", w, d1 * d1 + d2 * d2, geom.detJ))
@@ -303,9 +298,7 @@ def convergence_study(mode, config, case=None):
         if mode == "temporal":
             ops = traj.ops
             lv = traj.final
-            du_sq = ops.yh_norm_sq(
-                lv.u.base - reference.u.base, lv.u.phi - reference.u.phi
-            )
+            du_sq = ops.yh_norm_sq(lv.utilde - reference.utilde, lv.phi - reference.phi)
             errs = {
                 "err_u_L2": math.sqrt(max(0.0, du_sq)),
                 "err_u_H1": math.sqrt(max(0.0, ops.grad_u_sq(lv.utilde - reference.utilde))),

@@ -8,8 +8,8 @@ step velocity
 
 which lives in the sum of the velocity space and pressure gradients.  That
 sum never gets a global basis; an end-of-step field is carried as the
-coefficient pair (base, phi), and every inner product the stepper or its
-diagnostics needs reduces to the assembled operators.
+coefficient pair (u_tilde, phi) of its level, and every inner product the
+stepper or its diagnostics needs reduces to the assembled operators.
 
 Each time level is a Level record.  Stepping:
   * level 0 (init_state): L2-project the initial velocity, then solve one
@@ -46,7 +46,6 @@ from .mesh import generate_structured_unit_square
 __all__ = [
     "SchemeError",
     "SchemeConfig",
-    "YhElement",
     "Level",
     "Trajectory",
     "init_state",
@@ -72,29 +71,20 @@ class SchemeError(RuntimeError):
     """A step produced non-finite values or violated a discrete identity."""
 
 
-class YhElement:
-    """End-of-step velocity base + grad(phi); base is a velocity-space
-    coefficient vector, phi a pressure-space one."""
-
-    __slots__ = ("base", "phi")
-
-    def __init__(self, base, phi):
-        self.base = base
-        self.phi = phi
-
-
 class Level:
-    """All fields of one time level.  skew records how far the convection
-    form was from contributing zero energy in the step that produced the
-    level (normalized; 0 at level 0)."""
+    """All fields of one time level: the intermediate velocity utilde (a
+    velocity-space coefficient vector), the pressure-space vector phi of
+    the end-of-step velocity utilde + grad(phi), and the pressure p.  skew
+    records how far the convection form was from contributing zero energy
+    in the step that produced the level (normalized; 0 at level 0)."""
 
-    __slots__ = ("m", "t", "utilde", "u", "p", "skew")
+    __slots__ = ("m", "t", "utilde", "phi", "p", "skew")
 
-    def __init__(self, m, t, utilde, u, p, skew=0.0):
+    def __init__(self, m, t, utilde, phi, p, skew=0.0):
         self.m = m
         self.t = t
         self.utilde = utilde
-        self.u = u
+        self.phi = phi
         self.p = p
         self.skew = skew
 
@@ -224,7 +214,7 @@ def init_state(ops, u0, dt, tol_poisson=1e-12):
     _check_finite(utilde0, "projected initial velocity", 0)
     rhs = (ops.G.T @ utilde0) / dt
     p0 = ops.solve_poisson(rhs, tol_poisson)
-    return Level(0, 0.0, utilde0, YhElement(utilde0, -dt * p0), p0)
+    return Level(0, 0.0, utilde0, -dt * p0, p0)
 
 
 def _skew_residual(ops, B, w_advect, utilde):
@@ -246,12 +236,12 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12):
     system linear while the convection stays second-order consistent.
     Both use mass coefficient a0/dt, pressure right side
     -(a0/dt) D^T utilde and phi = -(dt/a0) dp."""
-    r = ops.yh_pair_with_u(cur.u.base, cur.u.phi)
+    r = ops.yh_pair_with_u(cur.utilde, cur.phi)
     if prev is None:
         a0, w_advect, history = 1.0, cur.utilde, r
     else:
         a0, w_advect = 1.5, 2.0 * cur.utilde - prev.utilde
-        history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.u.base, prev.u.phi)
+        history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.utilde, prev.phi)
     m = cur.m + 1
 
     B = ops.convection(w_advect)
@@ -267,8 +257,9 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12):
     _check_finite(utilde, "intermediate velocity", m)
 
     dp = ops.solve_poisson(-(a0 / dt) * (ops.D.T @ utilde), tol_poisson)
-    u = YhElement(utilde, -(dt / a0) * dp)
-    return Level(m, m * dt, utilde, u, cur.p + dp, _skew_residual(ops, B, w_advect, utilde))
+    return Level(
+        m, m * dt, utilde, -(dt / a0) * dp, cur.p + dp, _skew_residual(ops, B, w_advect, utilde)
+    )
 
 
 # the traced benchmark (perfbench/spans.py) wraps the step under these names

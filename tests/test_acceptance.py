@@ -131,7 +131,7 @@ def test_criterion_06_dense_oracle_step_equivalence(setup_cache):
         for lv, (ut, p, phi) in zip(
             traj.levels, [(ut0, p0, phi0), (ut1, p1, phi1), (ut2, p2, phi2)]
         ):
-            for a, b in ((lv.utilde, ut), (lv.u.base, ut), (lv.p, p), (lv.u.phi, phi)):
+            for a, b in ((lv.utilde, ut), (lv.p, p), (lv.phi, phi)):
                 gap = float(np.abs(a - b).max())
                 assert gap <= 1e-12 * max(1.0, float(np.abs(b).max()))
                 worst = max(worst, gap)

@@ -90,6 +90,8 @@ def test_config_optional_keys_are_honored(tmp_path):
         ("mesh_n = 4\ndt = 0.1\nT = 1\ntol_momentum = inf\n", ":4: tol_momentum must be finite"),
         ("mesh_n = 4\ndt = 0.01\nT = 0.001\n", ":3: T must be at least dt"),
         ("mesh_n = 4\ndt = 1e-300\nT = 1\n", ":2: dt gives more than 10000000 steps"),
+        ("mesh_n = 1025\ndt = 0.1\nT = 1\n", ":1: mesh_n must be at most 1024"),
+        ("dt = 0.1\nT = 1\nmesh_n = 100000\n", ":3: mesh_n must be at most 1024"),
     ],
 )
 def test_config_violations_raise(tmp_path, text, match):
@@ -155,12 +157,9 @@ def test_rate_table_csv_layout(tmp_path):
 
 def test_vtk_zero_state_on_smallest_mesh(tmp_path, setup_cache):
     mesh, su, sp, ops = setup_cache(1, 1, 1)
-    from ipcs2d.scheme import Level, YhElement
+    from ipcs2d.scheme import Level
 
-    level = Level(
-        0, 0.0, np.zeros(su.ndofs), YhElement(np.zeros(su.ndofs), np.zeros(sp.ndofs)),
-        np.zeros(sp.ndofs),
-    )
+    level = Level(0, 0.0, np.zeros(su.ndofs), np.zeros(sp.ndofs), np.zeros(sp.ndofs))
     path = tmp_path / "zero.vtk"
     pk.write_vtk(level, su, sp, path, cellwise=True)
     text = path.read_text()
@@ -211,9 +210,9 @@ def reference_vtk_text(level, su, sp, cellwise):
 
     mesh = su.mesh
     nv, nt = mesh.n_vertices, mesh.n_triangles
-    gphi = _vertex_averaged_grad_phi(sp, level.u.phi)
+    gphi = _vertex_averaged_grad_phi(sp, level.phi)
     ux, uy = su.component(level.utilde, 0)[:nv], su.component(level.utilde, 1)[:nv]
-    bx, by = su.component(level.u.base, 0)[:nv], su.component(level.u.base, 1)[:nv]
+    bx, by = su.component(level.utilde, 0)[:nv], su.component(level.utilde, 1)[:nv]
     out = ["# vtk DataFile Version 3.0\n", "time level %d t=%.17g\n" % (level.m, level.t),
            "ASCII\nDATASET UNSTRUCTURED_GRID\n", "POINTS %d double\n" % nv]
     out += ["%.17g %.17g 0\n" % (x, y) for x, y in mesh.vertices]
@@ -230,9 +229,9 @@ def reference_vtk_text(level, su, sp, cellwise):
         phi_u, _ = su.ref.eval(centroid)
         _, dpsi = sp.ref.eval(centroid)
         geom = CellGeometry(mesh, quad_rule(1))
-        cbx = np.einsum("qi,ci->c", phi_u, su.component(level.u.base, 0)[su.cell_dofs])
-        cby = np.einsum("qi,ci->c", phi_u, su.component(level.u.base, 1)[su.cell_dofs])
-        cg = np.einsum("qie,ced,ci->cd", dpsi, geom.inv_j, level.u.phi[sp.cell_dofs])
+        cbx = np.einsum("qi,ci->c", phi_u, su.component(level.utilde, 0)[su.cell_dofs])
+        cby = np.einsum("qi,ci->c", phi_u, su.component(level.utilde, 1)[su.cell_dofs])
+        cg = np.einsum("qie,ced,ci->cd", dpsi, geom.inv_j, level.phi[sp.cell_dofs])
         out += ["CELL_DATA %d\n" % nt, "VECTORS u_proj_cell double\n"]
         out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(cbx + cg[:, 0], cby + cg[:, 1])]
     return "".join(out)
@@ -240,13 +239,12 @@ def reference_vtk_text(level, su, sp, cellwise):
 
 @pytest.mark.parametrize("cellwise", [False, True])
 def test_vtk_matches_line_by_line_reference(tmp_path, setup_cache, cellwise):
-    from ipcs2d.scheme import Level, YhElement
+    from ipcs2d.scheme import Level
 
     _, su, sp, _ = setup_cache(3, 2, 1)
     rng = np.random.default_rng(17)
     level = Level(
-        7, 0.35, rng.standard_normal(su.ndofs),
-        YhElement(rng.standard_normal(su.ndofs), rng.standard_normal(sp.ndofs)),
+        7, 0.35, rng.standard_normal(su.ndofs), rng.standard_normal(sp.ndofs),
         rng.standard_normal(sp.ndofs),
     )
     path = tmp_path / "fields.vtk"

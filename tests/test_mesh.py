@@ -52,6 +52,25 @@ def test_quasi_uniformity_refinement_invariant():
     assert np.isclose(a, b)
 
 
+@pytest.mark.parametrize(
+    "n,fragment",
+    [
+        (0, "must be a positive integer"),
+        (2.5, "must be a positive integer"),
+        (1025, "n=1025 exceeds the limit of 1024"),
+        (100000, "n=100000 exceeds the limit of 1024"),
+    ],
+)
+def test_structured_grid_resolution_is_bounded(monkeypatch, n, fragment):
+    # rejected before anything is allocated: the grid is never laid out
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was laid out")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(ValueError, match=fragment):
+        pk.generate_structured_unit_square(n)
+
+
 @settings(deadline=None, max_examples=12)
 @given(st.integers(min_value=1, max_value=12))
 def test_structured_counts(n):

@@ -2,6 +2,9 @@
 norms against closed forms, and the convergence studies."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -94,6 +97,26 @@ def test_forcing_is_the_momentum_residual(mu):
     assert np.abs(f1 - r1).max() <= 1e-5 * scale
     assert np.abs(f2 - r2).max() <= 1e-5 * scale
 
+    # grad_u is the derivative of u, (d1u1, d2u1, d1u2, d2u2)
+    du1_dx, du2_dx = central(case.u, dx=h)
+    du1_dy, du2_dy = central(case.u, dy=h)
+    g_scale = max(np.abs(g).max() for g in (g11, g12, g21, g22))
+    for fd, g in ((du1_dx, g11), (du2_dx, g21), (du1_dy, g12), (du2_dy, g22)):
+        assert np.abs(fd - g).max() <= 1e-5 * g_scale
+
+
+def test_import_leaves_sympy_unloaded():
+    # the manufactured cases are closed-form numpy, so importing the
+    # package must not pull in a symbolic engine
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ipcs2d; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
 
 def test_stream_vortex_case_builds_within_budget():
     t0 = time.perf_counter()
@@ -171,7 +194,7 @@ def test_exact_fields_injected_into_a_trajectory_have_no_error(setup_cache):
         traj.final.m,
         traj.final.t,
         np.zeros(su.ndofs),
-        pk.YhElement(np.zeros(su.ndofs), np.zeros(sp.ndofs)),
+        np.zeros(sp.ndofs),
         sp.interpolate(lambda x, y: x - 0.5),
     )
     traj.levels[-1] = exact
@@ -187,7 +210,7 @@ def test_velocity_error_split_obeys_triangle_inequality(vortex_run):
     case = pk.stream_vortex_case(mu=1.0)
     errs = pk.error_norms(traj, case)
     gap = abs(errs["err_u_L2"] - errs["err_utilde_L2"])
-    separation = math.sqrt(traj.ops.grad_p_sq(traj.final.u.phi))
+    separation = math.sqrt(traj.ops.grad_p_sq(traj.final.phi))
     assert gap <= separation + 1e-12
 
 

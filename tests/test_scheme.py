@@ -101,8 +101,7 @@ def test_zero_initial_velocity_gives_identically_zero_run():
     assert traj.is_complete() and len(traj.levels) == 5
     for lv in traj.levels:
         assert np.abs(lv.utilde).max() == 0.0
-        assert np.abs(lv.u.base).max() == 0.0
-        assert np.abs(lv.u.phi).max() == 0.0
+        assert np.abs(lv.phi).max() == 0.0
         assert np.abs(lv.p).max() == 0.0
     for name in ("norm_u_sq", "E_h", "residual_identity", "residual_pythagoras"):
         assert np.abs(traj.ledger.column(name)).max() == 0.0
@@ -118,14 +117,14 @@ def test_initialization_splits_orthogonally(setup_cache):
     state = init_state(ops, u0, dt)
     assert state.m == 0 and state.t == 0.0
     # phi = -dt * p by construction
-    assert np.allclose(state.u.phi, -dt * state.p, atol=1e-15)
+    assert np.allclose(state.phi, -dt * state.p, atol=1e-15)
     # end-of-step field is weakly divergence free against every pressure mode
-    wd = ops.weak_divergence(state.u.base, state.u.phi)
-    u_sq = ops.yh_norm_sq(state.u.base, state.u.phi)
+    wd = ops.weak_divergence(state.utilde, state.phi)
+    u_sq = ops.yh_norm_sq(state.utilde, state.phi)
     assert np.max(np.abs(wd) / (np.sqrt(u_sq) * ops.grad_psi_norms)) <= 1e-10
     # orthogonal splitting of the projected field
     utilde_sq = ops.norm_u_sq(state.utilde)
-    gap = abs(u_sq + ops.grad_p_sq(state.u.phi) - utilde_sq)
+    gap = abs(u_sq + ops.grad_p_sq(state.phi) - utilde_sq)
     assert gap <= 1e-10 * utilde_sq
 
 
@@ -139,11 +138,11 @@ def test_curl_initial_data_has_small_projection_defect(setup_cache):
 
     dt = 0.1
     state = init_state(ops, curl_u0, dt)
-    defect = ops.grad_p_sq(state.u.phi) / ops.norm_u_sq(state.utilde)
+    defect = ops.grad_p_sq(state.phi) / ops.norm_u_sq(state.utilde)
     assert defect <= 1e-5
 
     generic = init_state(ops, lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y), 0.0 * y), dt)
-    generic_defect = ops.grad_p_sq(generic.u.phi) / ops.norm_u_sq(generic.utilde)
+    generic_defect = ops.grad_p_sq(generic.phi) / ops.norm_u_sq(generic.utilde)
     assert generic_defect > 0.1
 
 
@@ -167,9 +166,8 @@ def test_run_matches_dense_reference(setup_cache):
     for lv, (ut, p, phi) in zip(traj.levels, ref):
         scale = max(1.0, np.abs(ut).max())
         assert np.abs(lv.utilde - ut).max() <= 1e-12 * scale
-        assert np.abs(lv.u.base - ut).max() <= 1e-12 * scale
         assert np.abs(lv.p - p).max() <= 1e-12 * scale
-        assert np.abs(lv.u.phi - phi).max() <= 1e-12 * scale
+        assert np.abs(lv.phi - phi).max() <= 1e-12 * scale
 
 
 def test_single_step_run_equals_manual_composition(setup_cache):
@@ -186,7 +184,7 @@ def test_single_step_run_equals_manual_composition(setup_cache):
     assert np.array_equal(traj.levels[0].utilde, state0.utilde)
     assert np.array_equal(traj.levels[1].utilde, state1.utilde)
     assert np.array_equal(traj.levels[1].p, state1.p)
-    assert np.array_equal(traj.levels[1].u.phi, state1.u.phi)
+    assert np.array_equal(traj.levels[1].phi, state1.phi)
 
 
 def test_step_matches_full_system_solve(setup_cache):
@@ -203,12 +201,12 @@ def test_step_matches_full_system_solve(setup_cache):
     F2, _ = ops.load(f, 1.5 * dt, 2.5 * dt)
     level2 = step(level0, level1, ops, dt, mu, F2)
     for prev, cur, F, new in ((None, level0, F1, level1), (level0, level1, F2, level2)):
-        r = ops.yh_pair_with_u(cur.u.base, cur.u.phi)
+        r = ops.yh_pair_with_u(cur.utilde, cur.phi)
         if prev is None:
             a0, w, history = 1.0, cur.utilde, r
         else:
             a0, w = 1.5, 2.0 * cur.utilde - prev.utilde
-            history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.u.base, prev.u.phi)
+            history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.utilde, prev.phi)
         S = ((a0 / dt) * ops.M_u + ops.convection(w) + mu * ops.A_u).tocsr()
         rhs = F + ops.D @ cur.p + history / dt
         free = su.free
@@ -332,11 +330,7 @@ def test_step_identity_residual_detects_perturbation(setup_cache):
     good = states[3]
     rng = np.random.default_rng(23)
     bump = 1e-3 * rng.standard_normal(su.ndofs)
-    bad = Level(
-        good.m, good.t, good.utilde,
-        pk.YhElement(good.u.base + bump, good.u.phi),
-        good.p,
-    )
+    bad = Level(good.m, good.t, good.utilde + bump, good.phi, good.p)
     res = pk.step_identity_residual([states[1], states[2], bad], ops, loads[3], dt, 1.0)
     assert res > 1e-5
 
