@@ -3,15 +3,27 @@
 Every solve verifies its final residual with a fresh matrix-vector
 product and raises LinearSolveError (carrying the achieved residual)
 instead of returning a silently inaccurate solution.  One refine-and-
-verify routine serves both direct solvers:
+verify routine, a sequence of sweeps x <- x + LU^-1 (b - A x) from
+x = 0, serves every direct solve:
 
-  * solve_direct: sparse LU (minimum degree ordering on A^T + A), one
-    factorization for all columns of b; solve_momentum is its entry for
-    the momentum system of a step;
-  * factor_poisson: the pure-Neumann pressure Poisson operator factored
-    once with one dof pinned; each solve projects the right side onto the
-    complement of the constant kernel and shifts the solution to zero
-    mass-weighted mean.
+  * solve_direct: sparse LU (minimum degree ordering on A^T + A, diagonal
+    pivot threshold 0.1), one factorization for all columns of b, refined
+    with up to three correction sweeps until the residual meets tol;
+  * solve_momentum: the momentum system of a step.  Given the run's
+    MomentumFactor it reuses the LU of an earlier step: only the
+    convection changes from step to step, so a stale LU is still a good
+    preconditioner.  A stale factor sweeps until the residual is at most
+    tol |b| and the last sweep no longer halved it, i.e. until rounding
+    level (stopping at tol alone would leave an error the energy ledger
+    shows); tol is only the failure threshold.  It has STALE_SWEEPS
+    sweeps.  When they run out, or a sweep gives non-finite values, the
+    stale LU is dropped, the matrix refactored once and solved as by
+    solve_direct; a fresh factor that misses tol raises.  The factor is
+    also rebuilt whenever its key, the (a0, dt, mu) of the step, changes;
+  * factor_poisson: the pure-Neumann pressure Poisson operator, projected
+    onto zero row sums and factored once with one dof pinned; each solve
+    projects the right side onto the complement of the constant kernel
+    and shifts the solution to zero mass-weighted mean.
 
 solve_spd is conjugate gradients for symmetric positive (semi-)definite
 systems with the same zero-mean handling, written out so the iteration
@@ -20,7 +32,17 @@ cap (10 times the system size) is exactly as documented.
 
 import numpy as np
 
-__all__ = ["LinearSolveError", "solve_spd", "solve_direct", "solve_momentum", "factor_poisson"]
+__all__ = [
+    "LinearSolveError",
+    "MomentumFactor",
+    "solve_spd",
+    "solve_direct",
+    "solve_momentum",
+    "factor_poisson",
+]
+
+# sweeps a stale momentum factor may take before the matrix is refactored
+STALE_SWEEPS = 10
 
 
 class LinearSolveError(RuntimeError):
@@ -109,25 +131,27 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
     return x
 
 
-def _refine(solve, A, b, tol, what):
-    """solve(b), refined with up to three correction sweeps until the fresh
-    residual |b - A x| is at most tol |b| (Frobenius norm over the columns
-    of a multi-column b); raises LinearSolveError otherwise."""
+def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False):
+    """Sweeps x <- x + solve(b - A x) from x = 0, at most sweeps of them,
+    until the fresh residual |b - A x| is at most tol |b| (Frobenius norm
+    over the columns of a multi-column b) and, with to_rounding, the last
+    sweep no longer halved it; raises LinearSolveError otherwise."""
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
     x = solve(b)
-    for _ in range(3):
+    last = np.inf
+    for done in range(1, sweeps + 1):
         r = b - A @ x
         res = float(np.linalg.norm(r))
         if not np.isfinite(res):
             raise LinearSolveError("%s solve produced non-finite values" % what)
-        if res <= tol * bnorm:
+        if res <= tol * bnorm and not (to_rounding and res < 0.5 * last):
             return x
+        if done == sweeps:
+            break
         x = x + solve(r)
-    res = float(np.linalg.norm(b - A @ x))
-    if res <= tol * bnorm:
-        return x
+        last = res
     raise LinearSolveError(
         "%s solve stalled at relative residual %.3e (tolerance %.1e)"
         % (what, res / bnorm, tol),
@@ -139,7 +163,9 @@ def _factor(A, what):
     from scipy.sparse.linalg import splu
 
     try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        # threshold pivoting keeps the minimum degree order when convection
+        # dominates; the fresh residual check guards the accuracy
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
     except RuntimeError as exc:
         raise LinearSolveError("%s matrix factorization failed: %s" % (what, exc)) from exc
 
@@ -156,21 +182,57 @@ def solve_direct(A, b, tol=1e-12, what="linear"):
     return _refine(_factor(A, what).solve, A, b, tol, what)
 
 
-def solve_momentum(A, b, tol=1e-12):
-    """solve_direct of the momentum system of one step.  It keeps its own
-    name so that a traced run (perfbench/spans.py) counts one momentum
-    solve per step."""
-    return solve_direct(A, b, tol, "momentum")
+class MomentumFactor:
+    """The momentum LU one run keeps across its steps.
+
+    key is the (a0, dt, mu) the LU was built for.  sweeps (LU solves) and
+    refactored describe the latest solve_momentum call."""
+
+    def __init__(self):
+        self.lu = None
+        self.key = None
+        self.sweeps = 0
+        self.refactored = False
+
+    def _sweep(self, r):
+        self.sweeps += 1
+        return self.lu.solve(r)
+
+
+def solve_momentum(A, b, tol=1e-12, factor=None, key=None):
+    """Solve the momentum system of one step, reusing factor's LU while key
+    matches (see the module docstring); without factor, A is factored as by
+    solve_direct.  Every step calls it once, so a traced run
+    (perfbench/spans.py) counts one momentum solve per step."""
+    if factor is None:
+        factor = MomentumFactor()
+    b = np.asarray(b, dtype=float)
+    factor.sweeps, factor.refactored = 0, False
+    if not np.any(b):
+        return np.zeros_like(b)
+    if factor.lu is not None and factor.key == key:
+        try:
+            return _refine(factor._sweep, A, b, tol, "momentum", STALE_SWEEPS, to_rounding=True)
+        except LinearSolveError:
+            pass
+    # drop the stale LU first, so that one momentum LU is alive at a time
+    factor.lu = None
+    factor.lu, factor.key, factor.refactored = _factor(A, "momentum"), key, True
+    return _refine(factor._sweep, A, b, tol, "momentum")
 
 
 def factor_poisson(N, mass):
     """Factor the pure-Neumann Poisson operator N once, with its first dof
     pinned to zero, and return solve(b, tol).
 
-    Like solve_spd(N, b, tol, zero_mean=True, mass=mass), the solve
-    projects b onto the complement of the constant kernel, verifies the
-    residual against the unpinned N, and shifts the solution to zero
+    N is first projected onto zero row sums, so that the constants are its
+    kernel to rounding whatever order assembled it.  Like
+    solve_spd(N, b, tol, zero_mean=True, mass=mass), the solve projects b
+    onto the complement of the constant kernel, verifies the residual
+    against the unpinned (projected) N, and shifts the solution to zero
     mass-weighted mean."""
+    N = N.tocsr(copy=True)
+    N.setdiag(N.diagonal() - N @ np.ones(N.shape[0]))
     lu = _factor(N[1:, 1:], "pressure Poisson")
     w = mass @ np.ones(N.shape[0])
 

@@ -40,7 +40,7 @@ import numpy as np
 from . import diagnostics
 from .assembly import build_operators, project_L2_onto_Uh
 from .fe import build_space
-from .linsolve import solve_momentum
+from .linsolve import MomentumFactor, solve_momentum
 from .mesh import generate_structured_unit_square
 
 __all__ = [
@@ -179,7 +179,10 @@ class SchemeConfig:
 
 
 class Trajectory:
-    """Stored levels, energy ledger and operators of one run."""
+    """Stored levels, energy ledger and operators of one run, with the
+    momentum solver statistics of every step m = 1..N at index m - 1: the
+    LU solves it took (momentum_sweeps) and whether it factored the matrix
+    (momentum_refactored)."""
 
     def __init__(self, config, ops, dt, n_steps):
         self.config = config
@@ -189,6 +192,8 @@ class Trajectory:
         self.levels = []
         self.ledger = diagnostics.EnergyLedger(dt, config.mu)
         self.warnings = list(config.warnings)
+        self.momentum_sweeps = []
+        self.momentum_refactored = []
 
     @property
     def final(self):
@@ -225,7 +230,7 @@ def _skew_residual(ops, B, w_advect, utilde):
     return value / scale if scale > 0.0 else value
 
 
-def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12):
+def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, factor=None):
     """Level m+1 from level m (cur) and level m-1 (prev); F is the load
     vector of the arrival level.
 
@@ -235,7 +240,14 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12):
     2 r^m - r^{m-1}/2; the extrapolated advecting field keeps the momentum
     system linear while the convection stays second-order consistent.
     Both use mass coefficient a0/dt, pressure right side
-    -(a0/dt) D^T utilde and phi = -(dt/a0) dp."""
+    -(a0/dt) D^T utilde and phi = -(dt/a0) dp.
+
+    factor, a linsolve.MomentumFactor, carries the momentum LU from step
+    to step: only the convection changes while (a0, dt, mu) stay fixed, so
+    the LU of an earlier step, refined to rounding, solves this one, and
+    the matrix is refactored only when that fails or the key changes (at
+    the switch to BDF2).  Without it every step factors afresh.  Either
+    way solve_momentum runs once per step."""
     r = ops.yh_pair_with_u(cur.utilde, cur.phi)
     if prev is None:
         a0, w_advect, history = 1.0, cur.utilde, r
@@ -252,7 +264,8 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12):
     S = ((a0 / dt) * ops.M_u[:n, :n] + B[:n, :n] + mu * ops.A_u[:n, :n])[free][:, free]
     rhs = (F + ops.D @ cur.p + history / dt).reshape(2, n)[:, free].T
     utilde = np.zeros((2, n))
-    utilde[:, free] = solve_momentum(S, rhs, tol=tol_momentum).T
+    x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu))
+    utilde[:, free] = x.T
     utilde = utilde.ravel()
     _check_finite(utilde, "intermediate velocity", m)
 
@@ -277,7 +290,9 @@ def run(config, ops=None):
 
     Levels are stored every config.store_every steps (level 0 and the
     final level always); the energy ledger records every level regardless.
-    A level that fails one of the GATES raises SchemeError."""
+    A level that fails one of the GATES raises SchemeError.  The run owns
+    one MomentumFactor, so its steps share a momentum LU and two runs never
+    do."""
     if ops is None:
         space_u = build_space(
             config.mesh, config.degree_u, components=2, homogeneous_dirichlet=True
@@ -288,6 +303,7 @@ def run(config, ops=None):
     dt = config.dt
     N = config.n_steps
     traj = Trajectory(config, ops, dt, N)
+    factor = MomentumFactor()
 
     window = [None, None, init_state(ops, config.u0, dt, tol_poisson=config.tol_poisson)]
     row = diagnostics.record_level(traj.ledger, ops, dt, config.mu, window, 0.0, 0.0)
@@ -302,8 +318,11 @@ def run(config, ops=None):
         else:
             F, f_norm_sq = np.zeros(ops.space_u.ndofs), 0.0
         level = step(
-            window[1], window[2], ops, dt, config.mu, F, config.tol_momentum, config.tol_poisson
+            window[1], window[2], ops, dt, config.mu, F,
+            config.tol_momentum, config.tol_poisson, factor,
         )
+        traj.momentum_sweeps.append(factor.sweeps)
+        traj.momentum_refactored.append(factor.refactored)
         window = [window[1], window[2], level]
         f_dot = float(F @ level.utilde)
         row = diagnostics.record_level(traj.ledger, ops, dt, config.mu, window, f_dot, f_norm_sq)

@@ -2,11 +2,15 @@
 reference, and the per-step identity residual API."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import ipcs2d as pk
+from ipcs2d import scheme
+from ipcs2d.linsolve import STALE_SWEEPS
 from ipcs2d.scheme import Level, init_state, step
 
 from oracles import DenseScheme
@@ -168,6 +172,91 @@ def test_run_matches_dense_reference(setup_cache):
         assert np.abs(lv.utilde - ut).max() <= 1e-12 * scale
         assert np.abs(lv.p - p).max() <= 1e-12 * scale
         assert np.abs(lv.phi - phi).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_reused_factor_run_matches_dense_reference(setup_cache, n):
+    # later steps solve with the LU of an earlier one, refined to rounding
+    mesh, su, sp, ops = setup_cache(n, 1, 1)
+    u0, f = affine_case()
+    dt, mu, n_steps = 0.05, 0.7, 8
+    cfg = pk.SchemeConfig(
+        dt=dt, T=n_steps * dt, mu=mu, mesh=mesh, degree_u=1, degree_p=1,
+        u0=u0, f=f, tol_poisson=1e-13, tol_momentum=1e-13,
+    )
+    traj = pk.run(cfg, ops=ops)
+    assert traj.momentum_refactored[:2] == [True, True]
+    assert traj.momentum_refactored.count(False) >= 4
+
+    dense = DenseScheme(mesh.vertices, mesh.triangles, mesh.boundary_vertex_flags)
+    ut0, p0, phi0 = dense.init_levels(u0, dt)
+    ref = [(ut0, p0, phi0), dense.backward_euler(ut0, p0, phi0, f, dt, mu)]
+    for m in range(2, n_steps + 1):
+        (ut_a, _, phi_a), (ut_b, p_b, phi_b) = ref[-2:]
+        ref.append(dense.bdf2_step((ut_a, phi_a, ut_b, p_b, phi_b), f, dt, mu, m))
+
+    for lv, (ut, p, phi) in zip(traj.levels, ref):
+        scale = max(1.0, np.abs(ut).max())
+        assert np.abs(lv.utilde - ut).max() <= 1e-12 * scale
+        assert np.abs(lv.p - p).max() <= 1e-12 * scale
+        assert np.abs(lv.phi - phi).max() <= 1e-12 * scale
+
+
+def _count_momentum_factorizations(monkeypatch):
+    # splu calls made inside the step's one solve_momentum call
+    counts = {"splu": 0, "momentum": 0, "momentum_splu": 0}
+    splu = scipy.sparse.linalg.splu
+    solve_momentum = scheme.solve_momentum
+
+    def counted_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counted_momentum(*args, **kwargs):
+        counts["momentum"] += 1
+        before = counts["splu"]
+        try:
+            return solve_momentum(*args, **kwargs)
+        finally:
+            counts["momentum_splu"] += counts["splu"] - before
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    monkeypatch.setattr(scheme, "solve_momentum", counted_momentum)
+    return counts
+
+
+def test_run_reuses_the_momentum_factorization(setup_cache, monkeypatch):
+    # the quick-start problem: n=16 P2/P1, 50 steps
+    _, su, sp, ops = setup_cache(16, 2, 1)
+    case = pk.stream_vortex_case(mu=1.0)
+    cfg = pk.SchemeConfig(
+        dt=0.01, T=0.5, mu=1.0, mesh=su.mesh, u0=case.u0, f=case.f
+    )
+    counts = _count_momentum_factorizations(monkeypatch)
+    traj = pk.run(cfg, ops=ops)
+    assert counts["momentum"] == 50
+    assert counts["momentum_splu"] <= 4
+    # backward Euler and the first BDF2 step factor; the key changes between
+    assert traj.momentum_refactored[:2] == [True, True]
+    assert sum(traj.momentum_refactored) == counts["momentum_splu"]
+    assert len(traj.momentum_sweeps) == 50
+    assert all(1 <= s <= STALE_SWEEPS + 4 for s in traj.momentum_sweeps)
+
+
+def test_unreachable_momentum_tolerance_fails_at_step_one(setup_cache, monkeypatch):
+    _, su, sp, ops = setup_cache(16, 2, 1)
+    case = pk.stream_vortex_case(mu=1.0)
+    cfg = pk.SchemeConfig(
+        dt=0.01, T=0.5, mu=1.0, mesh=su.mesh, u0=case.u0, f=case.f, tol_momentum=1e-30
+    )
+    counts = _count_momentum_factorizations(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(pk.LinearSolveError, match="momentum solve stalled") as info:
+        pk.run(cfg, ops=ops)
+    assert time.perf_counter() - t0 < 5.0
+    # one fresh factorization, its three corrections, no retry
+    assert counts["momentum"] == 1 and counts["momentum_splu"] == 1
+    assert 0.0 < info.value.residual < 1e-13
 
 
 def test_single_step_run_equals_manual_composition(setup_cache):
