@@ -10,9 +10,12 @@ Layout: vector coefficient vectors are component-major (entry c*n + i is
 component c of scalar dof i), so vector mass/stiffness/convection are
 block-diagonal repetitions of scalar blocks.  Vectors keep full length with
 zeros at Dirichlet entries; constrained rows/columns are eliminated only
-inside the linear solves.
+inside the linear solves.  Those solves use the scalar block on the free
+dofs, which OperatorSet assembles directly on one fixed CSR pattern
+(M_free, A_free and free_convection), so no solve slices a matrix.
 """
 
+import functools
 import inspect
 
 import numpy as np
@@ -85,47 +88,75 @@ def _phys_grads(space, geom):
 
 class _Scatter:
     """COO -> CSR map of one space's element matrices, computed once: the
-    CSR slot of every entry, the pattern repeated once per component."""
+    CSR slot of every entry, the pattern repeated once per component.
 
-    def __init__(self, space):
+    With a boolean mask over the scalar dofs, the map is restricted to the
+    scalar block of the masked rows and columns, numbered in order: one
+    component, whatever the space has.  Entries outside the block go to a
+    spare slot past the end, which is dropped.  Slots and index arrays are
+    int32."""
+
+    def __init__(self, space, mask=None):
         cd = space.cell_dofs
         nloc = cd.shape[1]
         n, k = space.n_scalar, space.components
         key = np.repeat(cd, nloc, axis=1).ravel() * n + np.tile(cd, (1, nloc)).ravel()
-        keys, self.slot = np.unique(key, return_inverse=True)
+        keys, slot = np.unique(key, return_inverse=True)
+        del key
+        if mask is not None:
+            # renumbering the masked dofs in order keeps the keys sorted
+            rows, cols = np.divmod(keys, n)
+            keep = mask[rows] & mask[cols]
+            number = np.cumsum(mask) - 1
+            n, k = int(mask.sum()), 1
+            keys = number[rows[keep]] * n + number[cols[keep]]
+            spare = np.cumsum(keep) - 1
+            spare[~keep] = keys.size
+            slot = spare[slot]
+        self.slot = slot.astype(np.int32)
         self.nnz = keys.size
         row_end = np.searchsorted(keys, n * np.arange(1, n + 1))
-        self.indices = np.concatenate([keys % n + c * n for c in range(k)])
-        self.indptr = np.concatenate([[0]] + [row_end + c * self.nnz for c in range(k)])
+        self.indices = np.concatenate([keys % n + c * n for c in range(k)]).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0]] + [row_end + c * self.nnz for c in range(k)]
+        ).astype(np.int32)
         self.shape = (k * n, k * n)
         self.k = k
 
-    def __call__(self, elem):
+    def __call__(self, elem, share=False):
         # elem: (M, nloc, nloc) element matrices -> CSR, block diagonal for
-        # vector spaces; index arrays are copied, as callers may edit them
-        data = np.bincount(self.slot, weights=elem.ravel(), minlength=self.nnz)
-        return sp.csr_matrix(
-            (np.tile(data, self.k), self.indices.copy(), self.indptr.copy()), shape=self.shape
-        )
+        # vector spaces.  Index arrays are copied, as callers may edit them,
+        # unless share is set for a matrix whose indices nobody edits
+        data = np.bincount(self.slot, weights=elem.ravel(), minlength=self.nnz + 1)[: self.nnz]
+        if self.k > 1:
+            data = np.tile(data, self.k)
+        if share:
+            return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+
+
+def _mass_elem(space, geom):
+    phi, _ = space.ref.eval(geom.rule.points)
+    return np.einsum("q,qi,qj,c->cij", geom.rule.weights, phi, phi, geom.detJ)
+
+
+def _stiffness_elem(gphi, geom):
+    # gphi: the pushed-forward basis gradients of geom (_phys_grads)
+    return np.einsum("q,cqid,cqjd,c->cij", geom.rule.weights, gphi, gphi, geom.detJ)
 
 
 def assemble_mass(space, geom=None):
     """L2 mass matrix of the space (block diagonal for vector spaces)."""
     if geom is None:
         geom = CellGeometry(space.mesh, quad_rule(2 * space.degree))
-    phi, _ = space.ref.eval(geom.rule.points)
-    w = geom.rule.weights
-    elem = np.einsum("q,qi,qj,c->cij", w, phi, phi, geom.detJ)
-    return _Scatter(space)(elem)
+    return _Scatter(space)(_mass_elem(space, geom))
+
 
 def assemble_stiffness(space, geom=None):
     """H1 seminorm (grad, grad) matrix of the space."""
     if geom is None:
         geom = CellGeometry(space.mesh, quad_rule(max(2 * (space.degree - 1), 1)))
-    gphi = _phys_grads(space, geom)
-    w = geom.rule.weights
-    elem = np.einsum("q,cqid,cqjd,c->cij", w, gphi, gphi, geom.detJ)
-    return _Scatter(space)(elem)
+    return _Scatter(space)(_stiffness_elem(_phys_grads(space, geom), geom))
 
 
 def assemble_convection(space_u, w_coeffs, geom=None, grads=None, scatter=None):
@@ -152,9 +183,13 @@ def assemble_convection(space_u, w_coeffs, geom=None, grads=None, scatter=None):
     w_cd = np.stack([space_u.component(w_coeffs, d)[space_u.cell_dofs] for d in range(2)], -1)
     w_at_q = phi @ w_cd
     div_w = (grads.reshape(M, nq, 2 * nloc) @ w_cd.reshape(M, 2 * nloc, 1))[..., 0]
-    conv = grads[..., 0] * w_at_q[..., 0, None] + grads[..., 1] * w_at_q[..., 1, None]
-    elem = wphi.T @ conv + 0.5 * (div_w @ phi2).reshape(M, nloc, nloc)
-    return scatter(elem * geom.detJ[:, None, None])
+    # summed and scaled in place, as a run holds its momentum LU meanwhile
+    conv = grads[..., 0] * w_at_q[..., 0, None]
+    conv += grads[..., 1] * w_at_q[..., 1, None]
+    elem = wphi.T @ conv
+    elem += 0.5 * (div_w @ phi2).reshape(M, nloc, nloc)
+    elem *= geom.detJ[:, None, None]
+    return scatter(elem)
 
 
 def assemble_couplings(space_u, space_p, geom=None):
@@ -324,6 +359,11 @@ class OperatorSet:
     """Assembled operators of one velocity/pressure space pair.
 
     M_u, A_u : vector mass and stiffness on the velocity space
+    M_free, A_free : their scalar block on the free (interior) velocity
+        dofs, the block every momentum and mass solve uses; both have the
+        one CSR pattern of free_convection(w), so the momentum matrix of a
+        step is a sum of data arrays.  They share their index arrays,
+        which must not be edited in place
     D, G : coupling matrices (see assemble_couplings)
     N_p, M_p : pressure stiffness and mass
     solve_poisson(b, tol) : zero-mean solve with N_p, factored once
@@ -338,20 +378,38 @@ class OperatorSet:
         self.space_p = space_p
         self.rule = assembly_rule(space_u.degree, space_p.degree)
         self.geom = CellGeometry(space_u.mesh, self.rule)
-        self.M_u = assemble_mass(space_u, self.geom)
-        self.A_u = assemble_stiffness(space_u, self.geom)
-        self.D, self.G = assemble_couplings(space_u, space_p, self.geom)
-        self.M_p = assemble_mass(space_p, self.geom)
-        self.N_p = assemble_stiffness(space_p, self.geom)
         self.grads_u = _phys_grads(space_u, self.geom)
-        self.scatter_u = _Scatter(space_u)
+        # the steps use only the free block; the full map that convection()
+        # needs is built again on its first call
+        full = _Scatter(space_u)
+        self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
+        elem = _mass_elem(space_u, self.geom)
+        self.M_u, self.M_free = full(elem), self.scatter_free(elem, share=True)
+        elem = _stiffness_elem(self.grads_u, self.geom)
+        self.A_u, self.A_free = full(elem), self.scatter_free(elem, share=True)
+        del full, elem
+        self.D, self.G = assemble_couplings(space_u, space_p, self.geom)
+        scatter_p = _Scatter(space_p)
+        self.M_p = scatter_p(_mass_elem(space_p, self.geom))
+        self.N_p = scatter_p(_stiffness_elem(_phys_grads(space_p, self.geom), self.geom))
         self.solve_poisson = factor_poisson(self.N_p, self.M_p)
         # |grad psi_q| per pressure basis function, for normalized
         # divergence residuals
         self.grad_psi_norms = np.sqrt(self.N_p.diagonal())
 
+    @functools.cached_property
+    def scatter_u(self):
+        return _Scatter(self.space_u)
+
     def convection(self, w_coeffs):
         return assemble_convection(self.space_u, w_coeffs, self.geom, self.grads_u, self.scatter_u)
+
+    def free_convection(self, w_coeffs):
+        """convection(w_coeffs)[:n, :n][free][:, free] with n scalar dofs,
+        assembled straight onto the pattern of M_free and A_free."""
+        return assemble_convection(
+            self.space_u, w_coeffs, self.geom, self.grads_u, self.scatter_free
+        )
 
     def load(self, f, t_lo, t_hi, cutoff=None):
         return assemble_load(self.space_u, f, t_lo, t_hi, cutoff, self.geom)
@@ -387,9 +445,8 @@ class OperatorSet:
     def coupling_gap(self):
         """max |D + G| over rows of interior velocity dofs (identically
         zero up to rounding for conforming assembly)."""
-        free = self.space_u.free
-        diff = (self.D + self.G).tocsr()[free]
-        return float(np.abs(diff.toarray()).max()) if diff.nnz else 0.0
+        diff = (self.D + self.G).tocsr()[self.space_u.free]
+        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
 
 
 def build_operators(space_u, space_p):
@@ -411,10 +468,10 @@ def project_L2_onto_Uh(space_u, g, ops=None, tol=1e-12):
     x = geom.phys[..., 0]
     y = geom.phys[..., 1]
     rhs = _load_vector(space_u, geom, _eval_user_field(g, "u0", x, y))
-    M_u = ops.M_u if ops is not None else assemble_mass(space_u)
     # both components share the scalar mass block and its free dofs
     n = space_u.n_scalar
     free = space_u.free[:n]
+    M_free = ops.M_free if ops is not None else assemble_mass(space_u)[:n, :n][free][:, free]
     out = np.zeros((2, n))
-    out[:, free] = solve_direct(M_u[:n, :n][free][:, free], rhs.reshape(2, n)[:, free].T, tol, "mass").T
+    out[:, free] = solve_direct(M_free, rhs.reshape(2, n)[:, free].T, tol, "mass").T
     return out.ravel()

@@ -9,14 +9,16 @@ Config grammar: one "key = value" per line, '#' starts a comment.  Keys:
     dt           time step (adjusted down to the nearest divisor of T)
     T            final time
     mu           viscosity (default 1)
-    case         manufactured case name, or "custom" (default stream_vortex;
+    case         manufactured case name: stream_vortex (default) or zero;
                  "custom" is only constructible through the API, since a
-                 text file cannot carry the callables)
+                 text file cannot carry the callables
     store_every  keep every k-th level in the trajectory (default 1)
     f_cutoff     time beyond which the forcing is treated as zero (default:
                  none — the named cases are closed-form and evaluable past T)
-    tol_poisson  relative residual of the pressure/mass solves (default 1e-12)
-    tol_momentum relative residual of the momentum solves (default 1e-12)
+    tol_poisson  relative residual of the pressure/mass solves, positive
+                 (default 1e-12)
+    tol_momentum relative residual of the momentum solves, positive
+                 (default 1e-12)
     out_dir      output directory (default "out")
 
 Field output is legacy ASCII VTK (version 3.0), one file per stored level:
@@ -73,13 +75,19 @@ def parse_config(path):
 
     The manufactured case named by "case" supplies the initial velocity
     and forcing.  Violations (unknown key, malformed value, non-finite
-    float, non-positive dt/T/mu, T < dt, more than MAX_STEPS steps, mesh_n
-    above MAX_MESH_N, degree outside {1, 2}) raise ConfigError anchored to
-    the offending line."""
+    float, non-positive dt/T/mu/tolerance, T < dt, more than MAX_STEPS
+    steps, mesh_n above MAX_MESH_N, degree outside {1, 2}, unknown case)
+    raise ConfigError anchored to the offending line; a file that cannot
+    be opened or read as UTF-8 text raises ConfigError naming the file."""
     values = {}
     where = {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s: not a UTF-8 text file (%s)" % (path, exc)) from None
+    except OSError as exc:
+        raise ConfigError("%s: cannot read the config file (%s)" % (path, exc.strerror)) from None
     for ln, raw in enumerate(lines, 1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -124,6 +132,8 @@ def parse_config(path):
     check("mesh_n", lambda v: v >= 1, "mesh_n must be a positive integer")
     check("mesh_n", lambda v: v <= MAX_MESH_N, "mesh_n must be at most %d" % MAX_MESH_N)
     check("f_cutoff", lambda v: v > 0, "f_cutoff must be positive")
+    check("tol_poisson", lambda v: v > 0, "tol_poisson must be positive")
+    check("tol_momentum", lambda v: v > 0, "tol_momentum must be positive")
     check("degree_u", lambda v: v in (1, 2), "degree_u must be 1 or 2")
     check("degree_p", lambda v: v in (1, 2), "degree_p must be 1 or 2")
     check("store_every", lambda v: v >= 1, "store_every must be a positive integer")
@@ -137,7 +147,10 @@ def parse_config(path):
     merged = dict(_DEFAULTS)
     merged.update(values)
 
-    case = case_by_name(merged["case"], merged["mu"])
+    try:
+        case = case_by_name(merged["case"], merged["mu"])
+    except ValueError as exc:
+        raise ConfigError("%s:%d: %s" % (path, where["case"], exc)) from None
     return SchemeConfig(
         dt=merged["dt"],
         T=merged["T"],

@@ -18,7 +18,8 @@ Each time level is a Level record.  Stepping:
   * levels 1..N (step): one routine driven by the leading BDF coefficient
     a0, backward Euler (a0 = 1) for level 1 and the two-step backward
     differentiation formula (a0 = 3/2) after it, followed by a pressure
-    increment.
+    increment.  Both velocity components share one scalar momentum block
+    on the free dofs, formed on the operator set's fixed pattern.
 
 Each arrival level is logged to an energy ledger and checked against the
 GATES: the discrete energy identity of the step, the orthogonality of the
@@ -36,6 +37,7 @@ unavailable there.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import diagnostics
 from .assembly import build_operators, project_L2_onto_Uh
@@ -100,10 +102,11 @@ class SchemeConfig:
     If it is not, set f_cutoff to the time beyond which f is treated as
     zero, which scales clipped windows down proportionally.  dt is
     adjusted to divide T exactly (recorded in the run warnings), in at
-    most MAX_STEPS steps.  When
-    require_coupling is set, construction rejects combinations with
-    h**(degree_u + 1) > coupling_c * dt, the regime the splitting
-    analysis assumes for spatial refinement studies.
+    most MAX_STEPS steps.  tol_poisson and tol_momentum, the relative
+    residuals the pressure/mass and momentum solves must reach, are
+    positive and finite.  When require_coupling is set, construction
+    rejects combinations with h**(degree_u + 1) > coupling_c * dt, the
+    regime the splitting analysis assumes for spatial refinement studies.
     """
 
     def __init__(
@@ -146,6 +149,9 @@ class SchemeConfig:
             raise ValueError("store_every must be a positive integer")
         if f_cutoff is not None and f_cutoff <= 0:
             raise ValueError("f_cutoff must be positive when given, got %g" % f_cutoff)
+        for name, tol in (("tol_poisson", tol_poisson), ("tol_momentum", tol_momentum)):
+            if not 0 < tol < math.inf:
+                raise ValueError("%s must be positive and finite, got %g" % (name, tol))
 
         self.mesh = mesh if mesh is not None else generate_structured_unit_square(mesh_n)
         self.degree_u = degree_u
@@ -222,11 +228,12 @@ def init_state(ops, u0, dt, tol_poisson=1e-12):
     return Level(0, 0.0, utilde0, -dt * p0, p0)
 
 
-def _skew_residual(ops, B, w_advect, utilde):
+def _skew_residual(ops, B, w_advect, x):
     # the skew-symmetrized convection must pair to zero against the field
-    # it transports; normalize by the natural magnitude of the form
-    value = abs(float(utilde @ (B @ utilde)))
-    scale = float(np.max(np.abs(w_advect))) * ops.norm_u_sq(utilde)
+    # it transports; normalize by the natural magnitude of the form.  B is
+    # the free scalar block, x the free values of one component per column
+    value = abs(float(np.sum(x * (B @ x))))
+    scale = float(np.max(np.abs(w_advect))) * float(np.sum(x * (ops.M_free @ x)))
     return value / scale if scale > 0.0 else value
 
 
@@ -247,7 +254,12 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, facto
     the LU of an earlier step, refined to rounding, solves this one, and
     the matrix is refactored only when that fails or the key changes (at
     the switch to BDF2).  Without it every step factors afresh.  Either
-    way solve_momentum runs once per step."""
+    way solve_momentum runs once per step.
+
+    The momentum matrix lives on the fixed pattern of the free scalar
+    block: ops.free_convection(w) assembles the convection onto the
+    pattern that ops.M_free and ops.A_free share, so the matrix data is a
+    sum of three arrays.  The skew residual is taken on that block too."""
     r = ops.yh_pair_with_u(cur.utilde, cur.phi)
     if prev is None:
         a0, w_advect, history = 1.0, cur.utilde, r
@@ -256,12 +268,13 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, facto
         history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.utilde, prev.phi)
     m = cur.m + 1
 
-    B = ops.convection(w_advect)
+    B = ops.free_convection(w_advect)
     # every operator is block diagonal, one scalar block per component, and
     # both components have the same free dofs: one factorization, two columns
     n = ops.space_u.n_scalar
     free = ops.space_u.free[:n]
-    S = ((a0 / dt) * ops.M_u[:n, :n] + B[:n, :n] + mu * ops.A_u[:n, :n])[free][:, free]
+    data = (a0 / dt) * ops.M_free.data + B.data + mu * ops.A_free.data
+    S = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
     rhs = (F + ops.D @ cur.p + history / dt).reshape(2, n)[:, free].T
     utilde = np.zeros((2, n))
     x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu))
@@ -271,7 +284,7 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, facto
 
     dp = ops.solve_poisson(-(a0 / dt) * (ops.D.T @ utilde), tol_poisson)
     return Level(
-        m, m * dt, utilde, -(dt / a0) * dp, cur.p + dp, _skew_residual(ops, B, w_advect, utilde)
+        m, m * dt, utilde, -(dt / a0) * dp, cur.p + dp, _skew_residual(ops, B, w_advect, x)
     )
 
 

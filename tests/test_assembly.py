@@ -153,6 +153,43 @@ def test_coupling_operators(n, deg_u, deg_p, setup_cache):
     assert ops.coupling_gap() <= 1e-13
 
 
+def test_coupling_gap_stays_sparse(setup_cache, monkeypatch):
+    # a dense (free rows x pressure dofs) copy would take 1.1 GB at n=64 P2/P1
+    import scipy.sparse as sps
+
+    _, su, sp, ops = setup_cache(32, 2, 1)
+    expect = abs((ops.D + ops.G).tocsr()[su.free]).max()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("coupling_gap densified a sparse matrix")
+
+    for cls in (sps.csr_matrix, sps.csc_matrix, sps.coo_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    assert ops.coupling_gap() == expect
+
+
+@pytest.mark.parametrize("n,deg", [(3, 1), (4, 2)])
+def test_free_blocks_equal_the_sliced_operators(n, deg, setup_cache):
+    _, su, _, ops = setup_cache(n, deg, 1)
+    ns = su.n_scalar
+    free = su.free[:ns]
+    rng = np.random.default_rng(n)
+    w = in_space(su, rng.standard_normal(su.ndofs))
+    pairs = [
+        (ops.M_free, ops.M_u[:ns, :ns][free][:, free]),
+        (ops.A_free, ops.A_u[:ns, :ns][free][:, free]),
+        (ops.free_convection(w), ops.convection(w)[:ns, :ns][free][:, free]),
+    ]
+    for block, sliced in pairs:
+        # entry for entry, in the same CSR order
+        assert block.shape == sliced.shape
+        assert np.array_equal(block.indptr, sliced.indptr)
+        assert np.array_equal(block.indices, sliced.indices)
+        assert np.array_equal(block.data, sliced.data)
+        assert block.indices.dtype == np.int32 and block.indptr.dtype == np.int32
+
+
 def test_weak_divergence_functional_matches_dense_reference(setup_cache):
     mesh, su, sp, ops = setup_cache(3, 1, 1)
     dense = DenseScheme(mesh.vertices, mesh.triangles, mesh.boundary_vertex_flags)

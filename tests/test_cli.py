@@ -80,12 +80,22 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
         ("mesh_n = 4\ndt = 0.01\nT = 0.001\n", ":3: T must be at least dt"),
         ("mesh_n = 4\ndt = 1e-300\nT = 1\n", ":2: dt gives more than 10000000 steps"),
         ("mesh_n = 100000\ndt = 0.01\nT = 1\n", ":1: mesh_n must be at most 1024"),
+        ("mesh_n = 4\ndt = 0.01\nT = 1\ntol_momentum = 0\n", ":4: tol_momentum must be positive"),
+        ("mesh_n = 4\ndt = 0.01\nT = 1\ntol_poisson = -1\n", ":4: tol_poisson must be positive"),
+        ("mesh_n = 4\ndt = 0.01\nT = 1\ncase = nope\n", ":4: unknown case 'nope'"),
     ],
 )
 def test_out_of_range_time_is_a_usage_error(tmp_path, capsys, body, message):
     cfg = write_cfg(tmp_path, body)
     assert main(["verify", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_undecodable_config_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"mesh_n = 4\ndt = 0.01\nT = 1\n# \xe9\n")
+    assert main(["verify", str(path)]) == 2
+    assert "latin1.cfg: not a UTF-8 text file" in capsys.readouterr().err
 
 
 def test_unreachable_solver_tolerance_is_a_failure(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ipcs2d as pk
 from ipcs2d.diagnostics import CSV_COLUMNS
@@ -84,6 +86,9 @@ def test_config_optional_keys_are_honored(tmp_path):
         ("mesh_n = 4\ndt = 0.1\nT = 1\nf_cutoff = 0\n", "f_cutoff must be positive"),
         ("mesh_n = 4\ndt = 0.1\nT = 1\ncase = custom\n", "needs API construction"),
         ("mesh_n = 4\ndt = 0.1\nT = 1\ncase = poiseuille\n", "unknown case"),
+        ("mesh_n = 4\ncase = nope\ndt = 0.1\nT = 1\n", ":2: unknown case 'nope'"),
+        ("mesh_n = 4\ndt = 0.1\nT = 1\ntol_momentum = 0\n", ":4: tol_momentum must be positive"),
+        ("mesh_n = 4\ndt = 0.1\ntol_poisson = -1\nT = 1\n", ":3: tol_poisson must be positive"),
         ("dt = 0.1\n", "missing required key"),
         ("mesh_n = 4\ndt = 0.1\nT = inf\n", ":3: T must be finite"),
         ("mesh_n = 4\ndt = nan\nT = 1\n", ":2: dt must be finite"),
@@ -95,8 +100,98 @@ def test_config_optional_keys_are_honored(tmp_path):
     ],
 )
 def test_config_violations_raise(tmp_path, text, match):
-    with pytest.raises((pk.ConfigError, ValueError), match=match):
+    with pytest.raises(pk.ConfigError, match=match):
         pk.parse_config(write_config(tmp_path, text))
+
+
+def test_undecodable_config_names_the_file(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# d\xe9bit\nmesh_n = 4\ndt = 0.1\nT = 1\n".encode("latin-1"))
+    with pytest.raises(pk.ConfigError, match="latin1.cfg: not a UTF-8 text file"):
+        pk.parse_config(str(path))
+
+
+def test_unreadable_config_is_a_config_error(tmp_path):
+    with pytest.raises(pk.ConfigError, match="cannot read the config file"):
+        pk.parse_config(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+
+
+def parse_text_or_config_error(path, text):
+    """parse_config of text: a SchemeConfig, or None after a ConfigError;
+    any other exception escapes."""
+    path.write_text(text, encoding="utf-8")
+    try:
+        cfg = pk.parse_config(str(path))
+    except pk.ConfigError:
+        return None
+    assert isinstance(cfg, pk.SchemeConfig)
+    assert cfg.dt > 0 and cfg.n_steps >= 1 and cfg.tol_poisson > 0 and cfg.tol_momentum > 0
+    return cfg
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=st.text(max_size=120))
+def test_random_config_text_raises_only_config_error(fuzz_path, text):
+    parse_text_or_config_error(fuzz_path, text)
+
+
+# values for any key: valid and invalid numbers, case names, junk; the
+# largest mesh a valid draw can build is 4 x 4
+CONFIG_VALUES = [
+    "0", "1", "2", "4", "-1", "1025", "2.5", "0.05", "0.5", "1e-300", "-0.1",
+    "nan", "inf", "1e-12", "abc", "", "stream_vortex", "zero", "custom", "nope",
+]
+CONFIG_KEYS = sorted(
+    ["mesh_n", "degree_u", "degree_p", "dt", "T", "mu", "case", "store_every",
+     "f_cutoff", "tol_poisson", "tol_momentum", "out_dir", "viscosity"]
+)
+config_lines = st.lists(
+    st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES)), max_size=8
+).map(lambda pairs: "".join("%s = %s\n" % kv for kv in pairs))
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=config_lines)
+def test_random_config_lines_raise_only_config_error(fuzz_path, text):
+    parse_text_or_config_error(fuzz_path, text)
+
+
+VALID = "mesh_n = 4\ndt = 0.05\nT = 0.5\nmu = 0.5\ncase = zero\ntol_momentum = 1e-11\n"
+
+
+@st.composite
+def mutated_config(draw):
+    # digits are never inserted, so no mutation grows mesh_n past 4
+    text = VALID
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.splitlines(keepends=True)
+        kind = draw(st.sampled_from(["delete", "insert", "swap", "duplicate"]))
+        at = draw(st.integers(0, max(len(text) - 1, 0)))
+        if kind == "delete" and text:
+            text = text[:at] + text[at + 1:]
+        elif kind == "insert":
+            text = text[:at] + draw(st.sampled_from(list("=#.-e \nxé\t"))) + text[at:]
+        elif kind == "swap" and len(lines) > 1:
+            i = draw(st.integers(0, len(lines) - 2))
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+            text = "".join(lines)
+        elif kind == "duplicate" and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            text = "".join(lines[: i + 1] + lines[i:])
+    return text
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=mutated_config())
+def test_mutated_config_raises_only_config_error(fuzz_path, text):
+    # the unmutated text builds, so the mutations start from a valid config
+    assert parse_text_or_config_error(fuzz_path, VALID) is not None
+    parse_text_or_config_error(fuzz_path, text)
 
 
 def test_config_errors_carry_the_line_number(tmp_path):

@@ -164,3 +164,25 @@ def test_constructor_rejects_flat_triangle():
     verts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(pk.MeshFormatError, match="triangle 0"):
         pk.Mesh(verts, [[0, 1, 2]])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    scale=st.tuples(*[st.floats(min_value=1e-3, max_value=1e3)] * 2),
+    shift=st.tuples(*[st.floats(min_value=-1e6, max_value=1e6)] * 2),
+    extra=st.lists(st.integers(min_value=0, max_value=35), max_size=4),
+)
+def test_write_read_round_trip_is_exact(tmp_path_factory, n, scale, shift, extra):
+    # arbitrary doubles through an affine map, and boundary flags beyond
+    # the topological boundary, must come back bit for bit
+    base = pk.generate_structured_unit_square(n)
+    flags = base.boundary_vertex_flags.copy()
+    flags[[i for i in extra if i < len(flags)]] = True
+    mesh = pk.Mesh(base.vertices * np.array(scale) + np.array(shift), base.triangles, flags)
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    pk.write_mesh(mesh, str(path))
+    back = pk.read_mesh(str(path))
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.triangles, mesh.triangles)
+    assert np.array_equal(back.boundary_vertex_flags, mesh.boundary_vertex_flags)

@@ -142,6 +142,34 @@ def test_case_u0_is_u_at_time_zero():
     assert np.array_equal(a, b)
 
 
+def test_memoized_factors_match_a_fresh_case():
+    # one case evaluates every field at the same points over and over; its
+    # memo of the spatial factors must give the values of a fresh case
+    rng = np.random.default_rng(3)
+    x, y = rng.random((2, 40, 7))
+    x2, y2 = rng.random((2, 40, 7))
+
+    def fields(case, t, x, y):
+        return [np.asarray(v) for v in
+                (*case.f(t, x, y), *case.u(t, x, y), *case.grad_u(t, x, y), case.p(t, x, y))]
+
+    def assert_fresh(case, t, x, y):
+        # bit for bit what a case that never saw other points gives
+        for got, expect in zip(fields(case, t, x, y), fields(pk.stream_vortex_case(0.7), t, x, y)):
+            assert np.array_equal(got, expect)
+
+    case = pk.stream_vortex_case(0.7)
+    for t in (0.0, 0.3, 1.1):
+        assert_fresh(case, t, x, y)
+    assert_fresh(case, 0.3, x2, y2)  # a different point set
+    assert_fresh(case, 0.3, x, y)  # and back
+    x[3, 2] += 0.25  # the same array, changed in place
+    assert_fresh(case, 0.3, x, y)
+    y[::2] = 0.5
+    assert_fresh(case, 0.4, x, y)
+    assert_fresh(case, 0.4, x[:, :3], y[:, :3])  # a view of another shape
+
+
 @pytest.fixture(scope="module")
 def zero_field_run():
     cfg = pk.SchemeConfig(

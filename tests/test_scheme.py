@@ -52,6 +52,10 @@ def vortex_u0(x, y):
         (dict(dt=0.1, T=float("inf")), "must be finite"),
         (dict(dt=0.1, T=1.0, mu=float("inf")), "mu must be positive and finite"),
         (dict(dt=1e-300, T=1.0), "T/dt = 1e\\+300 steps exceeds the limit of 10000000 steps"),
+        (dict(dt=0.1, T=1.0, tol_momentum=0.0), "tol_momentum must be positive and finite"),
+        (dict(dt=0.1, T=1.0, tol_poisson=-1.0), "tol_poisson must be positive and finite"),
+        (dict(dt=0.1, T=1.0, tol_poisson=float("nan")), "tol_poisson must be positive"),
+        (dict(dt=0.1, T=1.0, tol_momentum=float("inf")), "tol_momentum must be positive"),
     ],
 )
 def test_config_rejects_bad_parameters(kwargs, match):
@@ -304,12 +308,43 @@ def test_step_matches_full_system_solve(setup_cache):
         assert np.abs(new.utilde - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("deg", [1, 2])
+def test_step_momentum_matrix_equals_sum_then_slice(deg, setup_cache, monkeypatch):
+    # the step forms its matrix on the fixed free-block pattern; it must be
+    # the matrix the sum-then-slice formula gives, entry for entry
+    _, su, _, ops = setup_cache(4, deg, 1)
+    n = su.n_scalar
+    free = su.free[:n]
+    seen = []
+    solve = scheme.solve_momentum
+
+    def capture(A, b, **kwargs):
+        seen.append(A)
+        return solve(A, b, **kwargs)
+
+    monkeypatch.setattr(scheme, "solve_momentum", capture)
+    u0, f = affine_case()
+    dt, mu = 0.05, 0.5
+    level0 = init_state(ops, u0, dt)
+    level1 = step(None, level0, ops, dt, mu, ops.load(f, 0.5 * dt, 1.5 * dt)[0])
+    step(level0, level1, ops, dt, mu, ops.load(f, 1.5 * dt, 2.5 * dt)[0])
+    advected = ((1.0, level0.utilde), (1.5, 2.0 * level1.utilde - level0.utilde))
+    assert len(seen) == 2
+    for (a0, w), S in zip(advected, seen):
+        ref = ((a0 / dt) * ops.M_u[:n, :n] + ops.convection(w)[:n, :n] + mu * ops.A_u[:n, :n])
+        ref = ref[free][:, free]
+        assert np.array_equal(S.indptr, ref.indptr)
+        assert np.array_equal(S.indices, ref.indices)
+        assert np.array_equal(S.data, ref.data)
+
+
 def test_gates_fire_inside_run(setup_cache):
     mesh, su, sp, _ = setup_cache(4, 1, 1)
     ops = pk.build_operators(su, sp)
-    orig = ops.convection
-    # a mass term added to the convection feeds energy into every step
-    ops.convection = lambda w: orig(w) + 1e-3 * ops.M_u
+    orig = ops.free_convection
+    # a mass term added to the convection feeds energy into every step; the
+    # step assembles the free block, so the mass block is the free one
+    ops.free_convection = lambda w: orig(w) + 1e-3 * ops.M_free
     u0, f = affine_case()
     cfg = pk.SchemeConfig(dt=0.05, T=0.1, mesh=mesh, degree_u=1, degree_p=1, u0=u0, f=f)
     with pytest.raises(pk.SchemeError, match="energy identity violated at step 1:"):
