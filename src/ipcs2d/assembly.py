@@ -8,14 +8,13 @@ relies on therefore holds to rounding, not to quadrature error.
 
 Layout: vector coefficient vectors are component-major (entry c*n + i is
 component c of scalar dof i), so vector mass/stiffness/convection are
-block-diagonal repetitions of scalar blocks.  Vectors keep full length with
-zeros at Dirichlet entries; constrained rows/columns are eliminated only
-inside the linear solves.  Those solves use the scalar block on the free
-dofs, which OperatorSet assembles directly on one fixed CSR pattern
-(M_free, A_free and free_convection), so no solve slices a matrix.
+block-diagonal repetitions of scalar blocks.  Velocity vectors keep full
+length with zeros at Dirichlet entries.  OperatorSet stores each velocity
+operator once, as its scalar block on the free dofs on one fixed CSR
+pattern (M_free, A_free and free_convection), and its inner products read
+only the free entries, so no solve or pairing slices a matrix.
 """
 
-import functools
 import inspect
 
 import numpy as np
@@ -93,34 +92,37 @@ class _Scatter:
     With a boolean mask over the scalar dofs, the map is restricted to the
     scalar block of the masked rows and columns, numbered in order: one
     component, whatever the space has.  Entries outside the block go to a
-    spare slot past the end, which is dropped.  Slots and index arrays are
-    int32."""
+    spare slot past the end, which is dropped.  With a column space cols,
+    the map is the rectangular scalar block of the space's scalar dofs by
+    the scalar dofs of cols.  Slots and index arrays are int32."""
 
-    def __init__(self, space, mask=None):
-        cd = space.cell_dofs
-        nloc = cd.shape[1]
-        n, k = space.n_scalar, space.components
-        key = np.repeat(cd, nloc, axis=1).ravel() * n + np.tile(cd, (1, nloc)).ravel()
+    def __init__(self, space, mask=None, cols=None):
+        k = space.components if cols is None else 1
+        cols = space if cols is None else cols
+        cd, n, cd_col, m = space.cell_dofs, space.n_scalar, cols.cell_dofs, cols.n_scalar
+        key = np.repeat(cd, cd_col.shape[1], axis=1).ravel() * m
+        key += np.tile(cd_col, (1, cd.shape[1])).ravel()
         keys, slot = np.unique(key, return_inverse=True)
         del key
         if mask is not None:
             # renumbering the masked dofs in order keeps the keys sorted
-            rows, cols = np.divmod(keys, n)
-            keep = mask[rows] & mask[cols]
+            rows, columns = np.divmod(keys, n)
+            keep = mask[rows] & mask[columns]
             number = np.cumsum(mask) - 1
-            n, k = int(mask.sum()), 1
-            keys = number[rows[keep]] * n + number[cols[keep]]
+            n = m = int(mask.sum())
+            k = 1
+            keys = number[rows[keep]] * n + number[columns[keep]]
             spare = np.cumsum(keep) - 1
             spare[~keep] = keys.size
             slot = spare[slot]
         self.slot = slot.astype(np.int32)
         self.nnz = keys.size
-        row_end = np.searchsorted(keys, n * np.arange(1, n + 1))
-        self.indices = np.concatenate([keys % n + c * n for c in range(k)]).astype(np.int32)
+        row_end = np.searchsorted(keys, m * np.arange(1, n + 1))
+        self.indices = np.concatenate([keys % m + c * m for c in range(k)]).astype(np.int32)
         self.indptr = np.concatenate(
             [[0]] + [row_end + c * self.nnz for c in range(k)]
         ).astype(np.int32)
-        self.shape = (k * n, k * n)
+        self.shape = (k * n, k * m)
         self.k = k
 
     def __call__(self, elem, share=False):
@@ -212,25 +214,11 @@ def assemble_couplings(space_u, space_p, geom=None):
     elem_d = np.einsum("q,qs,cqid,c->cisd", w, phi_p, gphi_u, geom.detJ)
     elem_g = np.einsum("q,qi,cqsd,c->cisd", w, phi_u, gphi_p, geom.detJ)
 
-    cd_u = space_u.cell_dofs
-    cd_p = space_p.cell_dofs
-    nu, npp = cd_u.shape[1], cd_p.shape[1]
-    rows_s = np.repeat(cd_u, npp, axis=1).ravel()
-    cols = np.tile(cd_p, (1, nu)).ravel()
-    shape = (2 * space_u.n_scalar, space_p.n_scalar)
-
-    def scatter(elem):
-        parts = []
-        for c in range(2):
-            parts.append(
-                sp.coo_matrix(
-                    (elem[..., c].ravel(), (rows_s + c * space_u.n_scalar, cols)),
-                    shape=shape,
-                )
-            )
-        return (parts[0] + parts[1]).tocsr()
-
-    return scatter(elem_d), scatter(elem_g)
+    scatter = _Scatter(space_u, cols=space_p)
+    return tuple(
+        sp.vstack([scatter(elem[..., c]) for c in range(2)], format="csr")
+        for elem in (elem_d, elem_g)
+    )
 
 
 def _time_average_weights(t_lo, t_hi, cutoff):
@@ -358,36 +346,32 @@ def eval_grad_at_quad(space, geom, coeffs):
 class OperatorSet:
     """Assembled operators of one velocity/pressure space pair.
 
-    M_u, A_u : vector mass and stiffness on the velocity space
-    M_free, A_free : their scalar block on the free (interior) velocity
-        dofs, the block every momentum and mass solve uses; both have the
-        one CSR pattern of free_convection(w), so the momentum matrix of a
-        step is a sum of data arrays.  They share their index arrays,
-        which must not be edited in place
+    M_free, A_free : velocity mass and stiffness, stored once as their
+        scalar block on the free (interior) velocity dofs, the block every
+        momentum and mass solve uses; both have the one CSR pattern of
+        free_convection(w), so the momentum matrix of a step is a sum of
+        data arrays.  They share their index arrays, which must not be
+        edited in place
     D, G : coupling matrices (see assemble_couplings)
     N_p, M_p : pressure stiffness and mass
     solve_poisson(b, tol) : zero-mean solve with N_p, factored once
 
     plus the inner products the projection scheme and its energy ledger
-    need.  Fields of the composite space U_h + grad(P_h) are handled as
-    coefficient pairs (base, phi) without a global basis: all pairings
-    reduce to the matrices above."""
+    need.  Velocity vectors vanish at Dirichlet entries, and the velocity
+    inner products read only the free entries.  Fields of the composite
+    space U_h + grad(P_h) are handled as coefficient pairs (base, phi)
+    without a global basis: all pairings reduce to the matrices above."""
 
     def __init__(self, space_u, space_p):
         self.space_u = space_u
         self.space_p = space_p
-        self.rule = assembly_rule(space_u.degree, space_p.degree)
-        self.geom = CellGeometry(space_u.mesh, self.rule)
+        self.geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))
         self.grads_u = _phys_grads(space_u, self.geom)
-        # the steps use only the free block; the full map that convection()
-        # needs is built again on its first call
-        full = _Scatter(space_u)
+        # free entries of each velocity component, one row per component
+        self._free_index = np.flatnonzero(space_u.free).reshape(2, -1)
         self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
-        elem = _mass_elem(space_u, self.geom)
-        self.M_u, self.M_free = full(elem), self.scatter_free(elem, share=True)
-        elem = _stiffness_elem(self.grads_u, self.geom)
-        self.A_u, self.A_free = full(elem), self.scatter_free(elem, share=True)
-        del full, elem
+        self.M_free = self.scatter_free(_mass_elem(space_u, self.geom), share=True)
+        self.A_free = self.scatter_free(_stiffness_elem(self.grads_u, self.geom), share=True)
         self.D, self.G = assemble_couplings(space_u, space_p, self.geom)
         scatter_p = _Scatter(space_p)
         self.M_p = scatter_p(_mass_elem(space_p, self.geom))
@@ -397,16 +381,9 @@ class OperatorSet:
         # divergence residuals
         self.grad_psi_norms = np.sqrt(self.N_p.diagonal())
 
-    @functools.cached_property
-    def scatter_u(self):
-        return _Scatter(self.space_u)
-
-    def convection(self, w_coeffs):
-        return assemble_convection(self.space_u, w_coeffs, self.geom, self.grads_u, self.scatter_u)
-
     def free_convection(self, w_coeffs):
-        """convection(w_coeffs)[:n, :n][free][:, free] with n scalar dofs,
-        assembled straight onto the pattern of M_free and A_free."""
+        """The scalar block of assemble_convection(w_coeffs) on the free
+        dofs, assembled straight onto the pattern of M_free and A_free."""
         return assemble_convection(
             self.space_u, w_coeffs, self.geom, self.grads_u, self.scatter_free
         )
@@ -416,11 +393,19 @@ class OperatorSet:
 
     # -- inner products ------------------------------------------------------
 
+    def _apply_free(self, block, vec):
+        # block (M_free or A_free) applied to both components of vec, as a
+        # full-length vector that is zero in the Dirichlet rows
+        out = np.zeros(vec.shape)
+        for index in self._free_index:
+            out[index] = block @ vec.take(index)
+        return out
+
     def norm_u_sq(self, vec):
-        return float(vec @ (self.M_u @ vec))
+        return float(vec @ self._apply_free(self.M_free, vec))
 
     def grad_u_sq(self, vec):
-        return float(vec @ (self.A_u @ vec))
+        return float(vec @ self._apply_free(self.A_free, vec))
 
     def norm_p_sq(self, vec):
         return float(vec @ (self.M_p @ vec))
@@ -431,12 +416,15 @@ class OperatorSet:
     def yh_norm_sq(self, base, phi):
         """Squared L2 norm of base + grad(phi)."""
         return float(
-            base @ (self.M_u @ base) + 2.0 * (base @ (self.G @ phi)) + phi @ (self.N_p @ phi)
+            base @ self._apply_free(self.M_free, base)
+            + 2.0 * (base @ (self.G @ phi))
+            + phi @ (self.N_p @ phi)
         )
 
     def yh_pair_with_u(self, base, phi):
-        """Riesz vector r with r . v = (base + grad(phi), v) for v in U_h."""
-        return self.M_u @ base + self.G @ phi
+        """Riesz vector r with r . v = (base + grad(phi), v) for v in U_h.
+        The mass acts on the free rows only: Dirichlet rows hold G phi."""
+        return self._apply_free(self.M_free, base) + self.G @ phi
 
     def weak_divergence(self, base, phi):
         """(base + grad(phi), grad psi_q) for every pressure basis function."""
@@ -454,15 +442,15 @@ def build_operators(space_u, space_p):
     return OperatorSet(space_u, space_p)
 
 
-def project_L2_onto_Uh(space_u, g, ops=None, tol=1e-12):
+def project_L2_onto_Uh(space_u, g, ops, tol=1e-12):
     """L2 projection of a vector field onto the velocity space.
 
     g(x, y) must return the two finite components for array x, y
     (otherwise ValueError, naming g as u0, the initial velocity the scheme
     projects with it).  The right side is integrated with the degree-6
     rule (the integrand is not polynomial in general); the mass solve runs
-    on the interior dofs only, so the result satisfies the homogeneous
-    boundary condition exactly.
+    on the interior dofs only, with ops.M_free of the space's OperatorSet,
+    so the result satisfies the homogeneous boundary condition exactly.
     """
     geom = CellGeometry(space_u.mesh, quad_rule(6))
     x = geom.phys[..., 0]
@@ -471,7 +459,6 @@ def project_L2_onto_Uh(space_u, g, ops=None, tol=1e-12):
     # both components share the scalar mass block and its free dofs
     n = space_u.n_scalar
     free = space_u.free[:n]
-    M_free = ops.M_free if ops is not None else assemble_mass(space_u)[:n, :n][free][:, free]
     out = np.zeros((2, n))
-    out[:, free] = solve_direct(M_free, rhs.reshape(2, n)[:, free].T, tol, "mass").T
+    out[:, free] = solve_direct(ops.M_free, rhs.reshape(2, n)[:, free].T, tol, "mass").T
     return out.ravel()

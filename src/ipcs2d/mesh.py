@@ -192,7 +192,7 @@ def generate_structured_unit_square(n):
     Produces (n+1)^2 vertices and 2 n^2 congruent right isoceles triangles
     with mesh size h = sqrt(2)/n, for 1 <= n <= MAX_MESH_N.
     """
-    if int(n) != n or n < 1:
+    if not (n >= 1 and n % 1 == 0):
         raise ValueError("grid resolution n must be a positive integer, got %r" % (n,))
     if n > MAX_MESH_N:
         raise ValueError("grid resolution n=%d exceeds the limit of %d" % (n, MAX_MESH_N))
@@ -230,13 +230,17 @@ def mesh_metrics(mesh):
 def read_mesh(path):
     """Read a mesh from the text format, validating conformity.
 
-    Parse errors carry the 1-based line number; non-conforming meshes
-    (flipped triangles, over-shared edges) are rejected with the offending
-    element named.  Vertices not referenced by any triangle are accepted
-    and reported through ``mesh.unused_vertices``.
+    Parse errors carry the 1-based line number, and a file that is not
+    UTF-8 text is rejected with its name; non-conforming meshes (flipped
+    triangles, over-shared edges) are rejected with the offending element
+    named.  Vertices not referenced by any triangle are accepted and
+    reported through ``mesh.unused_vertices``.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError("%s: not a UTF-8 text file (%s)" % (path, exc)) from None
     # (line number, text) of the content lines, last first so pop() reads in order
     content = [(ln, raw.strip()) for ln, raw in enumerate(lines, 1)]
     content = [(ln, text) for ln, text in reversed(content) if text and not text.startswith("#")]
@@ -247,9 +251,9 @@ def read_mesh(path):
         ln, text = content.pop()
         return ln, text, text.split()
 
-    def section(keyword, what, form, convert):
-        # header "<keyword> <count>", then count records matching form;
-        # returns the records and their line numbers
+    def section(keyword, what, form, bound=None):
+        # header "<keyword> <count>", then count records matching form:
+        # finite floats, or with bound, vertex indices in [0, bound)
         header = "'%s <count>'" % keyword
         ln, text, parts = next_line(header)
         if len(parts) != 2 or parts[0] != keyword:
@@ -260,7 +264,8 @@ def read_mesh(path):
             count = -1
         if count < 0:
             raise MeshFormatError("line %d: malformed count in %r" % (ln, text))
-        records, where = [], []
+        convert = float if bound is None else int
+        records = []
         for i in range(count):
             ln, text, parts = next_line("%s %d of %d" % (what, i, count))
             if len(parts) != len(form.split()):
@@ -269,19 +274,18 @@ def read_mesh(path):
                 records.append([convert(p) for p in parts])
             except ValueError:
                 raise MeshFormatError("line %d: malformed %s %d in %r" % (ln, what, i, text)) from None
-            if not np.all(np.isfinite(records[-1])):
+            if bound is None and not np.all(np.isfinite(records[-1])):
                 raise MeshFormatError("line %d: non-finite %s %d in %r" % (ln, what, i, text))
-            where.append(ln)
-        return records, where
+            if bound is not None and not all(0 <= v < bound for v in records[-1]):
+                raise MeshFormatError("line %d: index out of range in %s %d" % (ln, what, i))
+        return records
 
-    vertices, _ = section("vertices", "vertex", "x y", float)
-    triangles, _ = section("triangles", "triangle", "i j k", int)
+    vertices = section("vertices", "vertex", "x y")
+    triangles = section("triangles", "triangle", "i j k", len(vertices))
     flags = None
     if content:
         flags = np.zeros(len(vertices), dtype=bool)
-        for (idx,), ln in zip(*section("boundary", "boundary vertex", "v", int)):
-            if not 0 <= idx < len(vertices):
-                raise MeshFormatError("line %d: boundary vertex %d out of range" % (ln, idx))
+        for (idx,) in section("boundary", "boundary vertex", "v", len(vertices)):
             flags[idx] = True
 
     return Mesh(

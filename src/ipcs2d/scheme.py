@@ -35,6 +35,7 @@ unavailable there.
 """
 
 import math
+import sys
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +58,8 @@ __all__ = [
 
 # the most time steps a run may take; a larger T/dt is a mistake, not a run
 MAX_STEPS = 10**7
+# the largest finite float; bounding by it also rejects integers beyond float range
+_FLOAT_MAX = sys.float_info.max
 
 # (ledger column, tolerance, message) of the gates every level must pass
 GATES = (
@@ -104,9 +107,10 @@ class SchemeConfig:
     adjusted to divide T exactly (recorded in the run warnings), in at
     most MAX_STEPS steps.  tol_poisson and tol_momentum, the relative
     residuals the pressure/mass and momentum solves must reach, are
-    positive and finite.  When require_coupling is set, construction
-    rejects combinations with h**(degree_u + 1) > coupling_c * dt, the
-    regime the splitting analysis assumes for spatial refinement studies.
+    positive and finite.  When require_coupling is set, coupling_c must be
+    positive and finite, and construction rejects combinations with
+    h**(degree_u + 1) > coupling_c * dt, the regime the splitting analysis
+    assumes for spatial refinement studies.
     """
 
     def __init__(
@@ -129,29 +133,31 @@ class SchemeConfig:
         coupling_c=1.0,
         out_dir=None,
     ):
-        if not 0 < dt < math.inf:
-            raise ValueError("dt must be positive and finite, got %g" % dt)
-        if not dt <= T < math.inf:
-            raise ValueError("final time T=%g must be finite and at least dt=%g" % (T, dt))
+        if not 0 < dt <= _FLOAT_MAX:
+            raise ValueError("dt must be positive and finite, got %s" % dt)
+        if not dt <= T <= _FLOAT_MAX:
+            raise ValueError("final time T=%s must be finite and at least dt=%s" % (T, dt))
         if T / dt > MAX_STEPS:
             raise ValueError(
                 "T/dt = %.3g steps exceeds the limit of %d steps" % (T / dt, MAX_STEPS)
             )
-        if not 0 < mu < math.inf:
-            raise ValueError("viscosity mu must be positive and finite, got %g" % mu)
+        if not 0 < mu <= _FLOAT_MAX:
+            raise ValueError("viscosity mu must be positive and finite, got %s" % mu)
         if (mesh is None) == (mesh_n is None):
             raise ValueError("exactly one of mesh / mesh_n must be given")
         if degree_u not in (1, 2) or degree_p not in (1, 2):
             raise ValueError("velocity and pressure degrees must be 1 or 2")
         if u0 is None:
             raise ValueError("an initial velocity u0(x, y) is required")
-        if int(store_every) != store_every or store_every < 1:
+        if not (store_every >= 1 and store_every % 1 == 0):
             raise ValueError("store_every must be a positive integer")
-        if f_cutoff is not None and f_cutoff <= 0:
-            raise ValueError("f_cutoff must be positive when given, got %g" % f_cutoff)
+        if f_cutoff is not None and not f_cutoff > 0:
+            raise ValueError("f_cutoff must be positive when given, got %s" % f_cutoff)
+        if require_coupling and not 0 < coupling_c <= _FLOAT_MAX:
+            raise ValueError("coupling_c must be positive and finite, got %s" % coupling_c)
         for name, tol in (("tol_poisson", tol_poisson), ("tol_momentum", tol_momentum)):
-            if not 0 < tol < math.inf:
-                raise ValueError("%s must be positive and finite, got %g" % (name, tol))
+            if not 0 < tol <= _FLOAT_MAX:
+                raise ValueError("%s must be positive and finite, got %s" % (name, tol))
 
         self.mesh = mesh if mesh is not None else generate_structured_unit_square(mesh_n)
         self.degree_u = degree_u

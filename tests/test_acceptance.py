@@ -36,9 +36,9 @@ def test_criterion_01_convection_skew_symmetry(setup_cache):
         v = rng.standard_normal(su.ndofs)
         w[~su.free] = 0.0
         v[~su.free] = 0.0
-        B = ops.convection(w)
+        B = pk.assemble_convection(su, w, ops.geom)
         value = abs(float(v @ (B @ v)))
-        bound = 1e-12 * float(np.abs(w).max()) * float(v @ (ops.M_u @ v))
+        bound = 1e-12 * float(np.abs(w).max()) * float(v @ (pk.assemble_mass(su, ops.geom) @ v))
         assert value <= bound
         worst = max(worst, value / bound if bound > 0 else 0.0)
     elapsed = time.perf_counter() - t0

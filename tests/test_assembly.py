@@ -6,6 +6,7 @@ import pytest
 import ipcs2d as pk
 from ipcs2d.assembly import CellGeometry, eval_grad_at_quad
 
+from conftest import build_setup
 from oracles import DenseScheme
 
 
@@ -51,7 +52,7 @@ def evaluate_fe(space, scalar_coeffs, x, y):
 def test_mass_row_sums_are_nodal_integrals(n, deg, setup_cache):
     mesh, su, _, ops = setup_cache(n, deg, 1)
     n_scalar = su.n_scalar
-    M_scalar = ops.M_u[:n_scalar, :n_scalar]
+    M_scalar = pk.assemble_mass(su, ops.geom)[:n_scalar, :n_scalar]
     row_sums = np.asarray(M_scalar @ np.ones(n_scalar))
     # brute force: P1 basis integrates to area/3 per incident cell, P2
     # vertex functions to 0 and edge functions to area/3
@@ -82,14 +83,14 @@ def test_constant_function_has_unit_mass_norm(setup_cache):
     assert np.isclose(float(ones_p @ (ops.M_p @ ones_p)), 1.0)
     ones_u = np.ones(su.ndofs)
     # two unit components
-    assert np.isclose(float(ones_u @ (ops.M_u @ ones_u)), 2.0)
+    assert np.isclose(float(ones_u @ (pk.assemble_mass(su, ops.geom) @ ones_u)), 2.0)
 
 
 @pytest.mark.parametrize("deg", [1, 2])
 def test_stiffness_kernel_and_energy(deg, setup_cache):
     _, su, _, ops = setup_cache(3, deg, 1)
     n_scalar = su.n_scalar
-    A = ops.A_u[:n_scalar, :n_scalar]
+    A = pk.assemble_stiffness(su, ops.geom)[:n_scalar, :n_scalar]
     const = np.ones(n_scalar)
     assert np.abs(A @ const).max() < 1e-13
     lin = su.dof_points[:, 0].copy()
@@ -110,22 +111,23 @@ def in_space(space, vec):
 def test_convection_skew_and_antisymmetry(n, deg, setup_cache):
     _, su, _, ops = setup_cache(n, deg, 1)
     rng = np.random.default_rng(11)
+    M = pk.assemble_mass(su, ops.geom)
     for _ in range(10):
         w = in_space(su, rng.standard_normal(su.ndofs))
         u = in_space(su, rng.standard_normal(su.ndofs))
         v = in_space(su, rng.standard_normal(su.ndofs))
-        B = ops.convection(w)
-        scale = np.abs(w).max() * float(v @ (ops.M_u @ v))
+        B = pk.assemble_convection(su, w, ops.geom)
+        scale = np.abs(w).max() * float(v @ (M @ v))
         assert abs(float(v @ (B @ v))) <= 1e-12 * scale
         pair_scale = np.abs(w).max() * np.sqrt(
-            float(u @ (ops.M_u @ u)) * float(v @ (ops.M_u @ v))
+            float(u @ (M @ u)) * float(v @ (M @ v))
         )
         assert abs(float(v @ (B @ u)) + float(u @ (B @ v))) <= 1e-12 * pair_scale
 
 
 def test_zero_advecting_field_gives_zero_operator(setup_cache):
     _, su, _, ops = setup_cache(3, 2, 1)
-    B = ops.convection(np.zeros(su.ndofs))
+    B = pk.assemble_convection(su, np.zeros(su.ndofs), ops.geom)
     assert np.abs(B.toarray()).max() == 0.0
 
 
@@ -133,15 +135,111 @@ def test_zero_advecting_field_gives_zero_operator(setup_cache):
 def test_operators_match_dense_reference(n, setup_cache):
     mesh, su, sp, ops = setup_cache(n, 1, 1)
     dense = DenseScheme(mesh.vertices, mesh.triangles, mesh.boundary_vertex_flags)
-    assert np.abs(dense.M2 - ops.M_u.toarray()).max() < 1e-14
-    assert np.abs(dense.A2 - ops.A_u.toarray()).max() < 1e-13
+    assert np.abs(dense.M2 - pk.assemble_mass(su, ops.geom).toarray()).max() < 1e-14
+    assert np.abs(dense.A2 - pk.assemble_stiffness(su, ops.geom).toarray()).max() < 1e-13
     assert np.abs(dense.Ms - ops.M_p.toarray()).max() < 1e-14
     assert np.abs(dense.As - ops.N_p.toarray()).max() < 1e-13
     assert np.abs(dense.D - ops.D.toarray()).max() < 1e-14
     assert np.abs(dense.G - ops.G.toarray()).max() < 1e-14
     rng = np.random.default_rng(n)
     w = in_space(su, rng.standard_normal(su.ndofs))
-    assert np.abs(dense.convection(w) - ops.convection(w).toarray()).max() < 1e-13
+    assert np.abs(dense.convection(w) - pk.assemble_convection(su, w, ops.geom).toarray()).max() < 1e-13
+
+
+def test_operator_set_keeps_no_full_velocity_matrix(setup_cache):
+    import scipy.sparse as sps
+
+    _, su, _, ops = setup_cache(4, 2, 1)
+    full = [
+        name
+        for name, value in vars(ops).items()
+        if sps.issparse(value) and value.shape == (su.ndofs, su.ndofs)
+    ]
+    assert full == []
+
+
+def test_operator_set_builds_without_coo(monkeypatch):
+    import scipy.sparse as sps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a COO matrix was built")
+
+    monkeypatch.setattr(sps, "coo_matrix", refuse)
+    _, su, sp, ops = build_setup(3, 2, 1)
+    assert ops.D.shape == ops.G.shape == (su.ndofs, sp.ndofs)
+
+
+@pytest.mark.parametrize("n,deg", [(3, 1), (4, 2)])
+def test_velocity_inner_products_equal_the_full_products(n, deg, setup_cache):
+    # on vectors that vanish at the Dirichlet dofs the free-block products
+    # are the full-matrix products bit for bit
+    _, su, sp, ops = setup_cache(n, deg, 1)
+    M = pk.assemble_mass(su, ops.geom)
+    A = pk.assemble_stiffness(su, ops.geom)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        v = in_space(su, rng.standard_normal(su.ndofs))
+        phi = rng.standard_normal(sp.ndofs)
+        assert ops.norm_u_sq(v) == float(v @ (M @ v))
+        assert ops.grad_u_sq(v) == float(v @ (A @ v))
+        full = v @ (M @ v) + 2.0 * (v @ (ops.G @ phi)) + phi @ (ops.N_p @ phi)
+        assert ops.yh_norm_sq(v, phi) == float(full)
+        # only the free entries are read
+        noisy = v + ~su.free * rng.standard_normal(su.ndofs)
+        assert ops.norm_u_sq(noisy) == ops.norm_u_sq(v)
+        assert ops.grad_u_sq(noisy) == ops.grad_u_sq(v)
+
+
+@pytest.mark.parametrize("n,deg", [(3, 1), (4, 2)])
+def test_yh_pair_with_u_free_rows_equal_the_full_product(n, deg, setup_cache):
+    _, su, sp, ops = setup_cache(n, deg, 1)
+    M = pk.assemble_mass(su, ops.geom)
+    rng = np.random.default_rng(n)
+    base = in_space(su, rng.standard_normal(su.ndofs))
+    phi = rng.standard_normal(sp.ndofs)
+    r = ops.yh_pair_with_u(base, phi)
+    assert np.array_equal(r[su.free], (M @ base + ops.G @ phi)[su.free])
+    # the mass acts on the free block only: Dirichlet rows hold G phi alone
+    assert np.array_equal(r[~su.free], (ops.G @ phi)[~su.free])
+
+
+def coo_couplings(space_u, space_p, geom):
+    # D and G through one COO matrix each, duplicates summed by tocsr.  The
+    # entries are put in (row, column) order first, stably, so tocsr sums
+    # each entry's duplicates in element order; unsorted, it sorts them
+    # itself, unstably, and may round differently
+    import scipy.sparse as sps
+
+    phi_u, dphi_u = space_u.ref.eval(geom.rule.points)
+    phi_p, dphi_p = space_p.ref.eval(geom.rule.points)
+    gphi_u = dphi_u @ geom.inv_j[:, None]
+    gphi_p = dphi_p @ geom.inv_j[:, None]
+    w = geom.rule.weights
+    elem_d = np.einsum("q,qs,cqid,c->cisd", w, phi_p, gphi_u, geom.detJ)
+    elem_g = np.einsum("q,qi,cqsd,c->cisd", w, phi_u, gphi_p, geom.detJ)
+    cd_u, cd_p = space_u.cell_dofs, space_p.cell_dofs
+    rows = np.repeat(cd_u, cd_p.shape[1], axis=1).ravel()
+    cols = np.tile(cd_p, (1, cd_u.shape[1])).ravel()
+    n = space_u.n_scalar
+    shape = (2 * n, space_p.n_scalar)
+    out = []
+    for elem in (elem_d, elem_g):
+        data = np.concatenate([elem[..., c].ravel() for c in range(2)])
+        i, j = np.concatenate([rows, rows + n]), np.concatenate([cols, cols])
+        order = np.lexsort((j, i))
+        out.append(sps.coo_matrix((data[order], (i[order], j[order])), shape=shape).tocsr())
+    return out
+
+
+@pytest.mark.parametrize("n,deg_u,deg_p", [(3, 1, 1), (4, 2, 1), (3, 2, 2)])
+def test_couplings_equal_the_coo_reference(n, deg_u, deg_p, setup_cache):
+    _, su, sp, ops = setup_cache(n, deg_u, deg_p)
+    for built, ref in zip((ops.D, ops.G), coo_couplings(su, sp, ops.geom)):
+        # entry for entry, explicit zeros included
+        assert built.shape == ref.shape
+        assert np.array_equal(built.indptr, ref.indptr)
+        assert np.array_equal(built.indices, ref.indices)
+        assert np.array_equal(built.data, ref.data)
 
 
 @pytest.mark.parametrize("n,deg_u,deg_p", [(2, 1, 1), (3, 2, 1), (3, 2, 2)])
@@ -177,9 +275,9 @@ def test_free_blocks_equal_the_sliced_operators(n, deg, setup_cache):
     rng = np.random.default_rng(n)
     w = in_space(su, rng.standard_normal(su.ndofs))
     pairs = [
-        (ops.M_free, ops.M_u[:ns, :ns][free][:, free]),
-        (ops.A_free, ops.A_u[:ns, :ns][free][:, free]),
-        (ops.free_convection(w), ops.convection(w)[:ns, :ns][free][:, free]),
+        (ops.M_free, pk.assemble_mass(su, ops.geom)[:ns, :ns][free][:, free]),
+        (ops.A_free, pk.assemble_stiffness(su, ops.geom)[:ns, :ns][free][:, free]),
+        (ops.free_convection(w), pk.assemble_convection(su, w, ops.geom)[:ns, :ns][free][:, free]),
     ]
     for block, sliced in pairs:
         # entry for entry, in the same CSR order
@@ -303,10 +401,11 @@ def test_projection_orthogonality_and_norm_bound(setup_cache):
     rhs = np.concatenate(
         [scalar_loads(su, g1, rule), np.zeros(su.n_scalar)]
     )
-    gap = rhs - ops.M_u @ coeffs
+    M = pk.assemble_mass(su, ops.geom)
+    gap = rhs - M @ coeffs
     scale = max(1.0, np.abs(rhs).max())
     assert np.abs(gap[su.free]).max() <= 1e-11 * scale
     # stability: the projection does not increase the L2 norm (here 1/2)
-    norm = np.sqrt(float(coeffs @ (ops.M_u @ coeffs)))
+    norm = np.sqrt(float(coeffs @ (M @ coeffs)))
     assert norm <= 0.5
     assert norm > 0.45

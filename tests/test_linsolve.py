@@ -45,7 +45,7 @@ def test_momentum_solve_on_scaled_mass(setup_cache):
     _, su, _, ops = setup_cache(3, 1, 1)
     dt = 0.05
     free = su.free
-    S = (1.5 / dt) * ops.M_u
+    S = (1.5 / dt) * pk.assemble_mass(su, ops.geom)
     Sff = S.tocsr()[free][:, free]
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(int(free.sum()))
@@ -201,13 +201,14 @@ def test_convection_dominated_block_keeps_its_fill(setup_cache):
     from ipcs2d.linsolve import _factor
 
     w = pk.project_L2_onto_Uh(su, pk.stream_vortex_case(mu=1.0).u0, ops)
-    B = ops.convection(w)
+    B = pk.assemble_convection(su, w, ops.geom)
+    M, A = pk.assemble_mass(su, ops.geom), pk.assemble_stiffness(su, ops.geom)
     n = su.n_scalar
     free = su.free[:n]
     dt = 0.0125
     fill = {}
     for mu in (1.0, 1e-3):
-        S = ((1.5 / dt) * ops.M_u[:n, :n] + B[:n, :n] + mu * ops.A_u[:n, :n])[free][:, free]
+        S = ((1.5 / dt) * M[:n, :n] + B[:n, :n] + mu * A[:n, :n])[free][:, free]
         fill[mu] = _factor(S, "momentum").nnz
     assert fill[1e-3] <= 1.05 * fill[1.0]
 

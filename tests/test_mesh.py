@@ -59,6 +59,9 @@ def test_quasi_uniformity_refinement_invariant():
         (2.5, "must be a positive integer"),
         (1025, "n=1025 exceeds the limit of 1024"),
         (100000, "n=100000 exceeds the limit of 1024"),
+        (float("inf"), "must be a positive integer"),
+        (float("-inf"), "must be a positive integer"),
+        (float("nan"), "must be a positive integer"),
     ],
 )
 def test_structured_grid_resolution_is_bounded(monkeypatch, n, fragment):
@@ -142,6 +145,9 @@ def test_dangling_vertex_flagged_unused(tmp_path):
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary -1\n", "line 7: malformed count"),
         ("vertices 3\n0 0\n1 nan\n0 1\ntriangles 1\n0 1 2\n", "line 3: non-finite vertex"),
         ("vertices 3\n0 0\n1 0\n-inf 1\ntriangles 1\n0 1 2\n", "line 4: non-finite vertex"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999\n", "line 6: .*out of range"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 -99999999999999999999 1\n", "line 6: .*out of range"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 1\n99999999999999999999\n", "line 8: .*out of range"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, fragment):
@@ -149,6 +155,77 @@ def test_malformed_files_rejected(tmp_path, content, fragment):
     path.write_text(content)
     with pytest.raises(pk.MeshFormatError, match=fragment):
         pk.read_mesh(str(path))
+
+
+def test_non_utf8_file_names_the_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("vertices 3\n0 0\n1 0\n0 1\n# café\n".encode("latin-1"))
+    with pytest.raises(pk.MeshFormatError, match="latin1.txt: not a UTF-8 text file"):
+        pk.read_mesh(str(path))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.txt"
+
+
+def read_text_or_mesh_error(path, text):
+    """read_mesh of text: a Mesh, or None after a MeshFormatError; any
+    other exception escapes."""
+    path.write_text(text, encoding="utf-8")
+    try:
+        return pk.read_mesh(str(path))
+    except pk.MeshFormatError:
+        return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=st.text(max_size=120))
+def test_random_mesh_text_raises_only_mesh_format_error(fuzz_path, text):
+    read_text_or_mesh_error(fuzz_path, text)
+
+
+VALID_MESH = (
+    "vertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+    "triangles 4\n0 1 4\n1 2 4\n2 3 4\n3 0 4\n"
+    "boundary 4\n0\n1\n2\n3\n"
+)
+MESH_TOKENS = ["0", "1", "5", "-1", "0.5", "nan", "-inf", "1e400", "99999999999999999999", "x", ""]
+
+
+@st.composite
+def mutated_mesh(draw):
+    text = VALID_MESH
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.splitlines(keepends=True)
+        kind = draw(st.sampled_from(["delete", "insert", "token", "swap", "duplicate"]))
+        at = draw(st.integers(0, max(len(text) - 1, 0)))
+        if kind == "delete" and text:
+            text = text[:at] + text[at + 1:]
+        elif kind == "insert":
+            text = text[:at] + draw(st.sampled_from(list("0123456789-.e #\nxé\t"))) + text[at:]
+        elif kind == "token" and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            parts = lines[i].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(MESH_TOKENS))
+            lines[i] = " ".join(parts) + "\n"
+            text = "".join(lines)
+        elif kind == "swap" and len(lines) > 1:
+            i = draw(st.integers(0, len(lines) - 2))
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+            text = "".join(lines)
+        elif kind == "duplicate" and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            text = "".join(lines[: i + 1] + lines[i:])
+    return text
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=mutated_mesh())
+def test_mutated_mesh_raises_only_mesh_format_error(fuzz_path, text):
+    # the unmutated text loads, so the mutations start from a valid mesh
+    assert read_text_or_mesh_error(fuzz_path, VALID_MESH) is not None
+    read_text_or_mesh_error(fuzz_path, text)
 
 
 def test_constructor_rejects_bad_shapes():

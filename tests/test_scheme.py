@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ipcs2d as pk
 from ipcs2d import scheme
@@ -56,6 +58,18 @@ def vortex_u0(x, y):
         (dict(dt=0.1, T=1.0, tol_poisson=-1.0), "tol_poisson must be positive and finite"),
         (dict(dt=0.1, T=1.0, tol_poisson=float("nan")), "tol_poisson must be positive"),
         (dict(dt=0.1, T=1.0, tol_momentum=float("inf")), "tol_momentum must be positive"),
+        (dict(dt=0.1, T=1.0, f_cutoff=float("nan")), "f_cutoff must be positive when given"),
+        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=float("nan")), "coupling_c"),
+        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=0.0), "coupling_c"),
+        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=-1.0), "coupling_c"),
+        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=float("inf")), "coupling_c"),
+        (dict(dt=0.1, T=1.0, store_every=float("inf")), "store_every"),
+        (dict(dt=0.1, T=1.0, store_every=float("nan")), "store_every"),
+        (dict(dt=0.1, T=1.0, mesh_n=float("inf")), "must be a positive integer"),
+        (dict(dt=0.1, T=1.0, mesh_n=float("nan")), "must be a positive integer"),
+        (dict(dt=0.1, T=10**400), "must be finite"),
+        (dict(dt=0.1, T=1.0, mu=10**400), "mu must be positive and finite"),
+        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=10**400), "coupling_c"),
     ],
 )
 def test_config_rejects_bad_parameters(kwargs, match):
@@ -63,6 +77,43 @@ def test_config_rejects_bad_parameters(kwargs, match):
     base.update(kwargs)
     with pytest.raises(ValueError, match=match):
         pk.SchemeConfig(**base)
+
+
+# any float, nan and infinities included, or any integer, also one beyond
+# the float range
+REALS = st.one_of(st.floats(), st.integers(-3, 3), st.integers(), st.just(10**400))
+CONFIG_NUMBERS = dict(
+    dt=REALS,
+    T=REALS,
+    mu=REALS,
+    # the largest mesh a valid draw can build is 4 x 4
+    mesh_n=st.one_of(
+        st.integers(-2, 4), st.sampled_from([2.0, 2.5, 1025, 10**30, math.inf, -math.inf, math.nan])
+    ),
+    degree_u=st.one_of(st.integers(0, 3), st.floats()),
+    degree_p=st.one_of(st.integers(0, 3), st.floats()),
+    f_cutoff=st.one_of(st.none(), REALS),
+    tol_poisson=REALS,
+    tol_momentum=REALS,
+    store_every=REALS,
+    require_coupling=st.booleans(),
+    coupling_c=REALS,
+)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(changes=st.fixed_dictionaries({}, optional=CONFIG_NUMBERS))
+def test_numeric_config_arguments_raise_only_value_error(changes):
+    # any subset of the numeric arguments changed from a valid config
+    kwargs = dict(dt=0.1, T=1.0, mesh_n=2, u0=vortex_u0)
+    kwargs.update(changes)
+    try:
+        cfg = pk.SchemeConfig(**kwargs)
+    except ValueError:
+        return
+    assert 0 < cfg.dt < math.inf and 1 <= cfg.n_steps <= scheme.MAX_STEPS
+    assert 0 < cfg.mu < math.inf and cfg.store_every >= 1
+    assert cfg.f_cutoff is None or cfg.f_cutoff > 0
 
 
 def test_config_requires_initial_velocity():
@@ -293,6 +344,7 @@ def test_step_matches_full_system_solve(setup_cache):
     level1 = step(None, level0, ops, dt, mu, F1)
     F2, _ = ops.load(f, 1.5 * dt, 2.5 * dt)
     level2 = step(level0, level1, ops, dt, mu, F2)
+    M, A = pk.assemble_mass(su, ops.geom), pk.assemble_stiffness(su, ops.geom)
     for prev, cur, F, new in ((None, level0, F1, level1), (level0, level1, F2, level2)):
         r = ops.yh_pair_with_u(cur.utilde, cur.phi)
         if prev is None:
@@ -300,7 +352,7 @@ def test_step_matches_full_system_solve(setup_cache):
         else:
             a0, w = 1.5, 2.0 * cur.utilde - prev.utilde
             history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.utilde, prev.phi)
-        S = ((a0 / dt) * ops.M_u + ops.convection(w) + mu * ops.A_u).tocsr()
+        S = ((a0 / dt) * M + pk.assemble_convection(su, w, ops.geom) + mu * A).tocsr()
         rhs = F + ops.D @ cur.p + history / dt
         free = su.free
         ref = np.zeros(su.ndofs)
@@ -330,8 +382,10 @@ def test_step_momentum_matrix_equals_sum_then_slice(deg, setup_cache, monkeypatc
     step(level0, level1, ops, dt, mu, ops.load(f, 1.5 * dt, 2.5 * dt)[0])
     advected = ((1.0, level0.utilde), (1.5, 2.0 * level1.utilde - level0.utilde))
     assert len(seen) == 2
+    M, A = pk.assemble_mass(su, ops.geom), pk.assemble_stiffness(su, ops.geom)
     for (a0, w), S in zip(advected, seen):
-        ref = ((a0 / dt) * ops.M_u[:n, :n] + ops.convection(w)[:n, :n] + mu * ops.A_u[:n, :n])
+        B = pk.assemble_convection(su, w, ops.geom)
+        ref = (a0 / dt) * M[:n, :n] + B[:n, :n] + mu * A[:n, :n]
         ref = ref[free][:, free]
         assert np.array_equal(S.indptr, ref.indptr)
         assert np.array_equal(S.indices, ref.indices)
