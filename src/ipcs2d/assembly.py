@@ -161,7 +161,24 @@ def assemble_stiffness(space, geom=None):
     return _Scatter(space)(_stiffness_elem(_phys_grads(space, geom), geom))
 
 
-def assemble_convection(space_u, w_coeffs, geom=None, grads=None, scatter=None):
+def _convection_tensor(space, rule):
+    """Reference tensor R[(e, k), (i, j)] of the convection, shape
+    (2 nloc, nloc^2):
+
+        R = sum_q w_q phi_i (phi_k d_e phi_j + 1/2 d_e phi_k phi_j)
+
+    with reference derivatives d_e.  On an affine cell the element matrix
+    is w_hat . R, w_hat the cell's advecting field in the reference frame
+    (assemble_convection)."""
+    phi, dphi = space.ref.eval(rule.points)
+    w = rule.weights
+    R = np.einsum("q,qi,qk,qje->ekij", w, phi, phi, dphi)
+    R += 0.5 * np.einsum("q,qi,qke,qj->ekij", w, phi, dphi, phi)
+    nloc = phi.shape[1]
+    return R.reshape(2 * nloc, nloc * nloc)
+
+
+def assemble_convection(space_u, w_coeffs, geom=None, scatter=None, tensor=None):
     """Skew-symmetrized convection matrix B(w) with entries
 
         B[i, j] = ((w . grad) phi_j, phi_i) + 1/2 ((div w) phi_j, phi_i)
@@ -169,29 +186,24 @@ def assemble_convection(space_u, w_coeffs, geom=None, grads=None, scatter=None):
     acting blockwise on both velocity components.  For w and v with
     homogeneous boundary values, v^T B(w) v integrates to exactly zero,
     and the quadrature is exact for the cubic-in-k integrand, so the
-    cancellation holds to rounding.  grads (the pushed-forward basis
-    gradients of geom) and scatter (the space's _Scatter) are recomputed
-    when not given."""
+    cancellation holds to rounding.
+
+    All element matrices come from one matrix product: the advecting
+    field of each cell c pulled back to the reference frame,
+    w_hat[c, e, k] = detJ_c sum_d inv_j[c, e, d] w_d[c, k], times the
+    reference tensor of geom's rule (Kirby & Logg, ACM TOMS 2006).
+    scatter (a _Scatter of the space) and tensor (_convection_tensor) are
+    computed when not given."""
     if geom is None:
         geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, 1))
-    grads = _phys_grads(space_u, geom) if grads is None else grads
+    tensor = _convection_tensor(space_u, geom.rule) if tensor is None else tensor
     scatter = _Scatter(space_u) if scatter is None else scatter
-    M, nq, nloc, _ = grads.shape
-    phi, _ = space_u.ref.eval(geom.rule.points)
-    wphi = geom.rule.weights[:, None] * phi
-    # (phi_i phi_j) per rule point, weighted
-    phi2 = (wphi[:, :, None] * phi[:, None, :]).reshape(nq, nloc * nloc)
-    # w_cd[c, i, d]: component d of w at local dof i of cell c
-    w_cd = np.stack([space_u.component(w_coeffs, d)[space_u.cell_dofs] for d in range(2)], -1)
-    w_at_q = phi @ w_cd
-    div_w = (grads.reshape(M, nq, 2 * nloc) @ w_cd.reshape(M, 2 * nloc, 1))[..., 0]
-    # summed and scaled in place, as a run holds its momentum LU meanwhile
-    conv = grads[..., 0] * w_at_q[..., 0, None]
-    conv += grads[..., 1] * w_at_q[..., 1, None]
-    elem = wphi.T @ conv
-    elem += 0.5 * (div_w @ phi2).reshape(M, nloc, nloc)
-    elem *= geom.detJ[:, None, None]
-    return scatter(elem)
+    adj = geom.detJ[:, None, None] * geom.inv_j
+    w_hat = sum(
+        adj[:, :, d, None] * space_u.component(w_coeffs, d)[space_u.cell_dofs][:, None, :]
+        for d in range(2)
+    )
+    return scatter(w_hat.reshape(len(w_hat), -1) @ tensor)
 
 
 def assemble_couplings(space_u, space_p, geom=None):
@@ -310,7 +322,7 @@ def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None):
         fbar += ck * _eval_user_field(f, "f", x, y, tk)
 
     w = geom.rule.weights
-    f_norm_sq = float(np.einsum("q,cqd,cqd,c->", w, fbar, fbar, geom.detJ))
+    f_norm_sq = float(np.einsum("q,cqd,cqd,c->", w, fbar, fbar, geom.detJ, optimize=True))
     return _load_vector(space_u, geom, fbar), f_norm_sq
 
 
@@ -366,12 +378,14 @@ class OperatorSet:
         self.space_u = space_u
         self.space_p = space_p
         self.geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))
-        self.grads_u = _phys_grads(space_u, self.geom)
+        self._conv_tensor = _convection_tensor(space_u, self.geom.rule)
         # free entries of each velocity component, one row per component
         self._free_index = np.flatnonzero(space_u.free).reshape(2, -1)
         self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
         self.M_free = self.scatter_free(_mass_elem(space_u, self.geom), share=True)
-        self.A_free = self.scatter_free(_stiffness_elem(self.grads_u, self.geom), share=True)
+        self.A_free = self.scatter_free(
+            _stiffness_elem(_phys_grads(space_u, self.geom), self.geom), share=True
+        )
         self.D, self.G = assemble_couplings(space_u, space_p, self.geom)
         scatter_p = _Scatter(space_p)
         self.M_p = scatter_p(_mass_elem(space_p, self.geom))
@@ -385,7 +399,7 @@ class OperatorSet:
         """The scalar block of assemble_convection(w_coeffs) on the free
         dofs, assembled straight onto the pattern of M_free and A_free."""
         return assemble_convection(
-            self.space_u, w_coeffs, self.geom, self.grads_u, self.scatter_free
+            self.space_u, w_coeffs, self.geom, self.scatter_free, self._conv_tensor
         )
 
     def load(self, f, t_lo, t_hi, cutoff=None):

@@ -99,10 +99,15 @@ def _level_norms(ops, window):
     """Squared norms of the newest level of window (= [level m-2 or None,
     level m-1 or None, level m]), keyed by their ledger column names.  At
     level 1 the jump |utilde^1 - u^0|^2 of the start-up identity is added
-    as utilde1_minus_u0_sq."""
+    as utilde1_minus_u0_sq.  |u^m|^2 and |utilde^m|^2 come from the
+    level's Riesz vector (Level.riesz_vector)."""
     prev2, prev, cur = window
     ut, phi = cur.utilde, cur.phi
-    u_sq = ops.yh_norm_sq(ut, phi)
+    # ut . r = |ut|^2 + (ut, grad phi), as ut vanishes where r holds G phi
+    ut_r = float(ut @ cur.riesz_vector(ops))
+    ut_g = float(ut @ (ops.G @ phi))
+    split_sq = ops.grad_p_sq(phi)
+    u_sq = ut_r + ut_g + split_sq
     norms = {
         "norm_u_sq": u_sq,
         # reporting convention at level 0: the missing level -1 field is
@@ -110,13 +115,13 @@ def _level_norms(ops, window):
         "norm_2u_minus_um1_sq": u_sq
         if prev is None
         else ops.yh_norm_sq(2.0 * ut - prev.utilde, 2.0 * phi - prev.phi),
-        "split_err_sq": ops.grad_p_sq(phi),
+        "split_err_sq": split_sq,
         "second_diff_sq": 0.0
         if prev2 is None
         else ops.yh_norm_sq(ut - 2.0 * prev.utilde + prev2.utilde, phi - 2.0 * prev.phi + prev2.phi),
         "grad_utilde_sq": ops.grad_u_sq(ut),
         "gradp_sq": ops.grad_p_sq(cur.p),
-        "utilde_norm_sq": ops.norm_u_sq(ut),
+        "utilde_norm_sq": ut_r - ut_g,
     }
     if cur.m == 1:
         norms["utilde1_minus_u0_sq"] = ops.yh_norm_sq(ut - prev.utilde, -prev.phi)
@@ -157,8 +162,12 @@ def _identity_residual(m, new, old, dt, mu, f_dot):
 def record_level(ledger, ops, dt, mu, window, f_dot, f_norm_sq):
     """Compute and append the ledger row of the newest level in window
     (= [level m-2 or None, level m-1 or None, level m]); the previous row
-    of the ledger must be level m-1.  Returns the row."""
+    of the ledger must be level m-1.  Returns the row.
+
+    The level's Riesz vector is computed here, once, and kept in its
+    riesz for the next two steps."""
     cur = window[2]
+    cur.riesz = cur.riesz_vector(ops)
     row = _level_norms(ops, window)
     residual_identity = _identity_residual(
         cur.m, row, ledger.rows[-1] if ledger.rows else None, dt, mu, f_dot
@@ -361,7 +370,7 @@ def time_modulus(traj, tau):
     dt, ops = traj.dt, traj.ops
     n = traj.n_steps
     T = n * dt
-    if tau < 0 or tau >= T:
+    if not 0 <= tau < T:
         raise ValueError("tau must lie in [0, T), got tau=%g with T=%g" % (tau, T))
     if tau == 0.0:
         return 0.0
@@ -403,13 +412,21 @@ def _gronwall_args(b, nu, dt):
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a nonempty 1-d array")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b must be finite")
     if np.any(b < 0):
         raise ValueError("the lemma requires nonnegative b")
-    if nu < 0 or dt <= 0:
-        raise ValueError("need nu >= 0 and dt > 0")
+    if not (0 <= nu < np.inf and 0 < dt < np.inf):
+        raise ValueError("need finite nu >= 0 and dt > 0, got nu=%r, dt=%r" % (nu, dt))
     if 1.0 - nu * dt <= 0.0:
         raise ValueError("the lemma requires nu * dt < 1, got %g" % (nu * dt))
     return b, 1.0 / (1.0 - nu * dt)
+
+
+def _finite_bound(bounds):
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError("the Gronwall bound exceeds the float range")
+    return bounds
 
 
 def discrete_gronwall_bound(b, nu, dt):
@@ -420,14 +437,17 @@ def discrete_gronwall_bound(b, nu, dt):
     requiring nu dt < 1, the lemma gives (0-based input/output, entry i
     bounding a_{i+1}):
         bound_i = b_i + nu dt sum_{k<=i} r^{i-k+1} b_k,  r = 1/(1 - nu dt).
+    Non-finite b, nu or dt, and a bound beyond the float range, raise
+    ValueError.
     """
     b, r = _gronwall_args(b, nu, dt)
     bounds = np.empty_like(b)
     s = 0.0
-    for i, bi in enumerate(b):
-        s = r * (s + bi)
-        bounds[i] = bi + nu * dt * s
-    return bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, bi in enumerate(b):
+            s = r * (s + bi)
+            bounds[i] = bi + nu * dt * s
+    return _finite_bound(bounds)
 
 
 def gronwall_monotone_bound(b, nu, dt):
@@ -439,4 +459,5 @@ def gronwall_monotone_bound(b, nu, dt):
     b, r = _gronwall_args(b, nu, dt)
     if np.any(np.diff(b) < 0):
         raise ValueError("closed form needs nondecreasing b")
-    return b * r ** np.arange(1, b.size + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_bound(b * r ** np.arange(1, b.size + 1))

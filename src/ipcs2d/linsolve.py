@@ -4,7 +4,7 @@ Every solve verifies its final residual with a fresh matrix-vector
 product and raises LinearSolveError (carrying the achieved residual)
 instead of returning a silently inaccurate solution.  One refine-and-
 verify routine, a sequence of sweeps x <- x + LU^-1 (b - A x) from
-x = 0, serves every direct solve:
+x = 0 or from a start vector, serves every direct solve:
 
   * solve_direct: sparse LU (minimum degree ordering on A^T + A, diagonal
     pivot threshold 0.1), one factorization for all columns of b, refined
@@ -12,7 +12,9 @@ x = 0, serves every direct solve:
   * solve_momentum: the momentum system of a step.  Given the run's
     MomentumFactor it reuses the LU of an earlier step: only the
     convection changes from step to step, so a stale LU is still a good
-    preconditioner.  A stale factor sweeps until the residual is at most
+    preconditioner.  A stale factor starts from the caller's start vector
+    (a step passes its extrapolated advecting field) when that has a
+    smaller residual than x = 0, and sweeps until the residual is at most
     tol |b| and the last sweep no longer halved it, i.e. until rounding
     level (stopping at tol alone would leave an error the energy ledger
     shows); tol is only the failure threshold.  It has STALE_SWEEPS
@@ -131,15 +133,21 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
     return x
 
 
-def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False):
-    """Sweeps x <- x + solve(b - A x) from x = 0, at most sweeps of them,
-    until the fresh residual |b - A x| is at most tol |b| (Frobenius norm
-    over the columns of a multi-column b) and, with to_rounding, the last
-    sweep no longer halved it; raises LinearSolveError otherwise."""
+def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
+    """Sweeps x <- x + solve(b - A x), at most sweeps of them, until the
+    fresh residual |b - A x| is at most tol |b| (Frobenius norm over the
+    columns of a multi-column b) and, with to_rounding, the last sweep no
+    longer halved it; raises LinearSolveError otherwise.  The sweeps start
+    from x0 when it is given and |b - A x0| < |b|, else from x = 0."""
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    x = solve(b)
+    x, r = 0.0, b
+    if x0 is not None:
+        r0 = b - A @ x0
+        if float(np.linalg.norm(r0)) < bnorm:
+            x, r = x0, r0
+    x = x + solve(r)
     last = np.inf
     for done in range(1, sweeps + 1):
         r = b - A @ x
@@ -199,11 +207,13 @@ class MomentumFactor:
         return self.lu.solve(r)
 
 
-def solve_momentum(A, b, tol=1e-12, factor=None, key=None):
+def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
     """Solve the momentum system of one step, reusing factor's LU while key
     matches (see the module docstring); without factor, A is factored as by
-    solve_direct.  Every step calls it once, so a traced run
-    (perfbench/spans.py) counts one momentum solve per step."""
+    solve_direct.  A stale LU refines from the start vector x0 when it is
+    given and its residual is below |b|; a fresh one always starts from 0.
+    Every step calls it once, so a traced run (perfbench/spans.py) counts
+    one momentum solve per step."""
     if factor is None:
         factor = MomentumFactor()
     b = np.asarray(b, dtype=float)
@@ -212,7 +222,9 @@ def solve_momentum(A, b, tol=1e-12, factor=None, key=None):
         return np.zeros_like(b)
     if factor.lu is not None and factor.key == key:
         try:
-            return _refine(factor._sweep, A, b, tol, "momentum", STALE_SWEEPS, to_rounding=True)
+            return _refine(
+                factor._sweep, A, b, tol, "momentum", STALE_SWEEPS, to_rounding=True, x0=x0
+            )
         except LinearSolveError:
             pass
     # drop the stale LU first, so that one momentum LU is alive at a time

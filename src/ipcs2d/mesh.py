@@ -105,25 +105,19 @@ class Mesh:
         self.areas = areas
 
     def _build_edges(self):
-        # first-seen traversal order keeps the edge numbering deterministic
-        index = {}
-        pairs = []
-        triangle_edges = np.empty_like(self.triangles)
-        count = []
-        for c, tri in enumerate(self.triangles):
-            for le, (a, b) in enumerate(_LOCAL_EDGES):
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                e = index.get(key)
-                if e is None:
-                    e = len(pairs)
-                    index[key] = e
-                    pairs.append(key)
-                    count.append(0)
-                count[e] += 1
-                triangle_edges[c, le] = e
-        self.edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        self.triangle_edges = triangle_edges
-        count = np.array(count)
+        # edges numbered in first-seen order over (triangle, local edge),
+        # which keeps the numbering deterministic
+        ends = np.sort(self.triangles[:, np.array(_LOCAL_EDGES)], axis=-1).reshape(-1, 2)
+        _, first, inverse, count = np.unique(
+            ends[:, 0] * len(self.vertices) + ends[:, 1],
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.edges = ends[first[order]]
+        self.triangle_edges = rank[inverse.ravel()].reshape(self.triangles.shape)
+        count = count[order]
         bad = np.flatnonzero(count > 2)
         if bad.size:
             raise MeshFormatError(

@@ -81,9 +81,13 @@ class Level:
     velocity-space coefficient vector), the pressure-space vector phi of
     the end-of-step velocity utilde + grad(phi), and the pressure p.  skew
     records how far the convection form was from contributing zero energy
-    in the step that produced the level (normalized; 0 at level 0)."""
+    in the step that produced the level (normalized; 0 at level 0).
 
-    __slots__ = ("m", "t", "utilde", "phi", "p", "skew")
+    riesz is the level's Riesz vector in U_h (riesz_vector), which
+    diagnostics.record_level keeps there for the two steps that read it;
+    run drops it once no later step reads it, so stored levels hold None."""
+
+    __slots__ = ("m", "t", "utilde", "phi", "p", "skew", "riesz")
 
     def __init__(self, m, t, utilde, phi, p, skew=0.0):
         self.m = m
@@ -92,6 +96,14 @@ class Level:
         self.phi = phi
         self.p = p
         self.skew = skew
+        self.riesz = None
+
+    def riesz_vector(self, ops):
+        """r with r . v = (utilde + grad(phi), v) for v in U_h: riesz when
+        set, else ops.yh_pair_with_u(utilde, phi)."""
+        if self.riesz is not None:
+            return self.riesz
+        return ops.yh_pair_with_u(self.utilde, self.phi)
 
 
 class SchemeConfig:
@@ -259,19 +271,22 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, facto
     to step: only the convection changes while (a0, dt, mu) stay fixed, so
     the LU of an earlier step, refined to rounding, solves this one, and
     the matrix is refactored only when that fails or the key changes (at
-    the switch to BDF2).  Without it every step factors afresh.  Either
-    way solve_momentum runs once per step.
+    the switch to BDF2).  The refinement of a stale LU starts from the
+    advecting field, whose residual is far below that of zero.  Without a
+    factor every step factors afresh.  Either way solve_momentum runs once
+    per step.  The Riesz vectors of cur and prev are read from the levels
+    (Level.riesz_vector), which a run's ledger has already computed.
 
     The momentum matrix lives on the fixed pattern of the free scalar
     block: ops.free_convection(w) assembles the convection onto the
     pattern that ops.M_free and ops.A_free share, so the matrix data is a
     sum of three arrays.  The skew residual is taken on that block too."""
-    r = ops.yh_pair_with_u(cur.utilde, cur.phi)
+    r = cur.riesz_vector(ops)
     if prev is None:
         a0, w_advect, history = 1.0, cur.utilde, r
     else:
         a0, w_advect = 1.5, 2.0 * cur.utilde - prev.utilde
-        history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.utilde, prev.phi)
+        history = 2.0 * r - 0.5 * prev.riesz_vector(ops)
     m = cur.m + 1
 
     B = ops.free_convection(w_advect)
@@ -282,8 +297,9 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, facto
     data = (a0 / dt) * ops.M_free.data + B.data + mu * ops.A_free.data
     S = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
     rhs = (F + ops.D @ cur.p + history / dt).reshape(2, n)[:, free].T
+    x0 = w_advect.reshape(2, n)[:, free].T
     utilde = np.zeros((2, n))
-    x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu))
+    x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu), x0=x0)
     utilde[:, free] = x.T
     utilde = utilde.ravel()
     _check_finite(utilde, "intermediate velocity", m)
@@ -342,6 +358,8 @@ def run(config, ops=None):
         )
         traj.momentum_sweeps.append(factor.sweeps)
         traj.momentum_refactored.append(factor.refactored)
+        if window[1] is not None:
+            window[1].riesz = None  # no later step reads it
         window = [window[1], window[2], level]
         f_dot = float(F @ level.utilde)
         row = diagnostics.record_level(traj.ledger, ops, dt, config.mu, window, f_dot, f_norm_sq)
@@ -349,4 +367,6 @@ def run(config, ops=None):
         if m % config.store_every == 0 or m == N:
             traj.levels.append(level)
 
+    for level in window[1:]:
+        level.riesz = None
     return traj

@@ -409,3 +409,50 @@ def test_projection_orthogonality_and_norm_bound(setup_cache):
     norm = np.sqrt(float(coeffs @ (M @ coeffs)))
     assert norm <= 0.5
     assert norm > 0.45
+
+
+def perturbed_mesh(n, seed):
+    """Structured mesh with every interior vertex moved by up to 0.15 h in
+    each coordinate, so no two cells share a Jacobian."""
+    mesh = pk.generate_structured_unit_square(n)
+    rng = np.random.default_rng(seed)
+    v = mesh.vertices.copy()
+    interior = ~mesh.boundary_vertex_flags
+    v[interior] += rng.uniform(-0.15, 0.15, (int(interior.sum()), 2)) / n
+    return pk.Mesh(v, mesh.triangles)
+
+
+def convection_by_quadrature(space, w, rule):
+    """Dense scalar convection block, integrated point by point with the
+    pushed-forward basis gradients and added cell by cell: an arithmetic
+    path independent of the reference tensor and the COO -> CSR slot map."""
+    geom = CellGeometry(space.mesh, rule)
+    phi, dphi = space.ref.eval(rule.points)
+    grads = dphi @ geom.inv_j[:, None]  # (cell, point, basis, d)
+    w_cd = np.stack([space.component(w, d)[space.cell_dofs] for d in range(2)], -1)
+    w_q = phi @ w_cd
+    div_w = np.einsum("cqkd,ckd->cq", grads, w_cd)
+    elem = np.einsum("q,qi,cqd,cqjd,c->cij", rule.weights, phi, w_q, grads, geom.detJ)
+    elem += 0.5 * np.einsum("q,cq,qi,qj,c->cij", rule.weights, div_w, phi, phi, geom.detJ)
+    out = np.zeros((space.n_scalar, space.n_scalar))
+    for dofs, block in zip(space.cell_dofs, elem):
+        out[np.ix_(dofs, dofs)] += block
+    return out
+
+
+@pytest.mark.parametrize("deg", [1, 2])
+def test_reference_tensor_convection_on_a_perturbed_mesh(deg):
+    su = pk.build_space(perturbed_mesh(6, deg), deg, components=2, homogeneous_dirichlet=True)
+    sp = pk.build_space(su.mesh, 1, components=1, zero_mean=True)
+    ops = pk.OperatorSet(su, sp)
+    free = su.free[: su.n_scalar]
+    rng = np.random.default_rng(deg)
+    M = ops.M_free
+    for _ in range(5):
+        w = in_space(su, rng.standard_normal(su.ndofs))
+        B = ops.free_convection(w)
+        expect = convection_by_quadrature(su, w, ops.geom.rule)[free][:, free]
+        assert np.abs(B.toarray() - expect).max() <= 1e-14 * np.abs(expect).max()
+        # the form pairs a field with itself to zero
+        v = rng.standard_normal(M.shape[0])
+        assert abs(float(v @ (B @ v))) <= 1e-14 * np.abs(w).max() * float(v @ (M @ v))

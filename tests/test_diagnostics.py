@@ -132,6 +132,9 @@ def test_time_modulus_validates_shift(vortex_run):
         pk.time_modulus(traj, -0.01)
     with pytest.raises(ValueError, match="tau"):
         pk.time_modulus(traj, traj.n_steps * traj.dt)
+    for tau in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, T\)"):
+            pk.time_modulus(traj, tau)
 
 
 def test_gronwall_bound_without_accumulation_is_b():
@@ -147,11 +150,34 @@ def test_gronwall_bound_without_accumulation_is_b():
         ([1.0], 1.0, 1.0, "nu \\* dt < 1"),
         ([1.0], -1.0, 0.1, "nu >= 0"),
         ([1.0], 1.0, -0.1, "dt > 0"),
+        ([1.0, np.nan], 1.0, 0.1, "finite"),
+        ([np.inf], 1.0, 0.1, "finite"),
+        ([1.0], np.nan, 0.1, "finite nu"),
+        ([1.0], np.inf, 0.0, "finite nu"),
+        ([1.0], 1.0, np.nan, "finite nu"),
+        ([1.0], 0.0, np.inf, "finite nu"),
+        ([1e307] * 3, 1.0, 0.9, "float range"),
     ],
 )
 def test_gronwall_bound_validates_inputs(b, nu, dt, match):
-    with pytest.raises(ValueError, match=match):
-        pk.discrete_gronwall_bound(b, nu, dt)
+    for bound in (pk.discrete_gronwall_bound, pk.gronwall_monotone_bound):
+        with pytest.raises(ValueError, match=match):
+            bound(b, nu, dt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6),
+    nu=st.floats(allow_nan=True, allow_infinity=True),
+    dt=st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_gronwall_bounds_raise_value_error_or_are_finite(b, nu, dt):
+    for bound in (pk.discrete_gronwall_bound, pk.gronwall_monotone_bound):
+        try:
+            out = bound(b, nu, dt)
+        except ValueError:
+            continue
+        assert out.shape == (len(b),) and np.all(np.isfinite(out))
 
 
 def test_gronwall_equality_sequence_saturates_bound():

@@ -151,6 +151,25 @@ def test_stale_factor_sweeps_to_rounding_not_to_tol(monkeypatch):
     assert len(calls) == 1 and factor.refactored and factor.sweeps == 1
 
 
+def test_start_vector_gives_the_same_solution_on_a_stale_factor():
+    A, b = _random_system()
+    A2 = A + sp.diags(np.full(A.shape[0], 0.5))
+    exact = np.linalg.solve(A2.toarray(), b)
+    rng = np.random.default_rng(3)
+    near = exact + 1e-4 * rng.standard_normal(exact.shape)
+    xs, sweeps = {}, {}
+    for name, x0 in (("zero", None), ("near", near), ("far", 1e3 * exact)):
+        factor = MomentumFactor()
+        solve_momentum(A, b, factor=factor, key=1)
+        xs[name] = solve_momentum(A2, b, factor=factor, key=1, x0=x0)
+        assert not factor.refactored
+        sweeps[name] = factor.sweeps
+        assert np.abs(xs[name] - xs["zero"]).max() <= 1e-13 * np.abs(xs["zero"]).max()
+    # a start with a smaller residual than zero saves sweeps; one with a
+    # larger residual is ignored
+    assert sweeps["near"] < sweeps["zero"] == sweeps["far"]
+
+
 def test_non_finite_stale_sweep_refactors():
     class Broken:
         def solve(self, r):

@@ -263,3 +263,46 @@ def test_write_read_round_trip_is_exact(tmp_path_factory, n, scale, shift, extra
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
     assert np.array_equal(back.boundary_vertex_flags, mesh.boundary_vertex_flags)
+
+
+def edge_table_by_loop(triangles):
+    """Edge numbering in first-seen order over (triangle, local edge), one
+    dictionary lookup at a time: the reference for Mesh's vectorized table."""
+    index, pairs, count = {}, [], []
+    triangle_edges = np.empty_like(triangles)
+    for c, tri in enumerate(triangles):
+        for le, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            if key not in index:
+                index[key] = len(pairs)
+                pairs.append(key)
+                count.append(0)
+            count[index[key]] += 1
+            triangle_edges[c, le] = index[key]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), triangle_edges, np.array(count) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("relabel", [False, True])
+def test_edge_table_matches_the_loop_reference(n, relabel):
+    m = pk.generate_structured_unit_square(n)
+    vertices, triangles = m.vertices, m.triangles
+    if relabel:
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(len(vertices))
+        vertices = vertices[perm]
+        triangles = np.argsort(perm)[triangles][rng.permutation(len(triangles))]
+        triangles = np.roll(triangles, rng.integers(0, 3), axis=1)
+    mesh = pk.Mesh(vertices, triangles)
+    edges, triangle_edges, boundary = edge_table_by_loop(mesh.triangles)
+    assert np.array_equal(mesh.edges, edges) and mesh.edges.dtype == np.int64
+    assert np.array_equal(mesh.triangle_edges, triangle_edges)
+    assert mesh.triangle_edges.dtype == np.int64
+    assert np.array_equal(mesh.boundary_edge_flags, boundary)
+    assert np.array_equal(mesh.boundary_edges, edges[boundary])
+
+
+def test_over_shared_edge_names_the_edge_and_its_count():
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]
+    with pytest.raises(pk.MeshFormatError, match=r"edge \(.*0.*1.*\) is shared by 3 triangles"):
+        pk.Mesh(verts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]], boundary_vertex_flags=[True] * 5)
