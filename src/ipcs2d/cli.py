@@ -12,7 +12,8 @@ Subcommands:
                                   for a seeded random case
 
 Exit codes: 0 success; 1 assertion/solver failure; 2 usage or config
-errors (including a missing config file).
+errors (including a missing config file, and an out_dir that cannot be
+created, which run and convergence find before they start).
 """
 
 import argparse
@@ -68,6 +69,18 @@ def _load_config(path):
     return parse_config(path)
 
 
+def _make_out_dir(args, config):
+    # before any work, so that an unusable out_dir costs no run
+    out = config.out_dir or "out"
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            "%s: cannot create out_dir %s (%s)" % (args.config, out, exc.strerror or exc)
+        ) from None
+    return out
+
+
 def _print_warnings(warnings):
     for w in warnings:
         print("warning: %s" % w)
@@ -75,10 +88,9 @@ def _print_warnings(warnings):
 
 def _cmd_run(args):
     config = _load_config(args.config)
+    out = _make_out_dir(args, config)
     traj = run(config)
     _print_warnings(traj.warnings)
-    out = config.out_dir or "out"
-    os.makedirs(out, exist_ok=True)
     ledger_path = os.path.join(out, "ledger.csv")
     write_ledger_csv(traj.ledger, ledger_path)
     for lv in traj.levels:
@@ -107,10 +119,9 @@ def _cmd_run(args):
 
 def _cmd_convergence(args):
     config = _load_config(args.config)
+    out = _make_out_dir(args, config)
     rows, warnings = convergence_study(args.mode, config)
     _print_warnings(warnings)
-    out = config.out_dir or "out"
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "rates_%s.csv" % args.mode)
     write_rate_table_csv(rows, path)
     print("n      dt            err_u_L2      err_u_H1      err_p_L2      rate_u  rate_p")

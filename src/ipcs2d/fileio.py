@@ -27,9 +27,20 @@ end-of-step velocity, whose gradient part lives cell-wise; for point data
 it is averaged over incident cells with area weights (a display choice,
 never used in norms — the cellwise flag appends the unaveraged per-cell
 field as CELL_DATA).  All writers are deterministic for a fixed input.
+
+write_vtk keeps one output plan per pressure space, in a weak-keyed
+cache private to this module, for the velocity space it was last used
+with; a different velocity space rebuilds it.  The plan holds what no
+level changes: the mesh text from POINTS through POINT_DATA, the cell
+geometry, the gradient factors, the vertex area weights and the centroid
+basis values.  It caches inputs and factors, never a reordered sum, so
+every file is byte for byte what the unplanned writer gives.  It assumes
+the mesh is not edited in place once the spaces are built, as FESpace
+already does.
 """
 
 import math
+import weakref
 
 import numpy as np
 
@@ -189,26 +200,104 @@ def write_rate_table_csv(rows, path):
     _write_csv(path, ["n", "dt", "err_u_L2", "err_u_H1", "err_p_L2", "rate_u", "rate_p"], rows)
 
 
-def _vertex_averaged_grad_phi(space_p, phi_coeffs):
-    """Gradient of the pressure-space field phi at mesh vertices, averaged
-    with area weights over the triangles meeting each vertex (the gradient
-    is discontinuous across edges)."""
-    mesh = space_p.mesh
-    ref_vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    _, dpsi = space_p.ref.eval(ref_vertices)
-    geom = CellGeometry(mesh, quad_rule(1))
-    coeffs = phi_coeffs[space_p.cell_dofs]
-    grad = np.einsum("vie,ced,ci->cvd", dpsi, geom.inv_j, coeffs)
-    acc = np.zeros((mesh.n_vertices, 2))
-    weight = np.zeros(mesh.n_vertices)
-    np.add.at(acc, mesh.triangles.ravel(), (mesh.areas[:, None, None] * grad).reshape(-1, 2))
-    np.add.at(weight, mesh.triangles.ravel(), np.repeat(mesh.areas, 3))
-    return acc / weight[:, None]
+def _format_rows(template, rows):
+    # one formatted line per row of a 2-D array, as one string
+    return (template * len(rows)) % tuple(np.asarray(rows).ravel().tolist())
 
 
-def _write_rows(fh, template, rows):
-    # one formatted line per row of a 2-D array, written in one call
-    fh.write((template * len(rows)) % tuple(np.asarray(rows).ravel().tolist()))
+def _mesh_text(mesh):
+    """The level-independent middle of a VTK file: POINTS through the
+    POINT_DATA line."""
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    return "".join((
+        "POINTS %d double\n" % nv,
+        _format_rows("%.17g %.17g 0\n", mesh.vertices),
+        "CELLS %d %d\n" % (nt, 4 * nt),
+        _format_rows("3 %d %d %d\n", mesh.triangles),
+        "CELL_TYPES %d\n" % nt,
+        "5\n" * nt,
+        "POINT_DATA %d\n" % nv,
+    ))
+
+
+class _OutputPlan:
+    """Everything write_vtk needs of one (space_u, space_p) pair that does
+    not depend on the level: the mesh text, the gradient factors, the
+    vertex area weights and the centroid basis values.
+
+    factors[i, e, v, d, c] = dpsi[v, i, e] * inv_j[c, e, d], dpsi being the
+    reference gradients of the pressure basis at the reference vertices;
+    cells run last, so every array operation has a long inner loop.
+    vertex_grad accumulates factors[i, e] * phi[cell_dofs[c, i]] over i,
+    then e, from zero: the operations of the unoptimised einsum
+    "vie,ced,ci->cvd", in its order, so the sums are equal to the bit.
+    The plan keeps space_u, which identifies the pair, but not space_p,
+    which keys it in _PLANS.
+    """
+
+    def __init__(self, space_u, space_p):
+        mesh = space_p.mesh
+        geom = CellGeometry(mesh, quad_rule(1))
+        ref_vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        _, dpsi = space_p.ref.eval(ref_vertices)
+        self.space_u = space_u
+        self.nv = mesh.n_vertices
+        self.mesh_text = _mesh_text(mesh)
+        self.cell_dofs_p = space_p.cell_dofs
+        self.local_dofs_p = np.ascontiguousarray(space_p.cell_dofs.T)
+        self.factors = (
+            dpsi.transpose(1, 2, 0)[:, :, :, None, None]
+            * geom.inv_j.transpose(1, 2, 0)[None, :, None, :, :]
+        )
+        self.areas = mesh.areas
+        self.vertex_ids = mesh.triangles.ravel()
+        # np.bincount adds in input order, as np.add.at does
+        self.weight = np.bincount(self.vertex_ids, np.repeat(mesh.areas, 3), self.nv)
+        centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
+        self.phi_u_centroid, _ = space_u.ref.eval(centroid)
+        _, self.dpsi_centroid = space_p.ref.eval(centroid)
+        self.inv_j = geom.inv_j
+
+    def vertex_grad(self, phi):
+        """Gradient of the pressure-space field phi at the mesh vertices,
+        averaged with area weights over the triangles meeting each vertex
+        (the gradient is discontinuous across edges)."""
+        grad = np.zeros(self.factors.shape[2:])
+        term = np.empty_like(grad)
+        for factors_i, coeffs_i in zip(self.factors, phi[self.local_dofs_p]):
+            for factor in factors_i:
+                grad += np.multiply(factor, coeffs_i, out=term)
+        # scatter in cell-major order, the order np.add.at took
+        weighted = grad * self.areas
+        acc = np.column_stack(
+            [np.bincount(self.vertex_ids, weighted[:, d].T.ravel(), self.nv) for d in range(2)]
+        )
+        return acc / self.weight[:, None]
+
+    def cell_velocity(self, level):
+        """The unaveraged end-of-step velocity at the cell centroids."""
+        su = self.space_u
+        cd_u = su.cell_dofs
+        cbx = np.einsum("qi,ci->c", self.phi_u_centroid, su.component(level.utilde, 0)[cd_u])
+        cby = np.einsum("qi,ci->c", self.phi_u_centroid, su.component(level.utilde, 1)[cd_u])
+        cg = np.einsum(
+            "qie,ced,ci->cd", self.dpsi_centroid, self.inv_j, level.phi[self.cell_dofs_p]
+        )
+        return np.column_stack((cbx + cg[:, 0], cby + cg[:, 1]))
+
+
+# pressure space -> the plan of the velocity space it was last written
+# with; an entry goes when its pressure space does
+_PLANS = weakref.WeakKeyDictionary()
+
+
+def _output_plan(space_u, space_p):
+    plan = _PLANS.get(space_p)
+    if plan is None or plan.space_u is not space_u:
+        if space_u.mesh is not space_p.mesh:
+            raise ValueError("the velocity and pressure spaces must share one mesh")
+        plan = _PLANS[space_p] = _OutputPlan(space_u, space_p)
+    return plan
 
 
 def write_vtk(level, space_u, space_p, path, cellwise=False):
@@ -217,43 +306,26 @@ def write_vtk(level, space_u, space_p, path, cellwise=False):
     Point data: vectors u_tilde and u_proj (end-of-step velocity with the
     vertex-averaged gradient part), scalar p.  With cellwise=True the
     unaveraged end-of-step velocity is appended as cell data, evaluated at
-    centroids."""
-    mesh = space_u.mesh
-    nv = mesh.n_vertices
-    n = space_u.n_scalar
+    centroids.  The first call for a (space_u, space_p) pair builds its
+    output plan; later calls reuse it."""
+    plan = _output_plan(space_u, space_p)
+    nv = plan.nv
     # (nv, 2) vertex values; vertices are the first nv scalar dofs
-    utilde = level.utilde.reshape(2, n)[:, :nv].T
-    proj = utilde + _vertex_averaged_grad_phi(space_p, level.phi)
+    utilde = level.utilde.reshape(2, space_u.n_scalar)[:, :nv].T
+    proj = utilde + plan.vertex_grad(level.phi)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("time level %d t=%.17g\n" % (level.m, level.t))
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write("POINTS %d double\n" % nv)
-        _write_rows(fh, "%.17g %.17g 0\n", mesh.vertices)
-        nt = mesh.n_triangles
-        fh.write("CELLS %d %d\n" % (nt, 4 * nt))
-        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
-        fh.write("CELL_TYPES %d\n" % nt)
-        fh.write("5\n" * nt)
-        fh.write("POINT_DATA %d\n" % nv)
+        fh.write(plan.mesh_text)
         fh.write("VECTORS u_tilde double\n")
-        _write_rows(fh, "%.17g %.17g 0\n", utilde)
+        fh.write(_format_rows("%.17g %.17g 0\n", utilde))
         fh.write("VECTORS u_proj double\n")
-        _write_rows(fh, "%.17g %.17g 0\n", proj)
+        fh.write(_format_rows("%.17g %.17g 0\n", proj))
         fh.write("SCALARS p double\nLOOKUP_TABLE default\n")
-        _write_rows(fh, "%.17g\n", level.p[:nv, None])
+        fh.write(_format_rows("%.17g\n", level.p[:nv, None]))
         if cellwise:
-            centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-            phi_u, _ = space_u.ref.eval(centroid)
-            _, dpsi = space_p.ref.eval(centroid)
-            geom = CellGeometry(mesh, quad_rule(1))
-            cd_u = space_u.cell_dofs
-            cbx = np.einsum("qi,ci->c", phi_u, space_u.component(level.utilde, 0)[cd_u])
-            cby = np.einsum("qi,ci->c", phi_u, space_u.component(level.utilde, 1)[cd_u])
-            cg = np.einsum(
-                "qie,ced,ci->cd", dpsi, geom.inv_j, level.phi[space_p.cell_dofs]
-            )
-            fh.write("CELL_DATA %d\n" % nt)
+            fh.write("CELL_DATA %d\n" % space_u.mesh.n_triangles)
             fh.write("VECTORS u_proj_cell double\n")
-            _write_rows(fh, "%.17g %.17g 0\n", np.column_stack((cbx + cg[:, 0], cby + cg[:, 1])))
+            fh.write(_format_rows("%.17g %.17g 0\n", plan.cell_velocity(level)))

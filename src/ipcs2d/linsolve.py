@@ -13,15 +13,16 @@ x = 0 or from a start vector, serves every direct solve:
     MomentumFactor it reuses the LU of an earlier step: only the
     convection changes from step to step, so a stale LU is still a good
     preconditioner.  A stale factor starts from the caller's start vector
-    (a step passes its extrapolated advecting field) when that has a
-    smaller residual than x = 0, and sweeps until the residual is at most
-    tol |b| and the last sweep no longer halved it, i.e. until rounding
-    level (stopping at tol alone would leave an error the energy ledger
-    shows); tol is only the failure threshold.  It has STALE_SWEEPS
-    sweeps.  When they run out, or a sweep gives non-finite values, the
-    stale LU is dropped, the matrix refactored once and solved as by
-    solve_direct; a fresh factor that misses tol raises.  The factor is
-    also rebuilt whenever its key, the (a0, dt, mu) of the step, changes;
+    (a step passes an extrapolation of its earlier velocities) when that
+    has a smaller residual than x = 0, and sweeps until the residual is at
+    most tol |b| and at rounding level: the normwise backward error is at
+    most EPS, or the last sweep no longer halved the residual (stopping at
+    tol alone would leave an error the energy ledger shows); tol is only
+    the failure threshold.  It has STALE_SWEEPS sweeps.  When they run
+    out, or a sweep gives non-finite values, the stale LU is dropped, the
+    matrix refactored once and solved as by solve_direct; a fresh factor
+    that misses tol raises.  The factor is also rebuilt whenever its key,
+    the (a0, dt, mu) of the step, changes;
   * factor_poisson: the pure-Neumann pressure Poisson operator, projected
     onto zero row sums and factored once with one dof pinned; each solve
     projects the right side onto the complement of the constant kernel
@@ -45,6 +46,8 @@ __all__ = [
 
 # sweeps a stale momentum factor may take before the matrix is refactored
 STALE_SWEEPS = 10
+# unit roundoff bound of the backward-error stop, 2**-52
+EPS = float(np.finfo(float).eps)
 
 
 class LinearSolveError(RuntimeError):
@@ -135,10 +138,14 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
 
 def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
     """Sweeps x <- x + solve(b - A x), at most sweeps of them, until the
-    fresh residual |b - A x| is at most tol |b| (Frobenius norm over the
-    columns of a multi-column b) and, with to_rounding, the last sweep no
-    longer halved it; raises LinearSolveError otherwise.  The sweeps start
-    from x0 when it is given and |b - A x0| < |b|, else from x = 0."""
+    fresh residual r = b - A x has |r| <= tol |b| (Frobenius norm over the
+    columns of a multi-column b) and, with to_rounding, is at rounding
+    level: the last sweep no longer halved it, or the normwise backward
+    error |r| / (|A|_inf |x| + |b|) is at most EPS (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 12; |A|_inf is computed at most
+    once per call).  Raises LinearSolveError when the sweeps run out.  The
+    sweeps start from x0 when it is given and |b - A x0| < |b|, else from
+    x = 0."""
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -149,13 +156,19 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
             x, r = x0, r0
     x = x + solve(r)
     last = np.inf
+    a_norm = None
     for done in range(1, sweeps + 1):
         r = b - A @ x
         res = float(np.linalg.norm(r))
         if not np.isfinite(res):
             raise LinearSolveError("%s solve produced non-finite values" % what)
-        if res <= tol * bnorm and not (to_rounding and res < 0.5 * last):
-            return x
+        if res <= tol * bnorm:
+            if not to_rounding or res >= 0.5 * last:
+                return x
+            if a_norm is None:
+                a_norm = float(abs(A).sum(axis=1).max())
+            if res <= EPS * (a_norm * float(np.linalg.norm(x)) + bnorm):
+                return x
         if done == sweeps:
             break
         x = x + solve(r)

@@ -255,7 +255,9 @@ def _skew_residual(ops, B, w_advect, x):
     return value / scale if scale > 0.0 else value
 
 
-def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, factor=None):
+def step(
+    prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, factor=None, older=None
+):
     """Level m+1 from level m (cur) and level m-1 (prev); F is the load
     vector of the arrival level.
 
@@ -271,11 +273,14 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, facto
     to step: only the convection changes while (a0, dt, mu) stay fixed, so
     the LU of an earlier step, refined to rounding, solves this one, and
     the matrix is refactored only when that fails or the key changes (at
-    the switch to BDF2).  The refinement of a stale LU starts from the
-    advecting field, whose residual is far below that of zero.  Without a
-    factor every step factors afresh.  Either way solve_momentum runs once
-    per step.  The Riesz vectors of cur and prev are read from the levels
-    (Level.riesz_vector), which a run's ledger has already computed.
+    the switch to BDF2).  The refinement of a stale LU starts from a guess
+    whose residual is far below that of zero: with older, level m-2 (BDF2
+    steps only), the quadratic extrapolation
+    3 utilde^m - 3 utilde^{m-1} + utilde^{m-2}, else the advecting field.
+    Without a factor every step factors afresh.  Either way solve_momentum
+    runs once per step.  The Riesz vectors of cur and prev are read from
+    the levels (Level.riesz_vector), which a run's ledger has already
+    computed.
 
     The momentum matrix lives on the fixed pattern of the free scalar
     block: ops.free_convection(w) assembles the convection onto the
@@ -297,7 +302,11 @@ def step(prev, cur, ops, dt, mu, F, tol_momentum=1e-12, tol_poisson=1e-12, facto
     data = (a0 / dt) * ops.M_free.data + B.data + mu * ops.A_free.data
     S = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
     rhs = (F + ops.D @ cur.p + history / dt).reshape(2, n)[:, free].T
-    x0 = w_advect.reshape(2, n)[:, free].T
+    if older is not None:
+        guess = 3.0 * (cur.utilde - prev.utilde) + older.utilde
+    else:
+        guess = w_advect
+    x0 = guess.reshape(2, n)[:, free].T
     utilde = np.zeros((2, n))
     x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu), x0=x0)
     utilde[:, free] = x.T
@@ -354,7 +363,7 @@ def run(config, ops=None):
             F, f_norm_sq = np.zeros(ops.space_u.ndofs), 0.0
         level = step(
             window[1], window[2], ops, dt, config.mu, F,
-            config.tol_momentum, config.tol_poisson, factor,
+            config.tol_momentum, config.tol_poisson, factor, window[0],
         )
         traj.momentum_sweeps.append(factor.sweeps)
         traj.momentum_refactored.append(factor.refactored)

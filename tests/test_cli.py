@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from ipcs2d import cli
 from ipcs2d.cli import main
 
 
@@ -101,10 +102,35 @@ def test_undecodable_config_is_a_usage_error(tmp_path, capsys):
 def test_unreachable_solver_tolerance_is_a_failure(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
-        "mesh_n = 4\ndt = 0.05\nT = 0.1\ndegree_u = 1\ntol_momentum = 1e-30\n",
+        "mesh_n = 4\ndt = 0.05\nT = 0.1\ndegree_u = 1\ntol_momentum = 1e-30\n"
+        "out_dir = %s\n" % (tmp_path / "out"),
     )
     assert main(["run", cfg]) == 1
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["convergence", "--mode", "spatial"]])
+@pytest.mark.parametrize("under_file", [False, True])
+def test_out_dir_that_cannot_be_created_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, under_file
+):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a regular file\n")
+    out = blocker / "sub" if under_file else blocker
+    cfg = write_cfg(tmp_path, "mesh_n = 4\ndt = 0.02\nT = 0.04\nout_dir = %s\n" % out)
+    entered = []
+
+    def refuse(*args, **kwargs):
+        entered.append(args)
+        raise AssertionError("the run started before out_dir was checked")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.setattr(cli, "convergence_study", refuse)
+    assert main([command[0], cfg] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: cannot create out_dir %s" % (cfg, out))
+    assert "Traceback" not in err
+    assert entered == []
 
 
 def test_convergence_writes_rate_table(tmp_path, capsys):

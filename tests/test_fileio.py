@@ -296,18 +296,34 @@ def test_vtk_point_vectors_are_vertex_coefficients(tmp_path, tiny_run):
         assert math.isclose(float(lines[pdx + 1 + v]), traj.final.p[v], abs_tol=1e-15)
 
 
-def reference_vtk_text(level, su, sp, cellwise):
-    # the writer as it was before it batched each block: one formatted
-    # write per line, kept as the byte-for-byte reference
+def reference_vertex_grad(sp, phi):
+    # the writer's original vertex averaging: one unoptimised einsum for
+    # the cell gradients at the vertices, then np.add.at per vertex
     from ipcs2d.assembly import CellGeometry
     from ipcs2d.fe import quad_rule
-    from ipcs2d.fileio import _vertex_averaged_grad_phi
+
+    mesh = sp.mesh
+    _, dpsi = sp.ref.eval(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    geom = CellGeometry(mesh, quad_rule(1))
+    grad = np.einsum("vie,ced,ci->cvd", dpsi, geom.inv_j, phi[sp.cell_dofs])
+    acc = np.zeros((mesh.n_vertices, 2))
+    weight = np.zeros(mesh.n_vertices)
+    np.add.at(acc, mesh.triangles.ravel(), (mesh.areas[:, None, None] * grad).reshape(-1, 2))
+    np.add.at(weight, mesh.triangles.ravel(), np.repeat(mesh.areas, 3))
+    return acc / weight[:, None]
+
+
+def reference_vtk_text(level, su, sp, cellwise):
+    # the writer as it was before it batched each block and kept a plan per
+    # space pair: one formatted write per line, kept as the byte-for-byte
+    # reference
+    from ipcs2d.assembly import CellGeometry
+    from ipcs2d.fe import quad_rule
 
     mesh = su.mesh
     nv, nt = mesh.n_vertices, mesh.n_triangles
-    gphi = _vertex_averaged_grad_phi(sp, level.phi)
+    gphi = reference_vertex_grad(sp, level.phi)
     ux, uy = su.component(level.utilde, 0)[:nv], su.component(level.utilde, 1)[:nv]
-    bx, by = su.component(level.utilde, 0)[:nv], su.component(level.utilde, 1)[:nv]
     out = ["# vtk DataFile Version 3.0\n", "time level %d t=%.17g\n" % (level.m, level.t),
            "ASCII\nDATASET UNSTRUCTURED_GRID\n", "POINTS %d double\n" % nv]
     out += ["%.17g %.17g 0\n" % (x, y) for x, y in mesh.vertices]
@@ -316,7 +332,7 @@ def reference_vtk_text(level, su, sp, cellwise):
     out += ["CELL_TYPES %d\n" % nt, "5\n" * nt, "POINT_DATA %d\n" % nv, "VECTORS u_tilde double\n"]
     out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(ux, uy)]
     out.append("VECTORS u_proj double\n")
-    out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(bx + gphi[:, 0], by + gphi[:, 1])]
+    out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(ux + gphi[:, 0], uy + gphi[:, 1])]
     out.append("SCALARS p double\nLOOKUP_TABLE default\n")
     out += ["%.17g\n" % v for v in level.p[:nv]]
     if cellwise:
@@ -332,16 +348,45 @@ def reference_vtk_text(level, su, sp, cellwise):
     return "".join(out)
 
 
+def jittered_unit_square(n, rng):
+    # the structured mesh with every interior vertex moved by up to h/5
+    base = pk.generate_structured_unit_square(n)
+    vertices = base.vertices.copy()
+    interior = ~base.boundary_vertex_flags
+    vertices[interior] += rng.uniform(-0.2 / n, 0.2 / n, (int(interior.sum()), 2))
+    return pk.Mesh(vertices, base.triangles)
+
+
 @pytest.mark.parametrize("cellwise", [False, True])
-def test_vtk_matches_line_by_line_reference(tmp_path, setup_cache, cellwise):
+def test_vtk_matches_line_by_line_reference(tmp_path, cellwise):
     from ipcs2d.scheme import Level
 
-    _, su, sp, _ = setup_cache(3, 2, 1)
     rng = np.random.default_rng(17)
-    level = Level(
-        7, 0.35, rng.standard_normal(su.ndofs), rng.standard_normal(sp.ndofs),
-        rng.standard_normal(sp.ndofs),
-    )
+    pairs = []
+    for mesh in (pk.generate_structured_unit_square(3), jittered_unit_square(3, rng)):
+        u1, u2 = (pk.build_space(mesh, k, components=2, homogeneous_dirichlet=True) for k in (1, 2))
+        p1, p2 = (pk.build_space(mesh, k, components=1, zero_mean=True) for k in (1, 2))
+        # (u2, p1) and (u1, p1) share a pressure space, so its plan is
+        # rebuilt whenever the velocity space changes
+        pairs += [(u1, p1), (u2, p1), (u2, p2)]
     path = tmp_path / "fields.vtk"
-    pk.write_vtk(level, su, sp, path, cellwise=cellwise)
-    assert path.read_text() == reference_vtk_text(level, su, sp, cellwise)
+    # several levels through each pair, the pairs written alternately
+    for m in range(3):
+        for su, sp in pairs:
+            level = Level(
+                7 + m, 0.35 * (m + 1), rng.standard_normal(su.ndofs),
+                rng.standard_normal(sp.ndofs), rng.standard_normal(sp.ndofs),
+            )
+            pk.write_vtk(level, su, sp, path, cellwise=cellwise)
+            assert path.read_text() == reference_vtk_text(level, su, sp, cellwise)
+
+
+def test_vtk_spaces_on_different_meshes_are_rejected(tmp_path):
+    from ipcs2d.scheme import Level
+
+    mesh_u, mesh_p = pk.generate_structured_unit_square(2), pk.generate_structured_unit_square(2)
+    su = pk.build_space(mesh_u, 1, components=2, homogeneous_dirichlet=True)
+    sp = pk.build_space(mesh_p, 1, components=1, zero_mean=True)
+    level = Level(0, 0.0, np.zeros(su.ndofs), np.zeros(sp.ndofs), np.zeros(sp.ndofs))
+    with pytest.raises(ValueError, match="share one mesh"):
+        pk.write_vtk(level, su, sp, tmp_path / "fields.vtk")

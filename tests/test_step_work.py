@@ -1,14 +1,20 @@
-"""Deterministic work counts of a run's steps.
+"""Deterministic work counts of a run's steps and of its output.
 
 The README quick-start run (n=16 P2/P1, dt=0.01, 50 steps) with the calls
 that dominate a step counted: the Riesz vector of each level is formed
 once, the velocity mass is applied three times per step, the momentum
 refinement stays within its sweep budget and each step assembles one
-convection.  No timing: the counts repeat exactly from run to run.
+convection.  The VTK writer builds the level-independent part of a file
+once per space pair.  No timing: the counts repeat exactly from run to
+run.
 """
 
+import gc
+
+import numpy as np
+
 import ipcs2d as pk
-from ipcs2d import assembly
+from ipcs2d import assembly, fileio
 
 
 def test_quickstart_run_work_counts(monkeypatch):
@@ -44,7 +50,48 @@ def test_quickstart_run_work_counts(monkeypatch):
     assert n == 50
     assert counts["riesz"] == n + 1
     assert counts["mass"] <= 3 * n + 1
-    assert sum(traj.momentum_sweeps) <= 300
+    assert sum(traj.momentum_sweeps) <= 180
     assert counts["convection"] == n
     # no stored level keeps its Riesz vector once the run is over
     assert all(level.riesz is None for level in traj.levels)
+
+
+def test_vtk_output_work_counts(tmp_path, monkeypatch):
+    counts = {"geometry": 0, "mesh_text": 0, "plan": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fileio, "CellGeometry", counted("geometry", fileio.CellGeometry))
+    monkeypatch.setattr(fileio, "_mesh_text", counted("mesh_text", fileio._mesh_text))
+    monkeypatch.setattr(fileio, "_OutputPlan", counted("plan", fileio._OutputPlan))
+
+    case = pk.stream_vortex_case(mu=1.0)
+    cfg = pk.SchemeConfig(
+        dt=0.05, T=0.2, mu=1.0, mesh_n=4, degree_u=2, degree_p=1, u0=case.u0, f=case.f,
+    )
+    traj = pk.run(cfg)
+    assert len(traj.levels) == 5
+    su, sp = traj.ops.space_u, traj.ops.space_p
+    for level in traj.levels:
+        pk.write_vtk(level, su, sp, tmp_path / ("fields_%d.vtk" % level.m), cellwise=True)
+    assert counts == {"geometry": 1, "mesh_text": 1, "plan": 1}
+
+    # a second pair on the same mesh builds one more plan; the first keeps its own
+    su1 = pk.build_space(su.mesh, 1, components=2, homogeneous_dirichlet=True)
+    sp1 = pk.build_space(su.mesh, 1, components=1, zero_mean=True)
+    level = pk.Level(0, 0.0, np.zeros(su1.ndofs), np.zeros(sp1.ndofs), np.zeros(sp1.ndofs))
+    for _ in range(2):
+        pk.write_vtk(level, su1, sp1, tmp_path / "other.vtk")
+        pk.write_vtk(traj.final, su, sp, tmp_path / "fields_final.vtk")
+    assert counts == {"geometry": 2, "mesh_text": 2, "plan": 2}
+
+    # a plan goes with its pressure space
+    plans = len(fileio._PLANS)
+    del sp1
+    gc.collect()
+    assert len(fileio._PLANS) == plans - 1
