@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 assertion/solver failure; 2 usage or config
 errors (including a missing config file, and an out_dir that cannot be
-created, which run and convergence find before they start).
+created, which run and convergence find before they start).  Since they
+create out_dir first, a run that then fails leaves it behind, empty.
 """
 
 import argparse

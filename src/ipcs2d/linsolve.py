@@ -15,14 +15,15 @@ x = 0 or from a start vector, serves every direct solve:
     preconditioner.  A stale factor starts from the caller's start vector
     (a step passes an extrapolation of its earlier velocities) when that
     has a smaller residual than x = 0, and sweeps until the residual is at
-    most tol |b| and at rounding level: the normwise backward error is at
-    most EPS, or the last sweep no longer halved the residual (stopping at
-    tol alone would leave an error the energy ledger shows); tol is only
-    the failure threshold.  It has STALE_SWEEPS sweeps.  When they run
-    out, or a sweep gives non-finite values, the stale LU is dropped, the
-    matrix refactored once and solved as by solve_direct; a fresh factor
-    that misses tol raises.  The factor is also rebuilt whenever its key,
-    the (a0, dt, mu) of the step, changes;
+    most tol |b| and at rounding level: the normwise backward error of
+    every column is at most EPS in the infinity norm, or the last sweep no
+    longer halved the residual (stopping at tol alone would leave an error
+    the energy ledger shows); tol is only the failure threshold.  It has
+    STALE_SWEEPS sweeps.  When they run out, or a sweep gives non-finite
+    values, the stale LU is dropped, the matrix refactored once and solved
+    as by solve_direct; a fresh factor that misses tol raises.  The factor
+    is also rebuilt whenever its key, the (a0, dt, mu) of the step,
+    changes;
   * factor_poisson: the pure-Neumann pressure Poisson operator, projected
     onto zero row sums and factored once with one dof pinned; each solve
     projects the right side onto the complement of the constant kernel
@@ -140,12 +141,12 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
     """Sweeps x <- x + solve(b - A x), at most sweeps of them, until the
     fresh residual r = b - A x has |r| <= tol |b| (Frobenius norm over the
     columns of a multi-column b) and, with to_rounding, is at rounding
-    level: the last sweep no longer halved it, or the normwise backward
-    error |r| / (|A|_inf |x| + |b|) is at most EPS (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 12; |A|_inf is computed at most
-    once per call).  Raises LinearSolveError when the sweeps run out.  The
-    sweeps start from x0 when it is given and |b - A x0| < |b|, else from
-    x = 0."""
+    level: the last sweep no longer halved it, or in every column the
+    normwise backward error |r|_inf / (|A|_inf |x|_inf + |b|_inf) is at
+    most EPS (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 12; |A|_inf is computed at most once per call).  Raises
+    LinearSolveError when the sweeps run out.  The sweeps start from x0
+    when it is given and |b - A x0| < |b|, else from x = 0."""
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -167,7 +168,8 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
                 return x
             if a_norm is None:
                 a_norm = float(abs(A).sum(axis=1).max())
-            if res <= EPS * (a_norm * float(np.linalg.norm(x)) + bnorm):
+                b_inf = np.abs(b).max(axis=0)
+            if np.all(np.abs(r).max(axis=0) <= EPS * (a_norm * np.abs(x).max(axis=0) + b_inf)):
                 return x
         if done == sweeps:
             break

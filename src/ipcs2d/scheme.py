@@ -273,10 +273,11 @@ def step(
     to step: only the convection changes while (a0, dt, mu) stay fixed, so
     the LU of an earlier step, refined to rounding, solves this one, and
     the matrix is refactored only when that fails or the key changes (at
-    the switch to BDF2).  The refinement of a stale LU starts from a guess
-    whose residual is far below that of zero: with older, level m-2 (BDF2
-    steps only), the quadratic extrapolation
-    3 utilde^m - 3 utilde^{m-1} + utilde^{m-2}, else the advecting field.
+    the switch to BDF2).  older, level m-2, may be given once prev is
+    given: the refinement of a stale LU then starts from the quadratic
+    extrapolation 3 utilde^m - 3 utilde^{m-1} + utilde^{m-2}, whose
+    residual is far below that of zero.  A run has level m-2 at every step
+    that can reuse a stale LU, since the first BDF2 step refactors.
     Without a factor every step factors afresh.  Either way solve_momentum
     runs once per step.  The Riesz vectors of cur and prev are read from
     the levels (Level.riesz_vector), which a run's ledger has already
@@ -302,11 +303,9 @@ def step(
     data = (a0 / dt) * ops.M_free.data + B.data + mu * ops.A_free.data
     S = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
     rhs = (F + ops.D @ cur.p + history / dt).reshape(2, n)[:, free].T
+    x0 = None
     if older is not None:
-        guess = 3.0 * (cur.utilde - prev.utilde) + older.utilde
-    else:
-        guess = w_advect
-    x0 = guess.reshape(2, n)[:, free].T
+        x0 = (3.0 * (cur.utilde - prev.utilde) + older.utilde).reshape(2, n)[:, free].T
     utilde = np.zeros((2, n))
     x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu), x0=x0)
     utilde[:, free] = x.T
