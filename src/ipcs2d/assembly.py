@@ -6,6 +6,10 @@ skew-symmetrized convection (3k-1), the velocity/pressure couplings (k+l)
 and the pressure mass (2l).  Every bilinear identity the time stepper
 relies on therefore holds to rounding, not to quadrature error.
 
+The cells are affine, so every constant form (mass, stiffness, couplings)
+and the convection come from reference tensors (Kirby & Logg, ACM TOMS 2006):
+a per-cell geometric factor times a tensor summed over the rule points once.
+
 Layout: vector coefficient vectors are component-major (entry c*n + i is
 component c of scalar dof i), so vector mass/stiffness/convection are
 block-diagonal repetitions of scalar blocks.  Velocity vectors keep full
@@ -48,6 +52,8 @@ class CellGeometry:
     detJ : (M,) Jacobian determinants (twice the areas, positive)
     inv_j : (M, 2, 2) inverse Jacobians; a reference gradient g maps to the
         physical gradient via g @ inv_j[c]
+    adj : (M, 2, 2) adjugates detJ * inv_j, the edge vectors rearranged,
+        with no division
     phys : (M, nq, 2) physical coordinates of the rule points
     """
 
@@ -58,12 +64,8 @@ class CellGeometry:
         e1 = v[t[:, 1]] - p0
         e2 = v[t[:, 2]] - p0
         self.detJ = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        inv = np.empty((len(t), 2, 2))
-        inv[:, 0, 0] = e2[:, 1]
-        inv[:, 0, 1] = -e2[:, 0]
-        inv[:, 1, 0] = -e1[:, 1]
-        inv[:, 1, 1] = e1[:, 0]
-        self.inv_j = inv / self.detJ[:, None, None]
+        self.adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1).reshape(-1, 2, 2)
+        self.inv_j = self.adj / self.detJ[:, None, None]
         q = rule.points
         self.phys = (
             p0[:, None, :]
@@ -138,13 +140,22 @@ class _Scatter:
 
 
 def _mass_elem(space, geom):
+    """Element mass matrices detJ_c T, T[i, j] = sum_q w_q phi_i phi_j."""
     phi, _ = space.ref.eval(geom.rule.points)
-    return np.einsum("q,qi,qj,c->cij", geom.rule.weights, phi, phi, geom.detJ)
+    T = np.einsum("q,qi,qj->ij", geom.rule.weights, phi, phi)
+    return geom.detJ[:, None, None] * (0.5 * (T + T.T))  # exactly symmetric
 
 
-def _stiffness_elem(gphi, geom):
-    # gphi: the pushed-forward basis gradients of geom (_phys_grads)
-    return np.einsum("q,cqid,cqjd,c->cij", geom.rule.weights, gphi, gphi, geom.detJ)
+def _stiffness_elem(space, geom):
+    """Element stiffness matrices sum_ef K_c[e, f] T[e, f], T[e, f, i, j] = sum_q w_q
+    d_e phi_i d_f phi_j, K_c = detJ_c inv_j inv_j^T = adj adj^T / detJ_c.  Summed over
+    (0, 0), (1, 1) and (0, 1) + (1, 0), every element matrix is exactly symmetric."""
+    _, dphi = space.ref.eval(geom.rule.points)
+    T = np.einsum("q,qie,qjf->efij", geom.rule.weights, dphi, dphi)
+    T = 0.5 * (T + T.transpose(1, 0, 3, 2))
+    r0, r1 = geom.adj[:, 0], geom.adj[:, 1]
+    K = np.array([(r0 * r0).sum(1), (r1 * r1).sum(1), (r0 * r1).sum(1)]) / geom.detJ
+    return sum(k[:, None, None] * t for k, t in zip(K, (T[0, 0], T[1, 1], T[0, 1] + T[1, 0])))
 
 
 def assemble_mass(space, geom=None):
@@ -158,7 +169,7 @@ def assemble_stiffness(space, geom=None):
     """H1 seminorm (grad, grad) matrix of the space."""
     if geom is None:
         geom = CellGeometry(space.mesh, quad_rule(max(2 * (space.degree - 1), 1)))
-    return _Scatter(space)(_stiffness_elem(_phys_grads(space, geom), geom))
+    return _Scatter(space)(_stiffness_elem(space, geom))
 
 
 def _convection_tensor(space, rule):
@@ -198,12 +209,22 @@ def assemble_convection(space_u, w_coeffs, geom=None, scatter=None, tensor=None)
         geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, 1))
     tensor = _convection_tensor(space_u, geom.rule) if tensor is None else tensor
     scatter = _Scatter(space_u) if scatter is None else scatter
-    adj = geom.detJ[:, None, None] * geom.inv_j
     w_hat = sum(
-        adj[:, :, d, None] * space_u.component(w_coeffs, d)[space_u.cell_dofs][:, None, :]
+        geom.adj[:, :, d, None] * space_u.component(w_coeffs, d)[space_u.cell_dofs][:, None, :]
         for d in range(2)
     )
     return scatter(w_hat.reshape(len(w_hat), -1) @ tensor)
+
+
+def _coupling_elems(space_u, space_p, geom):
+    """Element matrices (elem_d, elem_g) of the couplings, (M, nloc_u, nloc_p, 2) each:
+    elem[c, i, s, d] = sum_e adj[c, e, d] T[e, i, s], with T = sum_q w_q psi_s d_e phi_i
+    for D and T = sum_q w_q phi_i d_e psi_s for G."""
+    (phi_u, dphi_u), (phi_p, dphi_p) = (s.ref.eval(geom.rule.points) for s in (space_u, space_p))
+    w = geom.rule.weights
+    t_d = np.einsum("q,qs,qie->eis", w, phi_p, dphi_u)
+    t_g = np.einsum("q,qi,qse->eis", w, phi_u, dphi_p)
+    return tuple(sum(geom.adj[:, e, None, None] * t[e, ..., None] for e in (0, 1)) for t in (t_d, t_g))
 
 
 def assemble_couplings(space_u, space_p, geom=None):
@@ -217,19 +238,10 @@ def assemble_couplings(space_u, space_p, geom=None):
     (velocity vectors are zero there)."""
     if geom is None:
         geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))
-    phi_u, _ = space_u.ref.eval(geom.rule.points)
-    phi_p, _ = space_p.ref.eval(geom.rule.points)
-    gphi_u = _phys_grads(space_u, geom)
-    gphi_p = _phys_grads(space_p, geom)
-    w = geom.rule.weights
-
-    elem_d = np.einsum("q,qs,cqid,c->cisd", w, phi_p, gphi_u, geom.detJ)
-    elem_g = np.einsum("q,qi,cqsd,c->cisd", w, phi_u, gphi_p, geom.detJ)
-
     scatter = _Scatter(space_u, cols=space_p)
     return tuple(
         sp.vstack([scatter(elem[..., c]) for c in range(2)], format="csr")
-        for elem in (elem_d, elem_g)
+        for elem in _coupling_elems(space_u, space_p, geom)
     )
 
 
@@ -383,13 +395,11 @@ class OperatorSet:
         self._free_index = np.flatnonzero(space_u.free).reshape(2, -1)
         self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
         self.M_free = self.scatter_free(_mass_elem(space_u, self.geom), share=True)
-        self.A_free = self.scatter_free(
-            _stiffness_elem(_phys_grads(space_u, self.geom), self.geom), share=True
-        )
+        self.A_free = self.scatter_free(_stiffness_elem(space_u, self.geom), share=True)
         self.D, self.G = assemble_couplings(space_u, space_p, self.geom)
         scatter_p = _Scatter(space_p)
         self.M_p = scatter_p(_mass_elem(space_p, self.geom))
-        self.N_p = scatter_p(_stiffness_elem(_phys_grads(space_p, self.geom), self.geom))
+        self.N_p = scatter_p(_stiffness_elem(space_p, self.geom))
         self.solve_poisson = factor_poisson(self.N_p, self.M_p)
         # |grad psi_q| per pressure basis function, for normalized
         # divergence residuals

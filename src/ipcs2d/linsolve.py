@@ -26,8 +26,9 @@ x = 0 or from a start vector, serves every direct solve:
     changes;
   * factor_poisson: the pure-Neumann pressure Poisson operator, projected
     onto zero row sums and factored once with one dof pinned; each solve
-    projects the right side onto the complement of the constant kernel
-    and shifts the solution to zero mass-weighted mean.
+    projects the right side onto the complement of the constant kernel,
+    spreads what rounding leaves inconsistent along the mass weights, and
+    shifts the solution to zero mass-weighted mean.
 
 solve_spd is conjugate gradients for symmetric positive (semi-)definite
 systems with the same zero-mean handling, written out so the iteration
@@ -257,19 +258,26 @@ def factor_poisson(N, mass):
     solve_spd(N, b, tol, zero_mean=True, mass=mass), the solve projects b
     onto the complement of the constant kernel, verifies the residual
     against the unpinned (projected) N, and shifts the solution to zero
-    mass-weighted mean."""
+    mass-weighted mean.  N's column sums stay of rounding size, so b is
+    inconsistent by rounding; rather than leave that in the pinned row, each
+    correction cancels the row with a multiple of the pinned solve of w = mass @ 1."""
     N = N.tocsr(copy=True)
     N.setdiag(N.diagonal() - N @ np.ones(N.shape[0]))
     lu = _factor(N[1:, 1:], "pressure Poisson")
     w = mass @ np.ones(N.shape[0])
+    row0 = N[0].toarray().ravel()
+    x_w = np.zeros_like(w)
+    x_w[1:] = lu.solve(w[1:])
+    rho_w = w[0] - row0 @ x_w
 
-    def pinned(r):
+    def spread(r):
         x = np.zeros_like(r)
         x[1:] = lu.solve(r[1:])
+        x -= (r[0] - row0 @ x) / rho_w * x_w
         return x
 
     def solve(b, tol=1e-12):
-        x = _refine(pinned, N, b - b.mean(), tol, "pressure Poisson")
+        x = _refine(spread, N, b - b.mean(), tol, "pressure Poisson")
         return x - float(w @ x) / float(w.sum())
 
     return solve

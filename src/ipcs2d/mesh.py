@@ -53,9 +53,9 @@ class Mesh:
     boundary_vertex_flags : optional (N,) bool array; inferred from the
         coordinates (a coordinate equal to 0 or 1) when omitted.
 
-    Construction validates positive orientation, edge conformity (every
-    edge shared by one or two triangles) and boundary consistency, and
-    precomputes the edge table used for quadratic dof numbering.
+    Construction validates finite vertices, positive orientation, edge
+    conformity (every edge shared by one or two triangles) and boundary
+    consistency, and precomputes the edge table for quadratic dof numbering.
     """
 
     def __init__(self, vertices, triangles, boundary_vertex_flags=None):
@@ -66,6 +66,9 @@ class Mesh:
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshFormatError("triangles must be an (M, 3) array")
         nv = len(self.vertices)
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise MeshFormatError("vertex %d has non-finite coordinates %s" % (bad[0], self.vertices[bad[0]]))
         if self.triangles.size and (self.triangles.min() < 0 or self.triangles.max() >= nv):
             raise MeshFormatError("triangle vertex index out of range")
 
@@ -96,7 +99,7 @@ class Mesh:
 
     def _check_orientation(self):
         areas = self._signed_areas()
-        bad = np.flatnonzero(areas <= 0.0)
+        bad = np.flatnonzero(~(areas > 0.0))
         if bad.size:
             raise MeshFormatError(
                 "triangle %d has non-positive signed area %.3e "
@@ -194,16 +197,10 @@ def generate_structured_unit_square(n):
     side = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-    triangles = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = iy * (n + 1) + ix
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    return Mesh(vertices, np.array(triangles, dtype=np.int64))
+    # grid cells row by row, from the lower-left vertex v00: (v00, v10, v11), (v00, v11, v01)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v01 = v00 + (n + 1)
+    return Mesh(vertices, np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], 1).reshape(-1, 3))
 
 
 def mesh_metrics(mesh):

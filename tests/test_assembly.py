@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import ipcs2d as pk
-from ipcs2d.assembly import CellGeometry, eval_grad_at_quad
+from ipcs2d import assembly
+from ipcs2d.assembly import (
+    CellGeometry,
+    _coupling_elems,
+    _mass_elem,
+    _stiffness_elem,
+    eval_grad_at_quad,
+)
 
 from conftest import build_setup
 from oracles import DenseScheme
@@ -204,26 +211,20 @@ def test_yh_pair_with_u_free_rows_equal_the_full_product(n, deg, setup_cache):
 
 
 def coo_couplings(space_u, space_p, geom):
-    # D and G through one COO matrix each, duplicates summed by tocsr.  The
-    # entries are put in (row, column) order first, stably, so tocsr sums
-    # each entry's duplicates in element order; unsorted, it sorts them
-    # itself, unstably, and may round differently
+    # D and G through one COO matrix each from the package's element
+    # matrices, duplicates summed by tocsr.  The entries are put in (row,
+    # column) order first, stably, so tocsr sums each entry's duplicates in
+    # element order; unsorted, it sorts them itself, unstably, and may
+    # round differently
     import scipy.sparse as sps
 
-    phi_u, dphi_u = space_u.ref.eval(geom.rule.points)
-    phi_p, dphi_p = space_p.ref.eval(geom.rule.points)
-    gphi_u = dphi_u @ geom.inv_j[:, None]
-    gphi_p = dphi_p @ geom.inv_j[:, None]
-    w = geom.rule.weights
-    elem_d = np.einsum("q,qs,cqid,c->cisd", w, phi_p, gphi_u, geom.detJ)
-    elem_g = np.einsum("q,qi,cqsd,c->cisd", w, phi_u, gphi_p, geom.detJ)
     cd_u, cd_p = space_u.cell_dofs, space_p.cell_dofs
     rows = np.repeat(cd_u, cd_p.shape[1], axis=1).ravel()
     cols = np.tile(cd_p, (1, cd_u.shape[1])).ravel()
     n = space_u.n_scalar
     shape = (2 * n, space_p.n_scalar)
     out = []
-    for elem in (elem_d, elem_g):
+    for elem in _coupling_elems(space_u, space_p, geom):
         data = np.concatenate([elem[..., c].ravel() for c in range(2)])
         i, j = np.concatenate([rows, rows + n]), np.concatenate([cols, cols])
         order = np.lexsort((j, i))
@@ -456,3 +457,66 @@ def test_reference_tensor_convection_on_a_perturbed_mesh(deg):
         # the form pairs a field with itself to zero
         v = rng.standard_normal(M.shape[0])
         assert abs(float(v @ (B @ v))) <= 1e-14 * np.abs(w).max() * float(v @ (M @ v))
+
+
+def element_matrices_by_quadrature(space_u, space_p, geom):
+    """Element mass and stiffness matrices of both spaces and the coupling
+    element matrices, integrated point by point with the pushed-forward
+    basis gradients: the arithmetic the reference tensors replace."""
+    w = geom.rule.weights
+    out, phi, gphi = {}, {}, {}
+    for name, space in (("u", space_u), ("p", space_p)):
+        phi[name], dphi = space.ref.eval(geom.rule.points)
+        gphi[name] = dphi @ geom.inv_j[:, None]
+        out["mass_" + name] = np.einsum("q,qi,qj,c->cij", w, phi[name], phi[name], geom.detJ)
+        out["stiffness_" + name] = np.einsum(
+            "q,cqid,cqjd,c->cij", w, gphi[name], gphi[name], geom.detJ
+        )
+    out["D"] = np.einsum("q,qs,cqid,c->cisd", w, phi["p"], gphi["u"], geom.detJ)
+    out["G"] = np.einsum("q,qi,cqsd,c->cisd", w, phi["u"], gphi["p"], geom.detJ)
+    return out
+
+
+@pytest.mark.parametrize("deg_u,deg_p", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_reference_tensor_elements_match_pointwise_quadrature(deg_u, deg_p, jitter):
+    mesh = perturbed_mesh(5, deg_u + deg_p) if jitter else pk.generate_structured_unit_square(5)
+    su = pk.build_space(mesh, deg_u, components=2, homogeneous_dirichlet=True)
+    sp = pk.build_space(mesh, deg_p, components=1, zero_mean=True)
+    geom = CellGeometry(mesh, assembly.assembly_rule(deg_u, deg_p))
+    expect = element_matrices_by_quadrature(su, sp, geom)
+    elem_d, elem_g = _coupling_elems(su, sp, geom)
+    got = {
+        "mass_u": _mass_elem(su, geom),
+        "mass_p": _mass_elem(sp, geom),
+        "stiffness_u": _stiffness_elem(su, geom),
+        "stiffness_p": _stiffness_elem(sp, geom),
+        "D": elem_d,
+        "G": elem_g,
+    }
+    for name, elem in got.items():
+        ref = expect[name]
+        assert elem.shape == ref.shape, name
+        assert np.abs(elem - ref).max() <= 2e-15 * np.abs(ref).max(), name
+    for name in ("mass_u", "mass_p", "stiffness_u", "stiffness_p"):
+        # the symmetric forms are symmetric bit for bit
+        assert np.array_equal(got[name], got[name].transpose(0, 2, 1)), name
+
+
+def test_operator_set_pushes_no_gradient_to_the_rule_points(monkeypatch):
+    calls = []
+    phys_grads = assembly._phys_grads
+
+    def counted(*args):
+        calls.append(args)
+        return phys_grads(*args)
+
+    monkeypatch.setattr(assembly, "_phys_grads", counted)
+    mesh = perturbed_mesh(3, 0)
+    su = pk.build_space(mesh, 2, components=2, homogeneous_dirichlet=True)
+    sp = pk.build_space(mesh, 1, components=1, zero_mean=True)
+    ops = pk.OperatorSet(su, sp)
+    assert calls == []
+    # the counter is live: the one remaining caller goes through it
+    eval_grad_at_quad(sp, ops.geom, np.ones(sp.ndofs))
+    assert len(calls) == 1

@@ -244,6 +244,37 @@ def test_poisson_factor_ignores_row_sum_rounding(setup_cache):
     assert np.abs(x - ops.solve_poisson(b)).max() <= 1e-10 * np.abs(x).max()
 
 
+def test_poisson_inconsistency_is_spread_along_the_mass_weights(setup_cache):
+    _, _, spp, ops = setup_cache(8, 1, 1)
+    # a perturbation with zero row sums but column sums of about 1e-7 of the
+    # diagonal: a zero-sum right side is then inconsistent, as rounding leaves
+    # it on fine meshes, only more
+    rng = np.random.default_rng(3)
+    E = sp.random(spp.ndofs, spp.ndofs, density=0.05, random_state=rng, format="csr")
+    E = 1e-7 * ops.N_p.diagonal().max() * (E - sp.diags(E @ np.ones(spp.ndofs)))
+    N = (ops.N_p + E).tocsr()
+    b = ops.M_p @ spp.interpolate(lambda x, y: np.cos(3 * x) * np.exp(y))
+    b -= b.mean()
+    x = factor_poisson(N, ops.M_p)(b, 1e-3)
+    r = b - N @ x
+    w = ops.M_p @ np.ones(spp.ndofs)
+    assert np.linalg.norm(r) > 1e-12 * np.linalg.norm(b)
+    # the residual is a multiple of w, not a spike in the pinned row
+    assert np.abs(r - (r @ w) / (w @ w) * w).max() <= 1e-3 * np.abs(r).max()
+
+
+def test_poisson_solve_meets_tol_where_a_pinned_row_stalled(setup_cache):
+    # a pressure right side -(a0/dt) D^T u as a BDF2 step forms it, n = 72,
+    # P2/P1: a pinned solve stalled here at 1.3e-12, all of it in the
+    # pinned row (numpy 2.4, scipy 1.17)
+    _, su, _, ops = setup_cache(72, 2, 1)
+    u = su.interpolate(lambda x, y: (np.sin(3 * x) * np.cos(2 * y), x * y * (1 - x)))
+    b = -(1.5 / 0.0125) * (ops.D.T @ u)
+    x = ops.solve_poisson(b, 1e-12)
+    b -= b.mean()
+    assert np.linalg.norm(b - ops.N_p @ x) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_negative_definite_system_is_reported():
     b = np.ones(5)
     with pytest.raises(LinearSolveError, match="non-positive curvature"):

@@ -237,6 +237,22 @@ def test_constructor_rejects_bad_shapes():
         pk.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 3]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite_vertex_by_index(bad):
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 1.0]]
+    with pytest.raises(pk.MeshFormatError, match="vertex 3 has non-finite coordinates"):
+        pk.Mesh(verts, [[0, 1, 2], [1, 3, 2]], [True] * 4)
+
+
+def test_constructor_rejects_triangle_with_nan_area():
+    # finite vertices whose edge vectors overflow: the signed area is
+    # inf - inf = nan, which no comparison with 0 admits
+    verts = [[-1e308, -1e308], [1e308, 1e308], [1e308, -1e308]]
+    with pytest.raises(pk.MeshFormatError, match="triangle 0 has non-positive signed area nan"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pk.Mesh(verts, [[0, 1, 2]], [True] * 3)
+
+
 def test_constructor_rejects_flat_triangle():
     verts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(pk.MeshFormatError, match="triangle 0"):
@@ -306,3 +322,25 @@ def test_over_shared_edge_names_the_edge_and_its_count():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]
     with pytest.raises(pk.MeshFormatError, match=r"edge \(.*0.*1.*\) is shared by 3 triangles"):
         pk.Mesh(verts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]], boundary_vertex_flags=[True] * 5)
+
+
+def structured_triangles_by_loop(n):
+    """Two triangles per grid cell, one cell at a time, row by row: the
+    reference for the vectorized generator."""
+    triangles = []
+    for iy in range(n):
+        for ix in range(n):
+            v00 = iy * (n + 1) + ix
+            v10 = v00 + 1
+            v01 = v00 + (n + 1)
+            v11 = v01 + 1
+            triangles.append((v00, v10, v11))
+            triangles.append((v00, v11, v01))
+    return np.array(triangles, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_structured_triangles_match_the_loop_reference(n):
+    mesh = pk.generate_structured_unit_square(n)
+    assert np.array_equal(mesh.triangles, structured_triangles_by_loop(n))
+    assert mesh.triangles.dtype == np.int64

@@ -151,6 +151,15 @@ def test_coupling_requirement():
     assert cfg.n_steps == 10
 
 
+def test_config_cannot_take_a_mesh_with_a_non_finite_vertex():
+    # h would be nan, and the coupling check h**(k+1) > c*dt false
+    with pytest.raises(pk.MeshFormatError, match="vertex 2 has non-finite coordinates"):
+        pk.SchemeConfig(
+            dt=0.01, T=0.1, mesh=pk.Mesh([[0, 0], [1, 0], [math.nan, 1]], [[0, 1, 2]], [True] * 3),
+            u0=vortex_u0, require_coupling=True,
+        )
+
+
 def test_zero_initial_velocity_gives_identically_zero_run():
     cfg = pk.SchemeConfig(
         dt=0.05, T=0.2, mesh_n=4, degree_u=1, degree_p=1,
