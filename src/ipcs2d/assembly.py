@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe import quad_rule
-from .linsolve import factor_poisson, solve_direct
+from .linsolve import factor_poisson, solve_mass
 
 __all__ = [
     "CellGeometry",
@@ -263,37 +263,63 @@ def _time_average_weights(t_lo, t_hi, cutoff):
     return nodes, coeffs
 
 
-def _load_vector(space_u, geom, vals):
-    # (vals, phi_i) for every velocity basis function; vals: (M, nq, 2)
-    # vector field at the rule points of every cell
-    phi, _ = space_u.ref.eval(geom.rule.points)
-    elem = np.einsum("q,cqd,qi,c->cid", geom.rule.weights, vals, phi, geom.detJ, optimize=True)
-    out = np.zeros(2 * space_u.n_scalar)
-    for c in range(2):
-        np.add.at(space_u.component(out, c), space_u.cell_dofs.ravel(), elem[..., c].ravel())
-    return out
+class _LoadForm:
+    """The load (v, phi_i) of every velocity basis function phi_i, for a
+    vector field v given at the rule points of every cell of one geometry.
+
+    What no field changes is computed once: w_phi[q, i] = w_q phi_i(x_q),
+    w_det[c, q] = detJ_c w_q (the quadrature weights of the physical cells)
+    and the slot of every element load entry.  A call contracts with them
+    in one matrix product and scatters with np.bincount.  bound is the last
+    callable a load through this form evaluated, whose signature needs no
+    second check."""
+
+    def __init__(self, space_u, geom):
+        phi, _ = space_u.ref.eval(geom.rule.points)
+        self.w_phi = geom.rule.weights[:, None] * phi
+        self.w_det = geom.detJ[:, None] * geom.rule.weights
+        self.detJ = geom.detJ
+        n = space_u.n_scalar
+        # element entry (c, d, i) is component d of the cell's local dof i
+        self.slot = (space_u.cell_dofs[:, None, :] + n * np.arange(2)[:, None]).ravel()
+        self.size = 2 * n
+        self.bound = None
+
+    def __call__(self, vals):
+        # vals: (M, nq, 2) vector field at the rule points of every cell
+        scaled = (vals * self.detJ[:, None, None]).transpose(0, 2, 1)
+        elem = scaled.reshape(-1, self.w_phi.shape[0]) @ self.w_phi
+        return np.bincount(self.slot, weights=elem.ravel(), minlength=self.size)
+
+    def norm_sq(self, vals):
+        """Squared quadrature L2 norm of the field."""
+        sq = vals[..., 0] * vals[..., 0] + vals[..., 1] * vals[..., 1]
+        return float(np.sum(self.w_det * sq))
 
 
-def _eval_user_field(fn, name, x, y, t=None):
+def _eval_user_field(fn, name, x, y, t=None, bound=False, finite=True):
     """Values of a user vector field at the points x, y, shape x.shape + (2,).
 
     fn is called as fn(x, y), or as fn(t, x, y) when t is given.  A value
     that is not a callable of those arguments, or a result other than two
-    finite components broadcastable to x.shape, raises ValueError naming
-    the callable, the expected shape and the time."""
+    components broadcastable to x.shape, or (with finite) values that are
+    not all finite, raises ValueError naming the callable, the expected
+    shape and the time.  With bound, fn has passed the callable and
+    signature check before and is called straight away."""
     args = (x, y) if t is None else (t, x, y)
     where = "%s(x, y)" % name if t is None else "%s(t, x, y) at t=%r" % (name, float(t))
     expected = "%s must return two finite components of shape %s" % (where, x.shape)
-    if not callable(fn):
-        raise ValueError("%s: %s is %r, not a callable" % (expected, name, fn))
-    try:
-        inspect.signature(fn).bind(*args)
-    except TypeError as exc:
-        raise ValueError(
-            "%s: it cannot be called with %d arguments (%s)" % (expected, len(args), exc)
-        ) from None
-    except ValueError:
-        pass  # no signature to inspect; the call itself decides
+    if not bound:
+        if not callable(fn):
+            raise ValueError("%s: %s is %r, not a callable" % (expected, name, fn))
+        try:
+            inspect.signature(fn).bind(*args)
+        except TypeError as exc:
+            raise ValueError(
+                "%s: it cannot be called with %d arguments (%s)" % (expected, len(args), exc)
+            ) from None
+        except ValueError:
+            pass  # no signature to inspect; the call itself decides
     out = fn(*args)
     try:
         comps = tuple(out)
@@ -307,12 +333,12 @@ def _eval_user_field(fn, name, x, y, t=None):
             vals[..., c] = comp
         except (TypeError, ValueError) as exc:
             raise ValueError("%s: component %d: %s" % (expected, c, exc)) from None
-    if not np.all(np.isfinite(vals)):
+    if finite and not np.isfinite(vals).all():
         raise ValueError("%s: got non-finite values" % expected)
     return vals
 
 
-def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None):
+def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None, form=None):
     """Load vector of the window-averaged forcing together with the squared
     quadrature norm of the averaged field.
 
@@ -321,21 +347,33 @@ def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None):
     uses three-point Gauss in time; integration is clipped at the cutoff
     while the denominator keeps the full window, and the norm uses the same
     spatial rule as the load so the discrete Cauchy-Schwarz pairing with
-    velocity fields is exact.
+    velocity fields is exact.  form, the _LoadForm of geom, is built when
+    not given; f's signature is checked on its first load through a form.
+    Finiteness is checked once, on the average; when that fails, the nodes
+    are checked one by one, so that the error names the time.
 
     Returns (F, f_norm_sq)."""
     if geom is None:
         geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, 1))
+    if form is None:
+        form = _LoadForm(space_u, geom)
     nodes, coeffs = _time_average_weights(t_lo, t_hi, cutoff)
     x = geom.phys[..., 0]
     y = geom.phys[..., 1]
     fbar = np.zeros(geom.phys.shape[:2] + (2,))
     for tk, ck in zip(nodes, coeffs):
-        fbar += ck * _eval_user_field(f, "f", x, y, tk)
-
-    w = geom.rule.weights
-    f_norm_sq = float(np.einsum("q,cqd,cqd,c->", w, fbar, fbar, geom.detJ, optimize=True))
-    return _load_vector(space_u, geom, fbar), f_norm_sq
+        bound = form.bound is not None and f is form.bound
+        vals = _eval_user_field(f, "f", x, y, tk, bound, finite=False)
+        form.bound = f
+        vals *= ck
+        fbar += vals
+    if not np.isfinite(fbar).all():
+        # the first node whose values are not finite raises
+        for tk in nodes:
+            _eval_user_field(f, "f", x, y, tk, bound=True)
+        # unless f gives other values on a second call
+        raise ValueError("f(t, x, y) averaged over [%r, %r] is not finite" % (t_lo, t_hi))
+    return form(fbar), form.norm_sq(fbar)
 
 
 def eval_at_quad(space, geom, coeffs):
@@ -401,6 +439,7 @@ class OperatorSet:
         self.M_p = scatter_p(_mass_elem(space_p, self.geom))
         self.N_p = scatter_p(_stiffness_elem(space_p, self.geom))
         self.solve_poisson = factor_poisson(self.N_p, self.M_p)
+        self._load_form = _LoadForm(space_u, self.geom)
         # |grad psi_q| per pressure basis function, for normalized
         # divergence residuals
         self.grad_psi_norms = np.sqrt(self.N_p.diagonal())
@@ -413,7 +452,9 @@ class OperatorSet:
         )
 
     def load(self, f, t_lo, t_hi, cutoff=None):
-        return assemble_load(self.space_u, f, t_lo, t_hi, cutoff, self.geom)
+        """assemble_load on this set's rule; the load form is built once,
+        and f's signature is checked on its first load only."""
+        return assemble_load(self.space_u, f, t_lo, t_hi, cutoff, self.geom, self._load_form)
 
     # -- inner products ------------------------------------------------------
 
@@ -475,14 +516,15 @@ def project_L2_onto_Uh(space_u, g, ops, tol=1e-12):
     rule (the integrand is not polynomial in general); the mass solve runs
     on the interior dofs only, with ops.M_free of the space's OperatorSet,
     so the result satisfies the homogeneous boundary condition exactly.
+    It needs no factorization: linsolve.solve_mass refines Chebyshev
+    sweeps on diag(M_free)^-1 M_free, whose spectrum the element bounds of
+    the velocity degree enclose, to rounding, both components at once.
     """
     geom = CellGeometry(space_u.mesh, quad_rule(6))
-    x = geom.phys[..., 0]
-    y = geom.phys[..., 1]
-    rhs = _load_vector(space_u, geom, _eval_user_field(g, "u0", x, y))
+    rhs = _LoadForm(space_u, geom)(_eval_user_field(g, "u0", geom.phys[..., 0], geom.phys[..., 1]))
     # both components share the scalar mass block and its free dofs
     n = space_u.n_scalar
     free = space_u.free[:n]
     out = np.zeros((2, n))
-    out[:, free] = solve_direct(ops.M_free, rhs.reshape(2, n)[:, free].T, tol, "mass").T
+    out[:, free] = solve_mass(ops.M_free, rhs.reshape(2, n)[:, free].T, space_u.degree, tol).T
     return out.ravel()

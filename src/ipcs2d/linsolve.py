@@ -3,27 +3,38 @@
 Every solve verifies its final residual with a fresh matrix-vector
 product and raises LinearSolveError (carrying the achieved residual)
 instead of returning a silently inaccurate solution.  One refine-and-
-verify routine, a sequence of sweeps x <- x + LU^-1 (b - A x) from
-x = 0 or from a start vector, serves every direct solve:
+verify routine, a sequence of sweeps x <- x + P^-1 (b - A x) from x = 0
+or from a start vector, serves every solve; P^-1 is an LU solve or, for
+the mass, a fixed polynomial in diag(M)^-1 M:
 
-  * solve_direct: sparse LU (minimum degree ordering on A^T + A, diagonal
-    pivot threshold 0.1), one factorization for all columns of b, refined
-    with up to three correction sweeps until the residual meets tol;
-  * solve_momentum: the momentum system of a step.  Given the run's
-    MomentumFactor it reuses the LU of an earlier step: only the
-    convection changes from step to step, so a stale LU is still a good
-    preconditioner.  A stale factor starts from the caller's start vector
-    (a step passes an extrapolation of its earlier velocities) when that
-    has a smaller residual than x = 0, and sweeps until the residual is at
-    most tol |b| and at rounding level: the normwise backward error of
-    every column is at most EPS in the infinity norm, or the last sweep no
-    longer halved the residual (stopping at tol alone would leave an error
-    the energy ledger shows); tol is only the failure threshold.  It has
-    STALE_SWEEPS sweeps.  When they run out, or a sweep gives non-finite
-    values, the stale LU is dropped, the matrix refactored once and solved
-    as by solve_direct; a fresh factor that misses tol raises.  The factor
-    is also rebuilt whenever its key, the (a0, dt, mu) of the step,
-    changes;
+  * solve_mass: the velocity mass system, with no factorization.  On
+    affine cells the spectrum of diag(M)^-1 M lies inside that of one
+    element's diag(M_e)^-1 M_e, whatever the mesh, and so does that of any
+    principal block such as the free dofs (Wathen, IMA J. Numer. Anal. 7,
+    1987): [1/2, 2] for P1 and [(5 - sqrt 7)/6, (8 + sqrt 19)/6] =
+    [0.392375, 2.059816] for P2 (MASS_SPECTRUM).  Each sweep is
+    CHEBYSHEV_STEPS steps of Chebyshev semi-iteration on that interval
+    (Wathen & Rees, ETNA 34, 2009): sparse matrix-vector products and
+    elementwise arithmetic only, no inner product, so the error falls by a
+    fixed factor per sweep on every mesh.  The sweeps run to rounding, as
+    for a stale momentum factor below;
+  * solve_momentum: the momentum system of a step, by sparse LU (minimum
+    degree ordering on A^T + A, diagonal pivot threshold 0.1), one
+    factorization for all columns of b.  Given the run's MomentumFactor it
+    reuses the LU of an earlier step: only the convection changes from
+    step to step, so a stale LU is still a good preconditioner.  A stale
+    factor starts from the caller's start vector (a step passes an
+    extrapolation of its earlier velocities) when that has a smaller
+    residual than x = 0, and sweeps until the residual is at most tol |b|
+    and at rounding level: the normwise backward error of every column is
+    at most EPS in the infinity norm, or the last sweep no longer halved
+    the residual (stopping at tol alone would leave an error the energy
+    ledger shows); tol is only the failure threshold.  It has STALE_SWEEPS
+    sweeps.  When they run out, or a sweep gives non-finite values, the
+    stale LU is dropped and the matrix refactored once; a fresh factor
+    refines with up to three correction sweeps and raises if it misses
+    tol.  The factor is also rebuilt whenever its key, the (a0, dt, mu) of
+    the step, changes;
   * factor_poisson: the pure-Neumann pressure Poisson operator, projected
     onto zero row sums and factored once with one dof pinned; each solve
     projects the right side onto the complement of the constant kernel,
@@ -41,7 +52,7 @@ __all__ = [
     "LinearSolveError",
     "MomentumFactor",
     "solve_spd",
-    "solve_direct",
+    "solve_mass",
     "solve_momentum",
     "factor_poisson",
 ]
@@ -50,6 +61,13 @@ __all__ = [
 STALE_SWEEPS = 10
 # unit roundoff bound of the backward-error stop, 2**-52
 EPS = float(np.finfo(float).eps)
+# bounds on the spectrum of diag(M_e)^-1 M_e of the affine Lagrange
+# element mass of each velocity degree, the ends of its exact spectrum
+MASS_SPECTRUM = {1: (0.5, 2.0), 2: ((5.0 - 7.0**0.5) / 6.0, (8.0 + 19.0**0.5) / 6.0)}
+# Chebyshev steps per mass sweep; each sweep cuts the error by at least
+# 2 / (c^16 + c^-16), c = (sqrt(kappa) + 1) / (sqrt(kappa) - 1): 4.6e-8 for
+# P1 (kappa = 4) and 6.3e-7 for P2 (kappa = 5.25)
+CHEBYSHEV_STEPS = 16
 
 
 class LinearSolveError(RuntimeError):
@@ -194,16 +212,36 @@ def _factor(A, what):
         raise LinearSolveError("%s matrix factorization failed: %s" % (what, exc)) from exc
 
 
-def solve_direct(A, b, tol=1e-12, what="linear"):
-    """Direct sparse LU solve to relative residual tol, with iterative
-    refinement as a safety margin.  b may hold one right side per column;
-    they share the factorization.  Raises LinearSolveError, naming the
-    system as what, when the factorization cannot deliver the tolerance
-    (singular system, catastrophic conditioning)."""
+def solve_mass(M, b, degree, tol=1e-12):
+    """Solve M x = b for the velocity mass M of a P1 or P2 space (degree),
+    or any principal block of it, to rounding by Chebyshev sweeps on
+    diag(M)^-1 M (see the module docstring).  b may hold one right side
+    per column.  Raises LinearSolveError when the residual misses tol."""
+    lo, hi = MASS_SPECTRUM[degree]
+    theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    sigma = theta / delta
     b = np.asarray(b, dtype=float)
-    if not np.any(b):
-        return np.zeros_like(b)
-    return _refine(_factor(A, what).solve, A, b, tol, what)
+    inv_diag = 1.0 / M.diagonal()
+
+    def sweep(r):
+        # Chebyshev semi-iteration for M x = r from x = 0 (Saad, Iterative
+        # Methods for Sparse Linear Systems, alg. 12.1), one row per column
+        # of r: a product per column is faster than one of all columns
+        r = np.array(r.T, ndmin=2)
+        rho = 1.0 / sigma
+        d = (inv_diag * r) / theta
+        x = d.copy()
+        for _ in range(CHEBYSHEV_STEPS - 1):
+            for r_j, d_j in zip(r, d):
+                r_j -= M @ d_j
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            d *= rho_next * rho
+            d += (2.0 * rho_next / delta) * (inv_diag * r)
+            rho = rho_next
+            x += d
+        return x.T.reshape(b.shape)
+
+    return _refine(sweep, M, b, tol, "mass", to_rounding=True)
 
 
 class MomentumFactor:
@@ -225,8 +263,8 @@ class MomentumFactor:
 
 def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
     """Solve the momentum system of one step, reusing factor's LU while key
-    matches (see the module docstring); without factor, A is factored as by
-    solve_direct.  A stale LU refines from the start vector x0 when it is
+    matches (see the module docstring); without factor, A is factored
+    afresh.  A stale LU refines from the start vector x0 when it is
     given and its residual is below |b|; a fresh one always starts from 0.
     Every step calls it once, so a traced run (perfbench/spans.py) counts
     one momentum solve per step."""

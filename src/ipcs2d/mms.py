@@ -6,9 +6,10 @@ forcing that makes them solve the momentum equation
     f = du/dt + (u . grad) u - mu lap(u) + grad p.
 
 Each callable builds every factor from the sines and cosines of pi x and
-pi y; the derivation is in the stream_vortex_case docstring.  The forcing
-computes those once per point set: a run evaluates it at the same
-quadrature points three times a step, and only the time factors change.
+pi y; the derivation is in the stream_vortex_case docstring.  A run
+evaluates the forcing at the same quadrature points three times a step,
+and only its time factors change, so the forcing keeps the spatial fields
+of its last point set and recombines them with sin t, cos t and cos^2 t.
 
 The stock case drives a decaying vortex from the stream function
 psi = sin^2(pi x) sin^2(pi y) cos(t), so the velocity is divergence free
@@ -76,35 +77,49 @@ def stream_vortex_case(mu=1.0):
         grad p    = -pi cos t (sx cy, cx sy)
 
     with du/dt = -pi sin t (sx^2 Sy, -Sx sy^2), and
-    f = du/dt + (u.grad)u - mu lap u + grad p.
+    f = du/dt + (u.grad)u - mu lap u + grad p.  Each component of f is
+    therefore sin t A + cos^2 t C + cos t D with fields of x and y alone:
 
-    f keeps the sines and cosines of the last points it saw, so repeated
-    calls at one point set compute them once; its values are the same,
-    bit for bit, as those of a fresh case."""
+        A = pi (-sx^2 Sy, Sx sy^2)
+        C = 2 pi^3 sx^2 sy^2 (Sx, Sy)
+        D = -2 pi^3 mu (Sy (1 - 4 sx^2), Sx (4 sy^2 - 1)) - pi (sx cy, cx sy)
+
+    f keeps these six fields for the last points it saw, so repeated calls
+    at one point set compute them once; its values are the same, bit for
+    bit, as those of a fresh case."""
     if mu <= 0:
         raise ValueError("viscosity mu must be positive")
     pi = math.pi
 
-    def factors(sx, cx, sy, cy):
+    def trig(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        sx, cx, sy, cy = np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
         return sx, cx, 2.0 * sx * cx, sy, cy, 2.0 * sy * cy
 
-    def sin_cos(x, y):
-        return np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
-
-    def trig(x, y):
-        return factors(*sin_cos(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-
-    # copies of the last (x, y) f saw and their sines and cosines; the
-    # copies catch a point set changed in place
+    # copies of the last (x, y) f saw and the fields A, C, D of both
+    # components there; the copies catch a point set changed in place
     memo = []
 
-    def forcing_trig(x, y):
+    def forcing_fields(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if not (memo and np.array_equal(memo[0], x) and np.array_equal(memo[1], y)):
-            memo.clear()
-            memo.extend((x.copy(), y.copy()) + sin_cos(x, y))
-        return factors(*memo[2:])
+            sx, cx, Sx, sy, cy, Sy = trig(x, y)
+            sx2, sy2 = sx * sx, sy * sy
+            convect = 2.0 * pi**3 * sx2 * sy2
+            diffuse = 2.0 * pi**3 * mu
+            memo[:] = [
+                x.copy(),
+                y.copy(),
+                -pi * sx2 * Sy,
+                convect * Sx,
+                -diffuse * Sy * (1.0 - 4.0 * sx2) - pi * sx * cy,
+                pi * Sx * sy2,
+                convect * Sy,
+                -diffuse * Sx * (4.0 * sy2 - 1.0) - pi * cx * sy,
+            ]
+        return memo[2:]
 
     def u(t, x, y):
         sx, _, Sx, sy, _, Sy = trig(x, y)
@@ -127,15 +142,10 @@ def stream_vortex_case(mu=1.0):
         return cx * cy * np.cos(t)
 
     def f(t, x, y):
-        sx, cx, Sx, sy, cy, Sy = forcing_trig(x, y)
-        ct, st = np.cos(t), np.sin(t)
-        sx2, sy2 = sx * sx, sy * sy
-        convect = 2.0 * pi**3 * ct * ct * sx2 * sy2
-        diffuse = 2.0 * pi**3 * mu * ct
-        return (
-            -pi * st * sx2 * Sy + convect * Sx - diffuse * Sy * (1.0 - 4.0 * sx2) - pi * ct * sx * cy,
-            pi * st * Sx * sy2 + convect * Sy - diffuse * Sx * (4.0 * sy2 - 1.0) - pi * ct * cx * sy,
-        )
+        a1, c1, d1, a2, c2, d2 = forcing_fields(x, y)
+        st, ct = np.sin(t), np.cos(t)
+        ct2 = ct * ct
+        return st * a1 + ct2 * c1 + ct * d1, st * a2 + ct2 * c2 + ct * d2
 
     return ManufacturedCase("stream_vortex", mu, u, p, f, grad_u)
 

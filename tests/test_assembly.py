@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ipcs2d as pk
-from ipcs2d import assembly
+from ipcs2d import assembly, linsolve
 from ipcs2d.assembly import (
     CellGeometry,
     _coupling_elems,
@@ -421,6 +421,99 @@ def perturbed_mesh(n, seed):
     interior = ~mesh.boundary_vertex_flags
     v[interior] += rng.uniform(-0.15, 0.15, (int(interior.sum()), 2)) / n
     return pk.Mesh(v, mesh.triangles)
+
+
+def load_by_einsum(space_u, geom, vals):
+    """(vals, phi_i) for every velocity basis function, and the squared
+    quadrature norm of vals: the einsum contraction and np.add.at scatter
+    that _LoadForm replaces."""
+    phi, _ = space_u.ref.eval(geom.rule.points)
+    elem = np.einsum("q,cqd,qi,c->cid", geom.rule.weights, vals, phi, geom.detJ, optimize=True)
+    out = np.zeros(2 * space_u.n_scalar)
+    for c in range(2):
+        np.add.at(space_u.component(out, c), space_u.cell_dofs.ravel(), elem[..., c].ravel())
+    norm_sq = float(np.einsum("q,cqd,cqd,c->", geom.rule.weights, vals, vals, geom.detJ, optimize=True))
+    return out, norm_sq
+
+
+@pytest.mark.parametrize("deg_u", [1, 2])
+def test_load_matches_the_einsum_reference(deg_u):
+    su = pk.build_space(perturbed_mesh(6, deg_u), deg_u, components=2, homogeneous_dirichlet=True)
+    sp = pk.build_space(su.mesh, 1, components=1, zero_mean=True)
+    ops = pk.OperatorSet(su, sp)
+    case = pk.stream_vortex_case(mu=0.5)
+    x, y = ops.geom.phys[..., 0], ops.geom.phys[..., 1]
+    for t_lo in (0.0, 0.35):
+        nodes, coeffs = assembly._time_average_weights(t_lo, t_lo + 0.1, None)
+        fbar = sum(ck * np.stack(case.f(tk, x, y), axis=-1) for tk, ck in zip(nodes, coeffs))
+        F_ref, q_ref = load_by_einsum(su, ops.geom, fbar)
+        F, q = ops.load(case.f, t_lo, t_lo + 0.1)
+        assert np.abs(F - F_ref).max() <= 1e-15 * np.abs(F_ref).max()
+        assert abs(q - q_ref) <= 1e-14 * q_ref
+
+
+def test_load_binds_the_signature_once_and_checks_the_average(setup_cache, monkeypatch):
+    _, _, _, ops = setup_cache(2, 1, 1)
+    binds = []
+    signature = assembly.inspect.signature
+    monkeypatch.setattr(assembly.inspect, "signature", lambda fn: binds.append(fn) or signature(fn))
+
+    def f(t, x, y):
+        return (x, y)
+
+    for m in range(3):
+        ops.load(f, 0.1 * m, 0.1 * m + 0.1)
+    assert binds == [f]
+    # a callable that is not finite only on its first call: every node is
+    # finite when re-checked, so the error names the window
+    calls = []
+
+    def flaky(t, x, y):
+        calls.append(t)
+        return (np.full_like(x, np.nan if len(calls) == 1 else 1.0), y)
+
+    with pytest.raises(ValueError, match="f\\(t, x, y\\) averaged over \\[0.0, 0.1\\] is not finite"):
+        ops.load(flaky, 0.0, 0.1)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("deg", [1, 2])
+def test_mass_bounds_are_the_element_spectrum(deg):
+    # Wathen's bounds: the extreme eigenvalues of diag(M_e)^-1 M_e
+    rule = pk.quad_rule(2 * deg)
+    phi, _ = pk.ReferenceElement(deg).eval(rule.points)
+    T = np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
+    d = np.sqrt(np.diag(T))
+    eig = np.linalg.eigvalsh(T / np.outer(d, d))
+    lo, hi = linsolve.MASS_SPECTRUM[deg]
+    assert abs(eig[0] - lo) <= 1e-12 and abs(eig[-1] - hi) <= 1e-12
+    # they enclose the spectrum of the free block on a jittered mesh
+    su = pk.build_space(perturbed_mesh(4, deg), deg, components=2, homogeneous_dirichlet=True)
+    ops = pk.OperatorSet(su, pk.build_space(su.mesh, 1, components=1, zero_mean=True))
+    M = ops.M_free.toarray()
+    d = np.sqrt(np.diag(M))
+    eig = np.linalg.eigvalsh(M / np.outer(d, d))
+    assert lo - 1e-12 <= eig[0] and eig[-1] <= hi + 1e-12
+
+
+@pytest.mark.parametrize("deg", [1, 2])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_projection_matches_a_dense_mass_solve(deg, jitter, monkeypatch):
+    mesh = perturbed_mesh(6, deg) if jitter else pk.generate_structured_unit_square(6)
+    su = pk.build_space(mesh, deg, components=2, homogeneous_dirichlet=True)
+    ops = pk.OperatorSet(su, pk.build_space(mesh, 1, components=1, zero_mean=True))
+    factors = []
+    monkeypatch.setattr(linsolve, "_factor", lambda *args: factors.append(args))
+    g = pk.stream_vortex_case(mu=1.0).u0
+    got = pk.project_L2_onto_Uh(su, g, ops)
+    assert factors == []
+    geom = CellGeometry(mesh, pk.quad_rule(6))
+    rhs, _ = load_by_einsum(su, geom, np.stack(g(geom.phys[..., 0], geom.phys[..., 1]), axis=-1))
+    n = su.n_scalar
+    free = su.free[:n]
+    expect = np.zeros((2, n))
+    expect[:, free] = np.linalg.solve(ops.M_free.toarray(), rhs.reshape(2, n)[:, free].T).T
+    assert np.abs(got - expect.ravel()).max() <= 1e-13 * np.abs(expect).max()
 
 
 def convection_by_quadrature(space, w, rule):

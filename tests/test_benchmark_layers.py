@@ -45,8 +45,8 @@ def test_traced_quickstart_attributes_every_step(tmp_path, monkeypatch):
     counts = result["counts"]
     assert counts["linsolve.momentum_calls"] == spec["n_steps"]
     assert counts["assembly.convection_calls"] == spec["n_steps"]
-    # the run keeps its momentum LU across steps: the Poisson operator, the
-    # level-0 mass block, backward Euler and the first BDF2 step factor
+    # the run keeps its momentum LU across steps: the Poisson operator,
+    # backward Euler and the first BDF2 step factor (the mass needs none)
     assert counts["linsolve.lu_factorizations"] <= 6
     # every forcing evaluation goes through the case's (wrapped) f: three
     # Gauss nodes per step, 2 n^2 cells, the 7-point rule of P2/P1

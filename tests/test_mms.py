@@ -170,6 +170,35 @@ def test_memoized_factors_match_a_fresh_case():
     assert_fresh(case, 0.4, x[:, :3], y[:, :3])  # a view of another shape
 
 
+def forcing_by_terms(mu, t, x, y):
+    """The stream vortex forcing term by term, each with its time factor:
+    the arithmetic before the spatial fields were kept per point set."""
+    pi = math.pi
+    sx, cx, sy, cy = np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
+    Sx, Sy = 2.0 * sx * cx, 2.0 * sy * cy
+    ct, st = np.cos(t), np.sin(t)
+    sx2, sy2 = sx * sx, sy * sy
+    convect = 2.0 * pi**3 * ct * ct * sx2 * sy2
+    diffuse = 2.0 * pi**3 * mu * ct
+    return (
+        -pi * st * sx2 * Sy + convect * Sx - diffuse * Sy * (1.0 - 4.0 * sx2) - pi * ct * sx * cy,
+        pi * st * Sx * sy2 + convect * Sy - diffuse * Sx * (4.0 * sy2 - 1.0) - pi * ct * cx * sy,
+    )
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.01])
+def test_forcing_fields_match_the_term_by_term_forcing(mu):
+    rng = np.random.default_rng(5)
+    x, y = rng.random((2, 300, 7))
+    case = pk.stream_vortex_case(mu)
+    for t in (0.0, 0.3, 1.1, 2.9):
+        expect = np.array(forcing_by_terms(mu, t, x, y))
+        got = np.array(case.f(t, x, y))
+        assert np.abs(got - expect).max() <= 4 * np.spacing(np.abs(expect).max())
+        # the memoized fields give a fresh case's values bit for bit
+        assert np.array_equal(got, np.array(pk.stream_vortex_case(mu).f(t, x, y)))
+
+
 @pytest.fixture(scope="module")
 def zero_field_run():
     cfg = pk.SchemeConfig(

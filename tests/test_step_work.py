@@ -3,22 +3,25 @@
 The README quick-start run (n=16 P2/P1, dt=0.01, 50 steps) with the calls
 that dominate a step counted: the Riesz vector of each level is formed
 once, the velocity mass is applied three times per step, the momentum
-refinement stays within its sweep budget and each step assembles one
-convection.  The VTK writer builds the level-independent part of a file
-once per space pair.  No timing: the counts repeat exactly from run to
-run.
+refinement stays within its sweep budget, each step assembles one
+convection, the run factors only the Poisson operator and two momentum
+matrices (no mass), and the signatures of u0 and f are checked once.
+The VTK writer builds the level-independent part of a file once per
+space pair.  No timing: the counts repeat exactly from run to run.
 """
 
 import gc
+import inspect
 
 import numpy as np
 
 import ipcs2d as pk
-from ipcs2d import assembly, fileio
+from ipcs2d import assembly, fileio, linsolve
 
 
 def test_quickstart_run_work_counts(monkeypatch):
-    counts = {"riesz": 0, "mass": 0, "convection": 0}
+    counts = {"riesz": 0, "mass": 0, "convection": 0, "signature": 0}
+    factored = []
     ops_class = assembly.OperatorSet
     yh_pair_with_u = ops_class.yh_pair_with_u
     apply_free = ops_class._apply_free
@@ -36,6 +39,19 @@ def test_quickstart_run_work_counts(monkeypatch):
         counts["convection"] += 1
         return assemble_convection(*args, **kwargs)
 
+    factor = linsolve._factor
+    signature = inspect.signature
+
+    def counted_factor(A, what):
+        factored.append(what)
+        return factor(A, what)
+
+    def counted_signature(fn):
+        counts["signature"] += 1
+        return signature(fn)
+
+    monkeypatch.setattr(linsolve, "_factor", counted_factor)
+    monkeypatch.setattr(inspect, "signature", counted_signature)
     monkeypatch.setattr(ops_class, "yh_pair_with_u", counted_riesz)
     monkeypatch.setattr(ops_class, "_apply_free", counted_apply)
     monkeypatch.setattr(assembly, "assemble_convection", counted_convection)
@@ -52,6 +68,8 @@ def test_quickstart_run_work_counts(monkeypatch):
     assert counts["mass"] <= 3 * n + 1
     assert sum(traj.momentum_sweeps) <= 200
     assert counts["convection"] == n
+    assert factored == ["pressure Poisson", "momentum", "momentum"]
+    assert counts["signature"] == 2
     # no stored level keeps its Riesz vector once the run is over
     assert all(level.riesz is None for level in traj.levels)
 
