@@ -21,22 +21,34 @@ Config grammar: one "key = value" per line, '#' starts a comment.  Keys:
                  (default 1e-12)
     out_dir      output directory (default "out")
 
-Field output is legacy ASCII VTK (version 3.0), one file per stored level:
-point vectors u_tilde and u_proj, point scalars p.  u_proj is the
+Field output is legacy binary VTK (version 3.0), one file per stored
+level: point vectors u_tilde and u_proj, point scalars p.  u_proj is the
 end-of-step velocity, whose gradient part lives cell-wise; for point data
 it is averaged over incident cells with area weights (a display choice,
 never used in norms — the cellwise flag appends the unaveraged per-cell
 field as CELL_DATA).  All writers are deterministic for a fixed input.
 
+A VTK file's header and keyword lines are ASCII text.  Each data block
+follows its keyword line as raw big-endian values, ">f8" for double
+(vectors as x, y, 0 rows) and ">i4" for the CELLS and CELL_TYPES
+integers, closed by one "\\n"; ParaView reads this layout.  The doubles
+are the fields bit for bit.  With data the file's bytes, line its
+"POINTS n double" line and start the offset just past that line, numpy
+reads the block as
+
+    n = int(line.split()[1])
+    xyz = np.frombuffer(data, ">f8", 3 * n, start).reshape(n, 3)
+    start += xyz.nbytes + 1                 # past the closing "\\n"
+
 write_vtk keeps one output plan per pressure space, in a weak-keyed
 cache private to this module, for the velocity space it was last used
 with; a different velocity space rebuilds it.  The plan holds what no
-level changes: the mesh text from POINTS through POINT_DATA, the cell
-geometry, the gradient factors, the vertex area weights and the centroid
-basis values.  It caches inputs and factors, never a reordered sum, so
-every file is byte for byte what the unplanned writer gives.  It assumes
-the mesh is not edited in place once the spaces are built, as FESpace
-already does.
+level changes: the encoded mesh blocks from POINTS through POINT_DATA,
+the cell geometry, the gradient factors, the vertex area weights and the
+centroid basis values.  It caches inputs and factors, never a reordered
+sum, so every value written is bit for bit what the unoptimised einsums
+give.  It assumes the mesh is not edited in place once the spaces are
+built, as FESpace already does.
 """
 
 import math
@@ -200,30 +212,35 @@ def write_rate_table_csv(rows, path):
     _write_csv(path, ["n", "dt", "err_u_L2", "err_u_H1", "err_p_L2", "rate_u", "rate_p"], rows)
 
 
-def _format_rows(template, rows):
-    # one formatted line per row of a 2-D array, as one string
-    return (template * len(rows)) % tuple(np.asarray(rows).ravel().tolist())
+def _block(values, dtype=">f8"):
+    # one binary data block: the values, row by row, big-endian, then "\n"
+    return np.asarray(values, dtype).tobytes() + b"\n"
 
 
-def _mesh_text(mesh):
+def _vectors(xy):
+    # (n, 2) values as the block of a VTK vector field, z = 0
+    return _block(np.column_stack((xy, np.zeros(len(xy)))))
+
+
+def _mesh_bytes(mesh):
     """The level-independent middle of a VTK file: POINTS through the
     POINT_DATA line."""
     nv, nt = mesh.n_vertices, mesh.n_triangles
-    return "".join((
-        "POINTS %d double\n" % nv,
-        _format_rows("%.17g %.17g 0\n", mesh.vertices),
-        "CELLS %d %d\n" % (nt, 4 * nt),
-        _format_rows("3 %d %d %d\n", mesh.triangles),
-        "CELL_TYPES %d\n" % nt,
-        "5\n" * nt,
-        "POINT_DATA %d\n" % nv,
+    return b"".join((
+        b"POINTS %d double\n" % nv,
+        _vectors(mesh.vertices),
+        b"CELLS %d %d\n" % (nt, 4 * nt),
+        _block(np.column_stack((np.full(nt, 3), mesh.triangles)), ">i4"),
+        b"CELL_TYPES %d\n" % nt,
+        _block(np.full(nt, 5), ">i4"),
+        b"POINT_DATA %d\n" % nv,
     ))
 
 
 class _OutputPlan:
     """Everything write_vtk needs of one (space_u, space_p) pair that does
-    not depend on the level: the mesh text, the gradient factors, the
-    vertex area weights and the centroid basis values.
+    not depend on the level: the encoded mesh blocks, the gradient factors,
+    the vertex area weights and the centroid basis values.
 
     factors[i, e, v, d, c] = dpsi[v, i, e] * inv_j[c, e, d], dpsi being the
     reference gradients of the pressure basis at the reference vertices;
@@ -242,7 +259,7 @@ class _OutputPlan:
         _, dpsi = space_p.ref.eval(ref_vertices)
         self.space_u = space_u
         self.nv = mesh.n_vertices
-        self.mesh_text = _mesh_text(mesh)
+        self.mesh_bytes = _mesh_bytes(mesh)
         self.cell_dofs_p = space_p.cell_dofs
         self.local_dofs_p = np.ascontiguousarray(space_p.cell_dofs.T)
         self.factors = (
@@ -301,7 +318,9 @@ def _output_plan(space_u, space_p):
 
 
 def write_vtk(level, space_u, space_p, path, cellwise=False):
-    """Write one stored level as a legacy ASCII VTK unstructured grid.
+    """Write one stored level as a legacy binary VTK unstructured grid
+    (layout in the module docstring: ASCII keyword lines, each data block
+    raw big-endian ">f8" or ">i4" values followed by one "\\n").
 
     Point data: vectors u_tilde and u_proj (end-of-step velocity with the
     vertex-averaged gradient part), scalar p.  With cellwise=True the
@@ -314,18 +333,14 @@ def write_vtk(level, space_u, space_p, path, cellwise=False):
     utilde = level.utilde.reshape(2, space_u.n_scalar)[:, :nv].T
     proj = utilde + plan.vertex_grad(level.phi)
 
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("time level %d t=%.17g\n" % (level.m, level.t))
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(plan.mesh_text)
-        fh.write("VECTORS u_tilde double\n")
-        fh.write(_format_rows("%.17g %.17g 0\n", utilde))
-        fh.write("VECTORS u_proj double\n")
-        fh.write(_format_rows("%.17g %.17g 0\n", proj))
-        fh.write("SCALARS p double\nLOOKUP_TABLE default\n")
-        fh.write(_format_rows("%.17g\n", level.p[:nv, None]))
+    with open(path, "wb") as fh:
+        fh.write(b"# vtk DataFile Version 3.0\n")
+        fh.write(b"time level %d t=%.17g\n" % (level.m, level.t))
+        fh.write(b"BINARY\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(plan.mesh_bytes)
+        fh.write(b"VECTORS u_tilde double\n" + _vectors(utilde))
+        fh.write(b"VECTORS u_proj double\n" + _vectors(proj))
+        fh.write(b"SCALARS p double\nLOOKUP_TABLE default\n" + _block(level.p[:nv]))
         if cellwise:
-            fh.write("CELL_DATA %d\n" % space_u.mesh.n_triangles)
-            fh.write("VECTORS u_proj_cell double\n")
-            fh.write(_format_rows("%.17g %.17g 0\n", plan.cell_velocity(level)))
+            fh.write(b"CELL_DATA %d\n" % space_u.mesh.n_triangles)
+            fh.write(b"VECTORS u_proj_cell double\n" + _vectors(plan.cell_velocity(level)))

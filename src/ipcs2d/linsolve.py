@@ -156,6 +156,20 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
     return x
 
 
+def _residual(A, b, x):
+    # b - A x by one single-vector product per column of b: faster here than
+    # scipy's multi-vector product, which adds in the same order
+    if b.ndim == 1:
+        return b - A @ x
+    return np.column_stack([b_j - A @ x_j for b_j, x_j in zip(b.T, x.T)])
+
+
+def _norm(r):
+    # the Frobenius norm by an elementwise sum: a BLAS reduction right after
+    # a sparse product can stall with several BLAS threads
+    return float(np.sqrt(np.sum(r * r)))
+
+
 def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
     """Sweeps x <- x + solve(b - A x), at most sweeps of them, until the
     fresh residual r = b - A x has |r| <= tol |b| (Frobenius norm over the
@@ -166,20 +180,20 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
     ch. 12; |A|_inf is computed at most once per call).  Raises
     LinearSolveError when the sweeps run out.  The sweeps start from x0
     when it is given and |b - A x0| < |b|, else from x = 0."""
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
     x, r = 0.0, b
     if x0 is not None:
-        r0 = b - A @ x0
-        if float(np.linalg.norm(r0)) < bnorm:
+        r0 = _residual(A, b, x0)
+        if _norm(r0) < bnorm:
             x, r = x0, r0
     x = x + solve(r)
     last = np.inf
     a_norm = None
     for done in range(1, sweeps + 1):
-        r = b - A @ x
-        res = float(np.linalg.norm(r))
+        r = _residual(A, b, x)
+        res = _norm(r)
         if not np.isfinite(res):
             raise LinearSolveError("%s solve produced non-finite values" % what)
         if res <= tol * bnorm:

@@ -2,8 +2,11 @@
 
 import os
 
+import numpy as np
 import pytest
+from vtk_binary import read_vtk_file
 
+import ipcs2d as pk
 from ipcs2d import cli
 from ipcs2d.cli import main
 
@@ -34,7 +37,9 @@ def test_run_writes_ledger_and_vtk_levels(tmp_path, capsys):
         "fields_000004.vtk",
         "fields_000005.vtk",
     ]
-    assert "CELL_DATA" not in (out / "fields_000000.vtk").read_text()
+    lines = read_vtk_file(out / "fields_000000.vtk").lines
+    assert "POINT_DATA 25" in lines
+    assert not any(line.startswith("CELL_DATA") for line in lines)
 
 
 def test_run_cellwise_flag_appends_cell_data(tmp_path):
@@ -44,8 +49,32 @@ def test_run_cellwise_flag_appends_cell_data(tmp_path):
         "mesh_n = 2\ndt = 0.05\nT = 0.1\ndegree_u = 1\nout_dir = %s\n" % out,
     )
     assert main(["run", cfg, "--cellwise"]) == 0
-    text = (out / "fields_000000.vtk").read_text()
-    assert "CELL_DATA 8" in text and "u_proj_cell" in text
+    vtk = read_vtk_file(out / "fields_000000.vtk")
+    assert vtk.lines[-2:] == ["CELL_DATA 8", "VECTORS u_proj_cell double"]
+    assert vtk.blocks["u_proj_cell"].shape == (8, 3)
+
+
+def test_run_vtk_files_decode_to_the_final_level(tmp_path):
+    out = tmp_path / "decode"
+    cfg = write_cfg(
+        tmp_path,
+        "mesh_n = 3\ndt = 0.05\nT = 0.15\ndegree_u = 2\nout_dir = %s\n" % out,
+    )
+    assert main(["run", cfg, "--cellwise"]) == 0
+    files = sorted(out.glob("fields_*.vtk"))
+    assert len(files) == 4
+    decoded = [read_vtk_file(path) for path in files]
+    names = ["POINTS", "CELLS", "CELL_TYPES", "u_tilde", "u_proj", "p", "u_proj_cell"]
+    assert all(list(vtk.blocks) == names for vtk in decoded)
+    # the run is deterministic, so the library gives the CLI's last level
+    traj = pk.run(pk.parse_config(cfg))
+    final, su = traj.final, traj.ops.space_u
+    nv = su.mesh.n_vertices
+    assert decoded[-1].lines[1] == "time level %d t=%.17g" % (final.m, final.t)
+    u_tilde = decoded[-1].blocks["u_tilde"]
+    assert np.array_equal(u_tilde[:, 0], su.component(final.utilde, 0)[:nv])
+    assert np.array_equal(u_tilde[:, 1], su.component(final.utilde, 1)[:nv])
+    assert np.array_equal(decoded[-1].blocks["p"], final.p[:nv])
 
 
 def test_verify_reports_residuals_and_passes(tmp_path, capsys):

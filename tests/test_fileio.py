@@ -1,6 +1,7 @@
 """Config parsing and the CSV / VTK writers."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import ipcs2d as pk
 from ipcs2d.diagnostics import CSV_COLUMNS
+from vtk_binary import read_vtk, read_vtk_file
 
 LEDGER_HEADER = (
     "step,t,norm_u_sq,norm_2u_minus_um1_sq,dt2_gradp_sq,E_h,split_err_sq,"
@@ -257,43 +259,35 @@ def test_vtk_zero_state_on_smallest_mesh(tmp_path, setup_cache):
     level = Level(0, 0.0, np.zeros(su.ndofs), np.zeros(sp.ndofs), np.zeros(sp.ndofs))
     path = tmp_path / "zero.vtk"
     pk.write_vtk(level, su, sp, path, cellwise=True)
-    text = path.read_text()
-    lines = text.split("\n")
-    assert lines[0] == "# vtk DataFile Version 3.0"
-    assert "POINTS 4 double" in text
-    assert "CELLS 2 8" in text
-    assert "CELL_TYPES 2" in text
-    assert "POINT_DATA 4" in text
-    assert "VECTORS u_tilde double" in text
-    assert "VECTORS u_proj double" in text
-    assert "SCALARS p double" in text
-    assert "CELL_DATA 2" in text
-    assert "VECTORS u_proj_cell double" in text
-    # every numeric payload row of a zero state is zero
-    idx = lines.index("VECTORS u_tilde double")
-    for row in lines[idx + 1 : idx + 5]:
-        assert [float(v) for v in row.split()] == [0.0, 0.0, 0.0]
+    vtk = read_vtk_file(path)
+    assert vtk.lines == [
+        "# vtk DataFile Version 3.0", "time level 0 t=0", "BINARY", "DATASET UNSTRUCTURED_GRID",
+        "POINTS 4 double", "CELLS 2 8", "CELL_TYPES 2", "POINT_DATA 4",
+        "VECTORS u_tilde double", "VECTORS u_proj double", "SCALARS p double",
+        "LOOKUP_TABLE default", "CELL_DATA 2", "VECTORS u_proj_cell double",
+    ]
+    assert np.array_equal(vtk.blocks["POINTS"][:, :2], mesh.vertices)
+    assert np.array_equal(vtk.blocks["CELLS"], np.column_stack((np.full(2, 3), mesh.triangles)))
+    assert np.array_equal(vtk.blocks["CELL_TYPES"], [5, 5])
+    # every value of a zero state is zero
+    for name in ("u_tilde", "u_proj", "p", "u_proj_cell"):
+        assert not np.any(vtk.blocks[name])
+    assert vtk.blocks["POINTS"][:, 2].tolist() == [0.0] * 4
 
 
 def test_vtk_point_vectors_are_vertex_coefficients(tmp_path, tiny_run):
     traj = tiny_run
     su = traj.ops.space_u
     sp_ = traj.ops.space_p
-    mesh = su.mesh
+    nv = su.mesh.n_vertices
     path = tmp_path / "fields.vtk"
     pk.write_vtk(traj.final, su, sp_, path)
-    lines = path.read_text().split("\n")
-    idx = lines.index("VECTORS u_tilde double")
-    ux = su.component(traj.final.utilde, 0)
-    uy = su.component(traj.final.utilde, 1)
-    for v in range(mesh.n_vertices):
-        got = [float(s) for s in lines[idx + 1 + v].split()]
-        assert math.isclose(got[0], ux[v], rel_tol=0, abs_tol=1e-12)
-        assert math.isclose(got[1], uy[v], rel_tol=0, abs_tol=1e-12)
-        assert got[2] == 0.0
-    pdx = lines.index("LOOKUP_TABLE default")
-    for v in range(mesh.n_vertices):
-        assert math.isclose(float(lines[pdx + 1 + v]), traj.final.p[v], abs_tol=1e-15)
+    blocks = read_vtk_file(path).blocks
+    u = blocks["u_tilde"]
+    assert np.array_equal(u[:, 0], su.component(traj.final.utilde, 0)[:nv])
+    assert np.array_equal(u[:, 1], su.component(traj.final.utilde, 1)[:nv])
+    assert not np.any(u[:, 2])
+    assert np.array_equal(blocks["p"], traj.final.p[:nv])
 
 
 def reference_vertex_grad(sp, phi):
@@ -313,39 +307,47 @@ def reference_vertex_grad(sp, phi):
     return acc / weight[:, None]
 
 
-def reference_vtk_text(level, su, sp, cellwise):
-    # the writer as it was before it batched each block and kept a plan per
-    # space pair: one formatted write per line, kept as the byte-for-byte
-    # reference
+def reference_cell_velocity(level, su, sp):
+    # the end-of-step velocity at the cell centroids, by the writer's
+    # original einsums
     from ipcs2d.assembly import CellGeometry
     from ipcs2d.fe import quad_rule
 
+    centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
+    phi_u, _ = su.ref.eval(centroid)
+    _, dpsi = sp.ref.eval(centroid)
+    geom = CellGeometry(su.mesh, quad_rule(1))
+    cbx = np.einsum("qi,ci->c", phi_u, su.component(level.utilde, 0)[su.cell_dofs])
+    cby = np.einsum("qi,ci->c", phi_u, su.component(level.utilde, 1)[su.cell_dofs])
+    cg = np.einsum("qie,ced,ci->cd", dpsi, geom.inv_j, level.phi[sp.cell_dofs])
+    return np.column_stack((cbx + cg[:, 0], cby + cg[:, 1]))
+
+
+def reference_vtk_bytes(level, su, sp, cellwise):
+    # the file from the writer's original, unplanned numerics, encoded one
+    # row at a time with struct: the byte-for-byte reference
     mesh = su.mesh
     nv, nt = mesh.n_vertices, mesh.n_triangles
     gphi = reference_vertex_grad(sp, level.phi)
     ux, uy = su.component(level.utilde, 0)[:nv], su.component(level.utilde, 1)[:nv]
-    out = ["# vtk DataFile Version 3.0\n", "time level %d t=%.17g\n" % (level.m, level.t),
-           "ASCII\nDATASET UNSTRUCTURED_GRID\n", "POINTS %d double\n" % nv]
-    out += ["%.17g %.17g 0\n" % (x, y) for x, y in mesh.vertices]
-    out.append("CELLS %d %d\n" % (nt, 4 * nt))
-    out += ["3 %d %d %d\n" % (a, b, c) for a, b, c in mesh.triangles]
-    out += ["CELL_TYPES %d\n" % nt, "5\n" * nt, "POINT_DATA %d\n" % nv, "VECTORS u_tilde double\n"]
-    out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(ux, uy)]
-    out.append("VECTORS u_proj double\n")
-    out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(ux + gphi[:, 0], uy + gphi[:, 1])]
-    out.append("SCALARS p double\nLOOKUP_TABLE default\n")
-    out += ["%.17g\n" % v for v in level.p[:nv]]
+
+    def vectors(xs, ys):
+        return b"".join(struct.pack(">ddd", x, y, 0.0) for x, y in zip(xs, ys)) + b"\n"
+
+    out = [b"# vtk DataFile Version 3.0\n", b"time level %d t=%.17g\n" % (level.m, level.t),
+           b"BINARY\nDATASET UNSTRUCTURED_GRID\n", b"POINTS %d double\n" % nv,
+           vectors(mesh.vertices[:, 0], mesh.vertices[:, 1]), b"CELLS %d %d\n" % (nt, 4 * nt)]
+    out += [struct.pack(">4i", 3, a, b, c) for a, b, c in mesh.triangles]
+    out += [b"\nCELL_TYPES %d\n" % nt, struct.pack(">i", 5) * nt, b"\nPOINT_DATA %d\n" % nv]
+    out += [b"VECTORS u_tilde double\n", vectors(ux, uy)]
+    out += [b"VECTORS u_proj double\n", vectors(ux + gphi[:, 0], uy + gphi[:, 1])]
+    out += [b"SCALARS p double\nLOOKUP_TABLE default\n"]
+    out += [struct.pack(">d", v) for v in level.p[:nv]] + [b"\n"]
     if cellwise:
-        centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-        phi_u, _ = su.ref.eval(centroid)
-        _, dpsi = sp.ref.eval(centroid)
-        geom = CellGeometry(mesh, quad_rule(1))
-        cbx = np.einsum("qi,ci->c", phi_u, su.component(level.utilde, 0)[su.cell_dofs])
-        cby = np.einsum("qi,ci->c", phi_u, su.component(level.utilde, 1)[su.cell_dofs])
-        cg = np.einsum("qie,ced,ci->cd", dpsi, geom.inv_j, level.phi[sp.cell_dofs])
-        out += ["CELL_DATA %d\n" % nt, "VECTORS u_proj_cell double\n"]
-        out += ["%.17g %.17g 0\n" % (vx, vy) for vx, vy in zip(cbx + cg[:, 0], cby + cg[:, 1])]
-    return "".join(out)
+        cell = reference_cell_velocity(level, su, sp)
+        out += [b"CELL_DATA %d\n" % nt, b"VECTORS u_proj_cell double\n"]
+        out.append(vectors(cell[:, 0], cell[:, 1]))
+    return b"".join(out)
 
 
 def jittered_unit_square(n, rng):
@@ -378,7 +380,57 @@ def test_vtk_matches_line_by_line_reference(tmp_path, cellwise):
                 rng.standard_normal(sp.ndofs), rng.standard_normal(sp.ndofs),
             )
             pk.write_vtk(level, su, sp, path, cellwise=cellwise)
-            assert path.read_text() == reference_vtk_text(level, su, sp, cellwise)
+            assert path.read_bytes() == reference_vtk_bytes(level, su, sp, cellwise)
+
+
+@pytest.fixture(scope="module")
+def vtk_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("vtk") / "fields.vtk"
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    degrees=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+    cellwise=st.booleans(),
+)
+def test_vtk_round_trip_decodes_to_the_reference_numerics(vtk_path, n, seed, degrees, cellwise):
+    from ipcs2d.scheme import Level
+
+    rng = np.random.default_rng(seed)
+    mesh = jittered_unit_square(n, rng)
+    su = pk.build_space(mesh, degrees[0], components=2, homogeneous_dirichlet=True)
+    sp = pk.build_space(mesh, degrees[1], components=1, zero_mean=True)
+
+    def field(size):
+        # values across a wide exponent range, so every bit is exercised
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-100, 100, size)
+
+    level = Level(int(rng.integers(0, 10**6)), float(field(1)[0]),
+                  field(su.ndofs), field(sp.ndofs), field(sp.ndofs))
+    pk.write_vtk(level, su, sp, vtk_path, cellwise=cellwise)
+    data = vtk_path.read_bytes()
+    vtk = read_vtk(data)
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    ux, uy = su.component(level.utilde, 0)[:nv], su.component(level.utilde, 1)[:nv]
+    gphi = reference_vertex_grad(sp, level.phi)
+    b = vtk.blocks
+    assert np.array_equal(b["POINTS"], np.column_stack((mesh.vertices, np.zeros(nv))))
+    assert np.array_equal(b["CELLS"], np.column_stack((np.full(nt, 3), mesh.triangles)))
+    assert np.array_equal(b["CELL_TYPES"], np.full(nt, 5))
+    assert np.array_equal(b["u_tilde"], np.column_stack((ux, uy, np.zeros(nv))))
+    assert np.array_equal(b["u_proj"], np.column_stack((ux + gphi[:, 0], uy + gphi[:, 1], np.zeros(nv))))
+    assert np.array_equal(b["p"], level.p[:nv])
+    assert vtk.lines[1] == "time level %d t=%.17g" % (level.m, level.t)
+    assert vtk.lines[12:] == (["CELL_DATA %d" % nt, "VECTORS u_proj_cell double"] if cellwise else [])
+    if cellwise:
+        cell = reference_cell_velocity(level, su, sp)
+        assert np.array_equal(b["u_proj_cell"], np.column_stack((cell, np.zeros(nt))))
+    # the ASCII lines, then 24 bytes per vector row, 16 per cell, 4 per
+    # cell type and 8 per scalar, and one newline per block
+    text = sum(len(line) + 1 for line in vtk.lines)
+    assert len(data) == text + 80 * nv + 20 * nt + 6 + cellwise * (24 * nt + 1)
 
 
 def test_vtk_spaces_on_different_meshes_are_rejected(tmp_path):

@@ -98,6 +98,20 @@ def test_two_column_failure_reports_stacked_residual(monkeypatch):
     assert errors[0] == errors[1] == pytest.approx(1.0 / (16.0 * np.sqrt(2.0)), rel=1e-15)
 
 
+def test_two_column_residual_equals_the_multi_vector_product(setup_cache):
+    from ipcs2d.linsolve import _residual
+
+    _, su, _, ops = setup_cache(16, 2, 1)
+    rng = np.random.default_rng(3)
+    n = ops.M_free.shape[0]
+    B = ops.free_convection(rng.standard_normal(su.ndofs))
+    S = sp.csr_matrix((150.0 * ops.M_free.data + B.data + ops.A_free.data, B.indices, B.indptr))
+    b, x = rng.standard_normal((2, n, 2))
+    for A in (ops.M_free, S):
+        assert np.array_equal(_residual(A, b, x), b - A @ x)
+        assert np.array_equal(_residual(A, b[:, 0], x[:, 0]), b[:, 0] - A @ x[:, 0])
+
+
 def _counting_splu(monkeypatch):
     # solve_momentum looks splu up at call time
     calls = []

@@ -75,7 +75,7 @@ def test_quickstart_run_work_counts(monkeypatch):
 
 
 def test_vtk_output_work_counts(tmp_path, monkeypatch):
-    counts = {"geometry": 0, "mesh_text": 0, "plan": 0}
+    counts = {"geometry": 0, "mesh_bytes": 0, "plan": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -85,7 +85,7 @@ def test_vtk_output_work_counts(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fileio, "CellGeometry", counted("geometry", fileio.CellGeometry))
-    monkeypatch.setattr(fileio, "_mesh_text", counted("mesh_text", fileio._mesh_text))
+    monkeypatch.setattr(fileio, "_mesh_bytes", counted("mesh_bytes", fileio._mesh_bytes))
     monkeypatch.setattr(fileio, "_OutputPlan", counted("plan", fileio._OutputPlan))
 
     case = pk.stream_vortex_case(mu=1.0)
@@ -97,7 +97,7 @@ def test_vtk_output_work_counts(tmp_path, monkeypatch):
     su, sp = traj.ops.space_u, traj.ops.space_p
     for level in traj.levels:
         pk.write_vtk(level, su, sp, tmp_path / ("fields_%d.vtk" % level.m), cellwise=True)
-    assert counts == {"geometry": 1, "mesh_text": 1, "plan": 1}
+    assert counts == {"geometry": 1, "mesh_bytes": 1, "plan": 1}
 
     # a second pair on the same mesh builds one more plan; the first keeps its own
     su1 = pk.build_space(su.mesh, 1, components=2, homogeneous_dirichlet=True)
@@ -106,7 +106,7 @@ def test_vtk_output_work_counts(tmp_path, monkeypatch):
     for _ in range(2):
         pk.write_vtk(level, su1, sp1, tmp_path / "other.vtk")
         pk.write_vtk(traj.final, su, sp, tmp_path / "fields_final.vtk")
-    assert counts == {"geometry": 2, "mesh_text": 2, "plan": 2}
+    assert counts == {"geometry": 2, "mesh_bytes": 2, "plan": 2}
 
     # a plan goes with its pressure space
     plans = len(fileio._PLANS)
