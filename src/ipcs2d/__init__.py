@@ -1,6 +1,8 @@
-"""Incompressible Navier-Stokes on the unit square by a second-order
+"""Incompressible Navier-Stokes on polygonal domains by a second-order
 incremental pressure-correction scheme, with the discrete energy analysis
-verified at run time.
+verified at run time.  Any conforming triangulation will do (Mesh,
+read_mesh with a boundary section); config files and
+generate_structured_unit_square build meshes of the unit square.
 
 The solver advances a BDF2 projection scheme on conforming Lagrange
 elements and checks, every step, the energy identity, the orthogonality of

@@ -456,6 +456,18 @@ class OperatorSet:
         and f's signature is checked on its first load only."""
         return assemble_load(self.space_u, f, t_lo, t_hi, cutoff, self.geom, self._load_form)
 
+    def free_values(self, vec):
+        """The free entries of a velocity vector, one column per component:
+        the layout of the scalar free blocks' right sides."""
+        return vec[self._free_index].T
+
+    def from_free(self, x):
+        """The velocity vector with free entries x (one column per
+        component, as free_values gives them) and zero Dirichlet entries."""
+        out = np.zeros(self.space_u.ndofs)
+        out[self._free_index] = x.T
+        return out
+
     # -- inner products ------------------------------------------------------
 
     def _apply_free(self, block, vec):
@@ -495,12 +507,6 @@ class OperatorSet:
         """(base + grad(phi), grad psi_q) for every pressure basis function."""
         return self.G.T @ base + self.N_p @ phi
 
-    def coupling_gap(self):
-        """max |D + G| over rows of interior velocity dofs (identically
-        zero up to rounding for conforming assembly)."""
-        diff = (self.D + self.G).tocsr()[self.space_u.free]
-        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
-
 
 def build_operators(space_u, space_p):
     """Assemble the full operator set of a velocity/pressure pair."""
@@ -523,8 +529,4 @@ def project_L2_onto_Uh(space_u, g, ops, tol=1e-12):
     geom = CellGeometry(space_u.mesh, quad_rule(6))
     rhs = _LoadForm(space_u, geom)(_eval_user_field(g, "u0", geom.phys[..., 0], geom.phys[..., 1]))
     # both components share the scalar mass block and its free dofs
-    n = space_u.n_scalar
-    free = space_u.free[:n]
-    out = np.zeros((2, n))
-    out[:, free] = solve_mass(ops.M_free, rhs.reshape(2, n)[:, free].T, space_u.degree, tol).T
-    return out.ravel()
+    return ops.from_free(solve_mass(ops.M_free, ops.free_values(rhs), space_u.degree, tol))

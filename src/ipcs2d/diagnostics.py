@@ -362,48 +362,30 @@ def time_modulus(traj, tau):
     interpolant: integral over t in (0, T - tau) of
     |utilde_h(t + tau) - utilde_h(t)|^2.
 
-    The interpolant is piecewise constant, so the integrand is piecewise
-    constant with breakpoints at the grid times and their shifts by tau;
-    the closed form sums exact subinterval contributions.  Requires
-    0 <= tau < T and a full trajectory."""
+    The interpolant takes the value utilde^j on ((j-1) dt, j dt].  With
+    tau = k dt + theta, 0 <= theta < dt, the shift t + tau lands in level
+    j + k for a part dt - theta of that interval and in level j + k + 1
+    for the rest, so the integral is
+
+        sum_{j=1}^{n-k} (dt - theta) |utilde^{j+k} - utilde^j|^2
+          + sum_{j=1}^{n-k-1} theta |utilde^{j+k+1} - utilde^j|^2.
+
+    Requires 0 <= tau < T and a full trajectory."""
     _require_complete(traj)
     dt, ops = traj.dt, traj.ops
     n = traj.n_steps
     T = n * dt
     if not 0 <= tau < T:
         raise ValueError("tau must lie in [0, T), got tau=%g with T=%g" % (tau, T))
-    if tau == 0.0:
-        return 0.0
 
     fields = [lv.utilde for lv in traj.levels]
-
-    def index(s):
-        if s <= 0.0:
-            return 0
-        return min(n, max(0, math.ceil(s / dt - 1e-12)))
-
-    cut = T - tau
-    points = {0.0, cut}
-    for m in range(n + 1):
-        for candidate in (m * dt, m * dt - tau):
-            if 0.0 < candidate < cut:
-                points.add(candidate)
-    points = sorted(points)
-
-    cache = {}
+    k = math.floor(tau / dt)
+    theta = tau - k * dt
     total = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        if b - a <= 0.0:
-            continue
-        s = 0.5 * (a + b)
-        i, j = index(s), index(s + tau)
-        if i == j:
-            continue
-        key = (i, j)
-        if key not in cache:
-            d = fields[j] - fields[i]
-            cache[key] = ops.norm_u_sq(d)
-        total += (b - a) * cache[key]
+    for j in range(1, n - k + 1):
+        total += (dt - theta) * ops.norm_u_sq(fields[j + k] - fields[j])
+    for j in range(1, n - k):
+        total += theta * ops.norm_u_sq(fields[j + k + 1] - fields[j])
     return total
 
 

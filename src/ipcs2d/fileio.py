@@ -1,25 +1,14 @@
 """Config files and output writers (ledger CSV, rate tables, VTK).
 
-Config grammar: one "key = value" per line, '#' starts a comment.  Keys:
-
-    mesh_n       grid resolution of the structured unit-square mesh, 1 to
-                 MAX_MESH_N = 1024
-    degree_u     velocity degree, 1 or 2 (default 2)
-    degree_p     pressure degree, 1 or 2 (default 1)
-    dt           time step (adjusted down to the nearest divisor of T)
-    T            final time
-    mu           viscosity (default 1)
-    case         manufactured case name: stream_vortex (default) or zero;
-                 "custom" is only constructible through the API, since a
-                 text file cannot carry the callables
-    store_every  keep every k-th level in the trajectory (default 1)
-    f_cutoff     time beyond which the forcing is treated as zero (default:
-                 none — the named cases are closed-form and evaluable past T)
-    tol_poisson  relative residual of the pressure/mass solves, positive
-                 (default 1e-12)
-    tol_momentum relative residual of the momentum solves, positive
-                 (default 1e-12)
-    out_dir      output directory (default "out")
+Config grammar: one "key = value" per line, '#' starts a comment.  The
+keys mesh_n (the resolution of the structured unit-square mesh), dt, T,
+mu, degree_u, degree_p, store_every, f_cutoff, tol_poisson and
+tol_momentum are SchemeConfig's parameters, with its defaults and the
+ranges of scheme.PARAMETER_RULES; mesh_n, dt and T are required.  Two
+keys are the file's own: case, the manufactured case that supplies u0
+and f (stream_vortex, the default, or zero; "custom" needs the API,
+since a text file cannot carry callables), and out_dir, the output
+directory (default "out").
 
 Field output is legacy binary VTK (version 3.0), one file per stored
 level: point vectors u_tilde and u_proj, point scalars p.  u_proj is the
@@ -51,6 +40,7 @@ give.  It assumes the mesh is not edited in place once the spaces are
 built, as FESpace already does.
 """
 
+import inspect
 import math
 import weakref
 
@@ -59,9 +49,8 @@ import numpy as np
 from .assembly import CellGeometry
 from .diagnostics import CSV_COLUMNS
 from .fe import quad_rule
-from .mesh import MAX_MESH_N
 from .mms import case_by_name
-from .scheme import MAX_STEPS, SchemeConfig
+from .scheme import SchemeConfig, first_failed_rule
 
 __all__ = [
     "ConfigError",
@@ -76,32 +65,21 @@ class ConfigError(ValueError):
     """Malformed or invalid config file; messages carry the line number."""
 
 
-_INT_KEYS = {"mesh_n", "degree_u", "degree_p", "store_every"}
-_FLOAT_KEYS = {"dt", "T", "mu", "f_cutoff", "tol_poisson", "tol_momentum"}
-_STR_KEYS = {"case", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-_DEFAULTS = {
-    "degree_u": 2,
-    "degree_p": 1,
-    "mu": 1.0,
-    "store_every": 1,
-    "tol_poisson": 1e-12,
-    "tol_momentum": 1e-12,
-    "case": "stream_vortex",
-    "out_dir": "out",
-}
+# the type of each key's value
+_KEYS = dict(mesh_n=int, degree_u=int, degree_p=int, store_every=int, case=str, out_dir=str,
+             dt=float, T=float, mu=float, f_cutoff=float, tol_poisson=float, tol_momentum=float)
 
 
 def parse_config(path):
-    """Parse and validate a config file into a SchemeConfig.
+    """Parse a config file into a SchemeConfig.
 
     The manufactured case named by "case" supplies the initial velocity
-    and forcing.  Violations (unknown key, malformed value, non-finite
-    float, non-positive dt/T/mu/tolerance, T < dt, more than MAX_STEPS
-    steps, mesh_n above MAX_MESH_N, degree outside {1, 2}, unknown case)
-    raise ConfigError anchored to the offending line; a file that cannot
-    be opened or read as UTF-8 text raises ConfigError naming the file."""
+    and forcing; keys left out take SchemeConfig's defaults.  A file that
+    cannot be opened or read as UTF-8 text raises ConfigError naming the
+    file, a missing mesh_n, dt or T one naming the keys, and every other
+    violation (unknown or duplicate key, malformed or non-finite value, a
+    value that breaks one of scheme.PARAMETER_RULES, unknown case) one
+    anchored to the offending line."""
     values = {}
     where = {}
     try:
@@ -120,76 +98,44 @@ def parse_config(path):
         key, _, val = text.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(
-                "%s:%d: unknown key %r (known: %s)" % (path, ln, key, ", ".join(sorted(_ALL_KEYS)))
+                "%s:%d: unknown key %r (known: %s)" % (path, ln, key, ", ".join(sorted(_KEYS)))
             )
         if key in values:
             raise ConfigError(
                 "%s:%d: duplicate key %r (first set on line %d)" % (path, ln, key, where[key])
             )
         try:
-            if key in _INT_KEYS:
-                parsed = int(val)
-            elif key in _FLOAT_KEYS:
-                parsed = float(val)
-            else:
-                parsed = val
+            parsed = _KEYS[key](val)
         except ValueError:
             raise ConfigError("%s:%d: malformed value %r for key %r" % (path, ln, val, key)) from None
-        if key in _FLOAT_KEYS and not math.isfinite(parsed):
+        if _KEYS[key] is float and not math.isfinite(parsed):
             raise ConfigError("%s:%d: %s must be finite (got %r)" % (path, ln, key, parsed))
         values[key] = parsed
         where[key] = ln
 
-    def check(key, ok, message):
-        if key in values and not ok(values[key]):
-            raise ConfigError("%s:%d: %s (got %r)" % (path, where[key], message, values[key]))
-
-    check("dt", lambda v: v > 0, "dt must be positive")
-    check("T", lambda v: v > 0, "T must be positive")
-    check("T", lambda v: v >= values.get("dt", 0.0), "T must be at least dt")
-    check("dt", lambda v: values.get("T", v) / v <= MAX_STEPS,
-          "dt gives more than %d steps to T" % MAX_STEPS)
-    check("mu", lambda v: v > 0, "mu must be positive")
-    check("mesh_n", lambda v: v >= 1, "mesh_n must be a positive integer")
-    check("mesh_n", lambda v: v <= MAX_MESH_N, "mesh_n must be at most %d" % MAX_MESH_N)
-    check("f_cutoff", lambda v: v > 0, "f_cutoff must be positive")
-    check("tol_poisson", lambda v: v > 0, "tol_poisson must be positive")
-    check("tol_momentum", lambda v: v > 0, "tol_momentum must be positive")
-    check("degree_u", lambda v: v in (1, 2), "degree_u must be 1 or 2")
-    check("degree_p", lambda v: v in (1, 2), "degree_p must be 1 or 2")
-    check("store_every", lambda v: v >= 1, "store_every must be a positive integer")
-    check("case", lambda v: v != "custom",
-          "case 'custom' needs API construction: build SchemeConfig with "
-          "u0/f callables directly")
-
+    failed = first_failed_rule(values)
+    if failed is not None:
+        key, message = failed
+        raise ConfigError("%s:%d: %s" % (path, where[key], message))
+    if values.get("case") == "custom":
+        raise ConfigError(
+            "%s:%d: case 'custom' needs API construction: build SchemeConfig with "
+            "u0/f callables directly" % (path, where["case"])
+        )
     missing = [k for k in ("mesh_n", "dt", "T") if k not in values]
     if missing:
         raise ConfigError("%s: missing required key(s): %s" % (path, ", ".join(missing)))
-    merged = dict(_DEFAULTS)
-    merged.update(values)
 
+    out_dir = values.pop("out_dir", "out")
+    name = values.pop("case", "stream_vortex")
+    mu = values.get("mu", inspect.signature(SchemeConfig).parameters["mu"].default)
     try:
-        case = case_by_name(merged["case"], merged["mu"])
+        case = case_by_name(name, mu)
     except ValueError as exc:
         raise ConfigError("%s:%d: %s" % (path, where["case"], exc)) from None
-    return SchemeConfig(
-        dt=merged["dt"],
-        T=merged["T"],
-        mu=merged["mu"],
-        mesh_n=merged["mesh_n"],
-        degree_u=merged["degree_u"],
-        degree_p=merged["degree_p"],
-        u0=case.u0,
-        f=case.f,
-        f_cutoff=merged.get("f_cutoff"),
-        case_name=case.name,
-        tol_poisson=merged["tol_poisson"],
-        tol_momentum=merged["tol_momentum"],
-        store_every=merged["store_every"],
-        out_dir=merged["out_dir"],
-    )
+    return SchemeConfig(u0=case.u0, f=case.f, case_name=case.name, out_dir=out_dir, **values)
 
 
 def _write_csv(path, columns, rows):

@@ -1,9 +1,11 @@
-"""Conforming triangulations of the unit square.
+"""Conforming triangulations of polygonal domains.
 
-The solver operates on meshes of the unit square made of positively
-oriented triangles.  Structured meshes split every grid cell along the
-lower-left to upper-right diagonal, so all elements are congruent right
-isoceles triangles and the square is covered exactly.
+Any conforming mesh of positively oriented triangles will do:
+SchemeConfig(mesh=...) takes one, and so does read_mesh when the file
+has a boundary section.  Only generate_structured_unit_square (every grid
+cell split along the lower-left to upper-right diagonal) and the
+boundary flags inferred from coordinates when none are given assume the
+unit square.
 
 External meshes use a small text format::
 
@@ -51,7 +53,8 @@ class Mesh:
     vertices : (N, 2) float array of vertex coordinates.
     triangles : (M, 3) int array of vertex indices, counter-clockwise.
     boundary_vertex_flags : optional (N,) bool array; inferred from the
-        coordinates (a coordinate equal to 0 or 1) when omitted.
+        coordinates (a coordinate equal to 0 or 1) when omitted, which fits
+        the unit square only.
 
     Construction validates finite vertices, positive orientation, edge
     conformity (every edge shared by one or two triangles) and boundary
@@ -177,10 +180,6 @@ class Mesh:
     def n_edges(self):
         return len(self.edges)
 
-    @property
-    def total_area(self):
-        return float(self.areas.sum())
-
 
 def generate_structured_unit_square(n):
     """Uniform n-by-n grid of the unit square, each cell split along the
@@ -221,11 +220,12 @@ def mesh_metrics(mesh):
 def read_mesh(path):
     """Read a mesh from the text format, validating conformity.
 
-    Parse errors carry the 1-based line number, and a file that is not
-    UTF-8 text is rejected with its name; non-conforming meshes (flipped
-    triangles, over-shared edges) are rejected with the offending element
-    named.  Vertices not referenced by any triangle are accepted and
-    reported through ``mesh.unused_vertices``.
+    Parse errors, content after the boundary section included, carry the
+    1-based line number, and a file that is not UTF-8 text is rejected
+    with its name; non-conforming meshes (flipped triangles, over-shared
+    edges) are rejected with the offending element named.  Vertices not
+    referenced by any triangle are accepted and reported through
+    ``mesh.unused_vertices``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -278,6 +278,10 @@ def read_mesh(path):
         flags = np.zeros(len(vertices), dtype=bool)
         for (idx,) in section("boundary", "boundary vertex", "v", len(vertices)):
             flags[idx] = True
+    if content:
+        ln, text = content[-1]
+        raise MeshFormatError("line %d: unexpected content after the boundary section: %r"
+                              % (ln, text))
 
     return Mesh(
         np.array(vertices, dtype=float).reshape(-1, 2),

@@ -44,7 +44,7 @@ from . import diagnostics
 from .assembly import build_operators, project_L2_onto_Uh
 from .fe import build_space
 from .linsolve import MomentumFactor, solve_momentum
-from .mesh import generate_structured_unit_square
+from .mesh import MAX_MESH_N, generate_structured_unit_square
 
 __all__ = [
     "SchemeError",
@@ -106,6 +106,53 @@ class Level:
         return ops.yh_pair_with_u(self.utilde, self.phi)
 
 
+def _positive_finite(value):
+    return 0 < value <= _FLOAT_MAX
+
+
+# (parameters, predicate, message) of every rule on the run parameters, in
+# the order they are checked.  The predicate takes the parameters' values
+# in the order named; a violation is reported at the first one.
+# dt <= T <= _FLOAT_MAX is checked before T / dt, so that an integer
+# beyond the float range fails a comparison instead of overflowing the
+# division.
+PARAMETER_RULES = (
+    (("dt",), _positive_finite, "dt must be positive and finite"),
+    (("T",), lambda T: T > 0, "T must be positive"),
+    (("T", "dt"), lambda T, dt: dt <= T,
+     "T must be at least dt: the final time is one step or more"),
+    (("T",), lambda T: T <= _FLOAT_MAX, "T must be finite"),
+    (("dt", "T"), lambda dt, T: T / dt <= MAX_STEPS,
+     "dt gives more than %d steps to T" % MAX_STEPS),
+    (("mu",), _positive_finite, "viscosity mu must be positive and finite"),
+    (("mesh_n", "mesh"), lambda n, mesh: (n is None) != (mesh is None),
+     "exactly one of mesh / mesh_n must be given"),
+    (("mesh_n",), lambda n: n is None or (n >= 1 and n % 1 == 0),
+     "mesh_n must be a positive integer"),
+    (("mesh_n",), lambda n: n is None or n <= MAX_MESH_N, "mesh_n must be at most %d" % MAX_MESH_N),
+    (("degree_u",), lambda k: k in (1, 2), "degree_u must be 1 or 2"),
+    (("degree_p",), lambda k: k in (1, 2), "degree_p must be 1 or 2"),
+    (("u0",), lambda u0: u0 is not None, "an initial velocity u0(x, y) is required"),
+    (("store_every",), lambda k: k >= 1 and k % 1 == 0, "store_every must be a positive integer"),
+    (("f_cutoff",), lambda t: t is None or t > 0, "f_cutoff must be positive when given"),
+    (("coupling_c", "require_coupling"), lambda c, on: not on or _positive_finite(c),
+     "coupling_c must be positive and finite"),
+    (("tol_poisson",), _positive_finite, "tol_poisson must be positive and finite"),
+    (("tol_momentum",), _positive_finite, "tol_momentum must be positive and finite"),
+)
+
+
+def first_failed_rule(params):
+    """(parameter, message) of the first of PARAMETER_RULES that the
+    parameter values in the dict params break, or None.  A rule is checked
+    only when params holds every parameter it reads; the message ends with
+    the offending value."""
+    for names, ok, message in PARAMETER_RULES:
+        if all(name in params for name in names) and not ok(*(params[name] for name in names)):
+            return names[0], "%s (got %r)" % (message, params[names[0]])
+    return None
+
+
 class SchemeConfig:
     """Run parameters.
 
@@ -116,11 +163,11 @@ class SchemeConfig:
     evaluable slightly beyond the final time (closed-form forcings are).
     If it is not, set f_cutoff to the time beyond which f is treated as
     zero, which scales clipped windows down proportionally.  dt is
-    adjusted to divide T exactly (recorded in the run warnings), in at
-    most MAX_STEPS steps.  tol_poisson and tol_momentum, the relative
-    residuals the pressure/mass and momentum solves must reach, are
-    positive and finite.  When require_coupling is set, coupling_c must be
-    positive and finite, and construction rejects combinations with
+    adjusted to divide T exactly (recorded in the run warnings).
+    tol_poisson and tol_momentum are the relative residuals the
+    pressure/mass and momentum solves must reach.  Arguments that break
+    one of PARAMETER_RULES raise ValueError with its message.  When
+    require_coupling is set, construction also rejects combinations with
     h**(degree_u + 1) > coupling_c * dt, the regime the splitting analysis
     assumes for spatial refinement studies.
     """
@@ -145,31 +192,10 @@ class SchemeConfig:
         coupling_c=1.0,
         out_dir=None,
     ):
-        if not 0 < dt <= _FLOAT_MAX:
-            raise ValueError("dt must be positive and finite, got %s" % dt)
-        if not dt <= T <= _FLOAT_MAX:
-            raise ValueError("final time T=%s must be finite and at least dt=%s" % (T, dt))
-        if T / dt > MAX_STEPS:
-            raise ValueError(
-                "T/dt = %.3g steps exceeds the limit of %d steps" % (T / dt, MAX_STEPS)
-            )
-        if not 0 < mu <= _FLOAT_MAX:
-            raise ValueError("viscosity mu must be positive and finite, got %s" % mu)
-        if (mesh is None) == (mesh_n is None):
-            raise ValueError("exactly one of mesh / mesh_n must be given")
-        if degree_u not in (1, 2) or degree_p not in (1, 2):
-            raise ValueError("velocity and pressure degrees must be 1 or 2")
-        if u0 is None:
-            raise ValueError("an initial velocity u0(x, y) is required")
-        if not (store_every >= 1 and store_every % 1 == 0):
-            raise ValueError("store_every must be a positive integer")
-        if f_cutoff is not None and not f_cutoff > 0:
-            raise ValueError("f_cutoff must be positive when given, got %s" % f_cutoff)
-        if require_coupling and not 0 < coupling_c <= _FLOAT_MAX:
-            raise ValueError("coupling_c must be positive and finite, got %s" % coupling_c)
-        for name, tol in (("tol_poisson", tol_poisson), ("tol_momentum", tol_momentum)):
-            if not 0 < tol <= _FLOAT_MAX:
-                raise ValueError("%s must be positive and finite, got %s" % (name, tol))
+        # the arguments by name, before any other local is bound
+        failed = first_failed_rule(locals())
+        if failed is not None:
+            raise ValueError(failed[1])
 
         self.mesh = mesh if mesh is not None else generate_structured_unit_square(mesh_n)
         self.degree_u = degree_u
@@ -298,18 +324,14 @@ def step(
     B = ops.free_convection(w_advect)
     # every operator is block diagonal, one scalar block per component, and
     # both components have the same free dofs: one factorization, two columns
-    n = ops.space_u.n_scalar
-    free = ops.space_u.free[:n]
     data = (a0 / dt) * ops.M_free.data + B.data + mu * ops.A_free.data
     S = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
-    rhs = (F + ops.D @ cur.p + history / dt).reshape(2, n)[:, free].T
+    rhs = ops.free_values(F + ops.D @ cur.p + history / dt)
     x0 = None
     if older is not None:
-        x0 = (3.0 * (cur.utilde - prev.utilde) + older.utilde).reshape(2, n)[:, free].T
-    utilde = np.zeros((2, n))
+        x0 = ops.free_values(3.0 * (cur.utilde - prev.utilde) + older.utilde)
     x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu), x0=x0)
-    utilde[:, free] = x.T
-    utilde = utilde.ravel()
+    utilde = ops.from_free(x)
     _check_finite(utilde, "intermediate velocity", m)
 
     dp = ops.solve_poisson(-(a0 / dt) * (ops.D.T @ utilde), tol_poisson)

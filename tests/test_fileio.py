@@ -1,6 +1,7 @@
 """Config parsing and the CSV / VTK writers."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -194,6 +195,55 @@ def test_mutated_config_raises_only_config_error(fuzz_path, text):
     # the unmutated text builds, so the mutations start from a valid config
     assert parse_text_or_config_error(fuzz_path, VALID) is not None
     parse_text_or_config_error(fuzz_path, text)
+
+
+def mostly(good, other):
+    # one of the good values three draws in four, else a draw of other
+    return st.one_of(*[st.sampled_from(good)] * 3, other)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# finite, correctly typed values for every key a config file shares with
+# SchemeConfig; the largest mesh a valid draw can build is 4 x 4
+SHARED_VALUES = dict(
+    mesh_n=mostly([1, 2, 4], st.one_of(st.integers(-2, 4), st.sampled_from([1025, 10**12]))),
+    dt=mostly([0.05, 0.1], FINITE),
+    T=mostly([0.5, 1.0], FINITE),
+    mu=mostly([0.5, 1.0], FINITE),
+    degree_u=mostly([1, 2], st.integers(-1, 3)),
+    degree_p=mostly([1, 2], st.integers(-1, 3)),
+    store_every=mostly([1, 3], st.integers(-2**70, 2**70)),
+    f_cutoff=mostly([0.5, 2.0], FINITE),
+    tol_poisson=mostly([1e-10, 1e-12], FINITE),
+    tol_momentum=mostly([1e-11, 1e-12], FINITE),
+)
+REQUIRED_KEYS = ("mesh_n", "dt", "T")
+AGREED_FIELDS = ("dt", "T", "n_steps", "mu", "degree_u", "degree_p", "tol_poisson",
+                 "tol_momentum", "store_every", "f_cutoff")
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.fixed_dictionaries(
+    {k: SHARED_VALUES[k] for k in REQUIRED_KEYS},
+    optional={k: v for k, v in SHARED_VALUES.items() if k not in REQUIRED_KEYS},
+))
+def test_config_file_and_api_agree(fuzz_path, values):
+    # the same values as a config file and as SchemeConfig arguments: both
+    # accept them alike, or the file fails at the line of the parameter
+    # that SchemeConfig's message names
+    fuzz_path.write_text("".join("%s = %r\n" % kv for kv in values.items()))
+    try:
+        api = pk.SchemeConfig(u0=pk.stream_vortex_case().u0, **values)
+    except ValueError as exc:
+        with pytest.raises(pk.ConfigError) as info:
+            pk.parse_config(str(fuzz_path))
+        found = re.fullmatch(re.escape(str(fuzz_path)) + r":(\d+): (.*)", str(info.value))
+        assert found is not None and found.group(2) == str(exc)
+        assert list(values)[int(found.group(1)) - 1] in str(exc)
+        return
+    cfg = pk.parse_config(str(fuzz_path))
+    for name in AGREED_FIELDS:
+        assert getattr(cfg, name) == getattr(api, name), name
 
 
 def test_config_errors_carry_the_line_number(tmp_path):

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 import ipcs2d as pk
 
 
+def total_area(mesh):
+    return float(mesh.areas.sum())
+
+
 def test_smallest_grid_counts():
     m = pk.generate_structured_unit_square(1)
     assert m.n_vertices == 4
     assert m.n_triangles == 2
-    assert np.isclose(m.total_area, 1.0)
+    assert np.isclose(total_area(m), 1.0)
 
 
 def test_n2_counts():
@@ -82,7 +86,7 @@ def test_structured_counts(n):
     assert m.n_triangles == 2 * n * n
     assert int(m.boundary_vertex_flags.sum()) == 4 * n
     assert m.n_edges == 3 * n * n + 2 * n
-    assert np.isclose(m.total_area, 1.0)
+    assert np.isclose(total_area(m), 1.0)
     assert np.isclose(m.areas.sum(), 1.0)
 
 
@@ -148,6 +152,8 @@ def test_dangling_vertex_flagged_unused(tmp_path):
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999\n", "line 6: .*out of range"),
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 -99999999999999999999 1\n", "line 6: .*out of range"),
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 1\n99999999999999999999\n", "line 8: .*out of range"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3\n0\n1\n2\nvertices 99\ngarbage here\n",
+         "line 11: unexpected content after the boundary section: 'vertices 99'"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, fragment):
