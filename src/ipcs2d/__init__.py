@@ -17,10 +17,7 @@ convergence-rate studies.
 from .assembly import (
     OperatorSet,
     assemble_convection,
-    assemble_couplings,
     assemble_load,
-    assemble_mass,
-    assemble_stiffness,
     build_operators,
     project_L2_onto_Uh,
 )

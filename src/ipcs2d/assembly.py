@@ -12,11 +12,12 @@ a per-cell geometric factor times a tensor summed over the rule points once.
 
 Layout: vector coefficient vectors are component-major (entry c*n + i is
 component c of scalar dof i), so vector mass/stiffness/convection are
-block-diagonal repetitions of scalar blocks.  Velocity vectors keep full
-length with zeros at Dirichlet entries.  OperatorSet stores each velocity
-operator once, as its scalar block on the free dofs on one fixed CSR
-pattern (M_free, A_free and free_convection), and its inner products read
-only the free entries, so no solve or pairing slices a matrix.
+block-diagonal repetitions of scalar blocks, and only the scalar block is
+ever assembled.  Velocity vectors keep full length with zeros at
+Dirichlet entries.  OperatorSet stores each velocity operator once, as its
+scalar block on the free dofs on one fixed CSR pattern (M_free, A_free
+and free_convection), and its inner products read only the free entries,
+so no solve or pairing slices a matrix.
 """
 
 import inspect
@@ -30,10 +31,7 @@ from .linsolve import factor_poisson, solve_mass
 __all__ = [
     "CellGeometry",
     "assembly_rule",
-    "assemble_mass",
-    "assemble_stiffness",
     "assemble_convection",
-    "assemble_couplings",
     "assemble_load",
     "build_operators",
     "OperatorSet",
@@ -88,18 +86,18 @@ def _phys_grads(space, geom):
 
 
 class _Scatter:
-    """COO -> CSR map of one space's element matrices, computed once: the
-    CSR slot of every entry, the pattern repeated once per component.
+    """COO -> CSR map of one space's element matrices onto the scalar block
+    of its scalar dofs, computed once: the CSR slot of every entry.  Both
+    velocity components share that block, so no vector matrix is built.
 
     With a boolean mask over the scalar dofs, the map is restricted to the
-    scalar block of the masked rows and columns, numbered in order: one
-    component, whatever the space has.  Entries outside the block go to a
-    spare slot past the end, which is dropped.  With a column space cols,
-    the map is the rectangular scalar block of the space's scalar dofs by
-    the scalar dofs of cols.  Slots and index arrays are int32."""
+    block of the masked rows and columns, numbered in order.  Entries
+    outside the block go to a spare slot past the end, which is dropped.
+    With a column space cols, the map is the rectangular block of the
+    space's scalar dofs by the scalar dofs of cols.  Slots and index arrays
+    are int32."""
 
     def __init__(self, space, mask=None, cols=None):
-        k = space.components if cols is None else 1
         cols = space if cols is None else cols
         cd, n, cd_col, m = space.cell_dofs, space.n_scalar, cols.cell_dofs, cols.n_scalar
         key = np.repeat(cd, cd_col.shape[1], axis=1).ravel() * m
@@ -112,28 +110,21 @@ class _Scatter:
             keep = mask[rows] & mask[columns]
             number = np.cumsum(mask) - 1
             n = m = int(mask.sum())
-            k = 1
             keys = number[rows[keep]] * n + number[columns[keep]]
             spare = np.cumsum(keep) - 1
             spare[~keep] = keys.size
             slot = spare[slot]
         self.slot = slot.astype(np.int32)
         self.nnz = keys.size
-        row_end = np.searchsorted(keys, m * np.arange(1, n + 1))
-        self.indices = np.concatenate([keys % m + c * m for c in range(k)]).astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0]] + [row_end + c * self.nnz for c in range(k)]
-        ).astype(np.int32)
-        self.shape = (k * n, k * m)
-        self.k = k
+        self.indices = (keys % m).astype(np.int32)
+        self.indptr = np.append(0, np.searchsorted(keys, m * np.arange(1, n + 1))).astype(np.int32)
+        self.shape = (n, m)
 
     def __call__(self, elem, share=False):
-        # elem: (M, nloc, nloc) element matrices -> CSR, block diagonal for
-        # vector spaces.  Index arrays are copied, as callers may edit them,
-        # unless share is set for a matrix whose indices nobody edits
+        # elem: (M, nloc, nloc_col) element matrices -> CSR.  Index arrays
+        # are copied, as callers may edit them, unless share is set for a
+        # matrix whose indices nobody edits
         data = np.bincount(self.slot, weights=elem.ravel(), minlength=self.nnz + 1)[: self.nnz]
-        if self.k > 1:
-            data = np.tile(data, self.k)
         if share:
             return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
@@ -158,20 +149,6 @@ def _stiffness_elem(space, geom):
     return sum(k[:, None, None] * t for k, t in zip(K, (T[0, 0], T[1, 1], T[0, 1] + T[1, 0])))
 
 
-def assemble_mass(space, geom=None):
-    """L2 mass matrix of the space (block diagonal for vector spaces)."""
-    if geom is None:
-        geom = CellGeometry(space.mesh, quad_rule(2 * space.degree))
-    return _Scatter(space)(_mass_elem(space, geom))
-
-
-def assemble_stiffness(space, geom=None):
-    """H1 seminorm (grad, grad) matrix of the space."""
-    if geom is None:
-        geom = CellGeometry(space.mesh, quad_rule(max(2 * (space.degree - 1), 1)))
-    return _Scatter(space)(_stiffness_elem(space, geom))
-
-
 def _convection_tensor(space, rule):
     """Reference tensor R[(e, k), (i, j)] of the convection, shape
     (2 nloc, nloc^2):
@@ -189,26 +166,21 @@ def _convection_tensor(space, rule):
     return R.reshape(2 * nloc, nloc * nloc)
 
 
-def assemble_convection(space_u, w_coeffs, geom=None, scatter=None, tensor=None):
+def assemble_convection(space_u, w_coeffs, geom, scatter, tensor):
     """Skew-symmetrized convection matrix B(w) with entries
 
         B[i, j] = ((w . grad) phi_j, phi_i) + 1/2 ((div w) phi_j, phi_i)
 
-    acting blockwise on both velocity components.  For w and v with
-    homogeneous boundary values, v^T B(w) v integrates to exactly zero,
-    and the quadrature is exact for the cubic-in-k integrand, so the
-    cancellation holds to rounding.
+    over the scalar basis, the block that acts on each velocity component.
+    For w and v with homogeneous boundary values, v^T B(w) v integrates to
+    exactly zero, and the quadrature is exact for the cubic-in-k integrand,
+    so the cancellation holds to rounding.
 
     All element matrices come from one matrix product: the advecting
     field of each cell c pulled back to the reference frame,
-    w_hat[c, e, k] = detJ_c sum_d inv_j[c, e, d] w_d[c, k], times the
-    reference tensor of geom's rule (Kirby & Logg, ACM TOMS 2006).
-    scatter (a _Scatter of the space) and tensor (_convection_tensor) are
-    computed when not given."""
-    if geom is None:
-        geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, 1))
-    tensor = _convection_tensor(space_u, geom.rule) if tensor is None else tensor
-    scatter = _Scatter(space_u) if scatter is None else scatter
+    w_hat[c, e, k] = detJ_c sum_d inv_j[c, e, d] w_d[c, k], times tensor,
+    the _convection_tensor of geom's rule (Kirby & Logg, ACM TOMS 2006).
+    scatter (a _Scatter of the space) places the element matrices."""
     w_hat = sum(
         geom.adj[:, :, d, None] * space_u.component(w_coeffs, d)[space_u.cell_dofs][:, None, :]
         for d in range(2)
@@ -225,24 +197,6 @@ def _coupling_elems(space_u, space_p, geom):
     t_d = np.einsum("q,qs,qie->eis", w, phi_p, dphi_u)
     t_g = np.einsum("q,qi,qse->eis", w, phi_u, dphi_p)
     return tuple(sum(geom.adj[:, e, None, None] * t[e, ..., None] for e in (0, 1)) for t in (t_d, t_g))
-
-
-def assemble_couplings(space_u, space_p, geom=None):
-    """Velocity/pressure coupling matrices, both of shape (dim U, dim P):
-
-        D[(c,i), q] = (psi_q, d_c phi_i)     so (div u, psi_q) = (D^T u)_q
-        G[(c,i), q] = (phi_i, d_c psi_q)     so (u, grad psi_q) = (G^T u)_q
-
-    Integration by parts makes D = -G in every row whose velocity dof is
-    interior; boundary rows differ by the boundary term and are never used
-    (velocity vectors are zero there)."""
-    if geom is None:
-        geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))
-    scatter = _Scatter(space_u, cols=space_p)
-    return tuple(
-        sp.vstack([scatter(elem[..., c]) for c in range(2)], format="csr")
-        for elem in _coupling_elems(space_u, space_p, geom)
-    )
 
 
 def _time_average_weights(t_lo, t_hi, cutoff):
@@ -338,25 +292,21 @@ def _eval_user_field(fn, name, x, y, t=None, bound=False, finite=True):
     return vals
 
 
-def assemble_load(space_u, f, t_lo, t_hi, cutoff=None, geom=None, form=None):
+def assemble_load(f, t_lo, t_hi, cutoff, geom, form):
     """Load vector of the window-averaged forcing together with the squared
     quadrature norm of the averaged field.
 
     f(t, x, y) must return the two finite force components for array x, y
     (otherwise ValueError, naming f and t).  The average over [t_lo, t_hi]
     uses three-point Gauss in time; integration is clipped at the cutoff
-    while the denominator keeps the full window, and the norm uses the same
-    spatial rule as the load so the discrete Cauchy-Schwarz pairing with
-    velocity fields is exact.  form, the _LoadForm of geom, is built when
-    not given; f's signature is checked on its first load through a form.
-    Finiteness is checked once, on the average; when that fails, the nodes
-    are checked one by one, so that the error names the time.
+    (None for none) while the denominator keeps the full window, and the
+    norm uses the same spatial rule as the load so the discrete
+    Cauchy-Schwarz pairing with velocity fields is exact.  form is the
+    _LoadForm of geom; f's signature is checked on its first load through
+    a form.  Finiteness is checked once, on the average; when that fails,
+    the nodes are checked one by one, so that the error names the time.
 
     Returns (F, f_norm_sq)."""
-    if geom is None:
-        geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, 1))
-    if form is None:
-        form = _LoadForm(space_u, geom)
     nodes, coeffs = _time_average_weights(t_lo, t_hi, cutoff)
     x = geom.phys[..., 0]
     y = geom.phys[..., 1]
@@ -414,7 +364,14 @@ class OperatorSet:
         free_convection(w), so the momentum matrix of a step is a sum of
         data arrays.  They share their index arrays, which must not be
         edited in place
-    D, G : coupling matrices (see assemble_couplings)
+    D, G : velocity/pressure couplings, both of shape (dim U, dim P):
+
+            D[(c,i), q] = (psi_q, d_c phi_i)     so (div u, psi_q) = (D^T u)_q
+            G[(c,i), q] = (phi_i, d_c psi_q)     so (u, grad psi_q) = (G^T u)_q
+
+        Integration by parts makes D = -G in every row whose velocity dof
+        is interior; boundary rows differ by the boundary term and are
+        never used (velocity vectors are zero there)
     N_p, M_p : pressure stiffness and mass
     solve_poisson(b, tol) : zero-mean solve with N_p, factored once
 
@@ -434,7 +391,12 @@ class OperatorSet:
         self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
         self.M_free = self.scatter_free(_mass_elem(space_u, self.geom), share=True)
         self.A_free = self.scatter_free(_stiffness_elem(space_u, self.geom), share=True)
-        self.D, self.G = assemble_couplings(space_u, space_p, self.geom)
+        # one scalar block per velocity component, stacked
+        scatter_up = _Scatter(space_u, cols=space_p)
+        self.D, self.G = (
+            sp.vstack([scatter_up(elem[..., c]) for c in range(2)], format="csr")
+            for elem in _coupling_elems(space_u, space_p, self.geom)
+        )
         scatter_p = _Scatter(space_p)
         self.M_p = scatter_p(_mass_elem(space_p, self.geom))
         self.N_p = scatter_p(_stiffness_elem(space_p, self.geom))
@@ -445,8 +407,8 @@ class OperatorSet:
         self.grad_psi_norms = np.sqrt(self.N_p.diagonal())
 
     def free_convection(self, w_coeffs):
-        """The scalar block of assemble_convection(w_coeffs) on the free
-        dofs, assembled straight onto the pattern of M_free and A_free."""
+        """assemble_convection(w_coeffs) on the free dofs, assembled
+        straight onto the pattern of M_free and A_free."""
         return assemble_convection(
             self.space_u, w_coeffs, self.geom, self.scatter_free, self._conv_tensor
         )
@@ -454,7 +416,7 @@ class OperatorSet:
     def load(self, f, t_lo, t_hi, cutoff=None):
         """assemble_load on this set's rule; the load form is built once,
         and f's signature is checked on its first load only."""
-        return assemble_load(self.space_u, f, t_lo, t_hi, cutoff, self.geom, self._load_form)
+        return assemble_load(f, t_lo, t_hi, cutoff, self.geom, self._load_form)
 
     def free_values(self, vec):
         """The free entries of a velocity vector, one column per component:

@@ -64,15 +64,9 @@ def _build_parser():
     return parser
 
 
-def _load_config(path):
-    if not os.path.exists(path):
-        raise ConfigError("config file not found: %s" % path)
-    return parse_config(path)
-
-
 def _make_out_dir(args, config):
     # before any work, so that an unusable out_dir costs no run
-    out = config.out_dir or "out"
+    out = config.out_dir
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -88,7 +82,7 @@ def _print_warnings(warnings):
 
 
 def _cmd_run(args):
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     out = _make_out_dir(args, config)
     traj = run(config)
     _print_warnings(traj.warnings)
@@ -119,7 +113,7 @@ def _cmd_run(args):
 
 
 def _cmd_convergence(args):
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     out = _make_out_dir(args, config)
     rows, warnings = convergence_study(args.mode, config)
     _print_warnings(warnings)
@@ -136,7 +130,7 @@ def _cmd_convergence(args):
 
 
 def _cmd_verify(args):
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     traj = run(config)  # raises SchemeError on any per-step gate violation
     _print_warnings(traj.warnings)
     ledger = traj.ledger

@@ -77,9 +77,9 @@ def parse_config(path):
     and forcing; keys left out take SchemeConfig's defaults.  A file that
     cannot be opened or read as UTF-8 text raises ConfigError naming the
     file, a missing mesh_n, dt or T one naming the keys, and every other
-    violation (unknown or duplicate key, malformed or non-finite value, a
-    value that breaks one of scheme.PARAMETER_RULES, unknown case) one
-    anchored to the offending line."""
+    violation (unknown or duplicate key, empty, malformed or non-finite
+    value, a value that breaks one of scheme.PARAMETER_RULES, unknown
+    case) one anchored to the offending line."""
     values = {}
     where = {}
     try:
@@ -107,6 +107,8 @@ def parse_config(path):
                 "%s:%d: duplicate key %r (first set on line %d)" % (path, ln, key, where[key])
             )
         try:
+            if not val:  # str() would take it
+                raise ValueError
             parsed = _KEYS[key](val)
         except ValueError:
             raise ConfigError("%s:%d: malformed value %r for key %r" % (path, ln, val, key)) from None

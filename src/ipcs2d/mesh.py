@@ -186,12 +186,14 @@ def generate_structured_unit_square(n):
     lower-left to upper-right diagonal.
 
     Produces (n+1)^2 vertices and 2 n^2 congruent right isoceles triangles
-    with mesh size h = sqrt(2)/n, for 1 <= n <= MAX_MESH_N.
+    with mesh size h = sqrt(2)/n, for 1 <= n <= MAX_MESH_N; any other n
+    raises ValueError with the mesh_n message of scheme.PARAMETER_RULES.
     """
-    if not (n >= 1 and n % 1 == 0):
-        raise ValueError("grid resolution n must be a positive integer, got %r" % (n,))
-    if n > MAX_MESH_N:
-        raise ValueError("grid resolution n=%d exceeds the limit of %d" % (n, MAX_MESH_N))
+    from .scheme import first_failed_rule  # scheme imports this module
+
+    failed = first_failed_rule({"mesh_n": n})
+    if failed is not None:
+        raise ValueError(failed[1])
     n = int(n)
     side = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(side, side, indexing="xy")

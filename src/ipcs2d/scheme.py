@@ -135,8 +135,6 @@ PARAMETER_RULES = (
     (("u0",), lambda u0: u0 is not None, "an initial velocity u0(x, y) is required"),
     (("store_every",), lambda k: k >= 1 and k % 1 == 0, "store_every must be a positive integer"),
     (("f_cutoff",), lambda t: t is None or t > 0, "f_cutoff must be positive when given"),
-    (("coupling_c", "require_coupling"), lambda c, on: not on or _positive_finite(c),
-     "coupling_c must be positive and finite"),
     (("tol_poisson",), _positive_finite, "tol_poisson must be positive and finite"),
     (("tol_momentum",), _positive_finite, "tol_momentum must be positive and finite"),
 )
@@ -166,10 +164,7 @@ class SchemeConfig:
     adjusted to divide T exactly (recorded in the run warnings).
     tol_poisson and tol_momentum are the relative residuals the
     pressure/mass and momentum solves must reach.  Arguments that break
-    one of PARAMETER_RULES raise ValueError with its message.  When
-    require_coupling is set, construction also rejects combinations with
-    h**(degree_u + 1) > coupling_c * dt, the regime the splitting analysis
-    assumes for spatial refinement studies.
+    one of PARAMETER_RULES raise ValueError with its message.
     """
 
     def __init__(
@@ -188,8 +183,6 @@ class SchemeConfig:
         tol_poisson=1e-12,
         tol_momentum=1e-12,
         store_every=1,
-        require_coupling=False,
-        coupling_c=1.0,
         out_dir=None,
     ):
         # the arguments by name, before any other local is bound
@@ -220,11 +213,6 @@ class SchemeConfig:
             self.warnings.append(
                 "dt adjusted from %g to %g so that %d steps reach T=%g exactly"
                 % (dt, self.dt, self.n_steps, self.T)
-            )
-        if require_coupling and self.mesh.h ** (degree_u + 1) > coupling_c * self.dt:
-            raise ValueError(
-                "h^(k+1) = %.3e exceeds %.3g * dt = %.3e; refine dt or relax "
-                "the coupling requirement" % (self.mesh.h ** (degree_u + 1), coupling_c, coupling_c * self.dt)
             )
 
 

@@ -6,12 +6,21 @@ the package are the ones both sides need to agree on for coefficient
 vectors to be comparable at all: P1 scalar dofs are vertex indices, vector
 fields stack component-major ((c, i) -> c*nv + i), and the forcing enters
 through its three-point Gauss window average.
+
+The full-space velocity matrices are the one exception: the package
+assembles only their scalar block on the free dofs, so full_space_matrix
+sums the package's own element matrices into the full block-diagonal
+matrix by an independent scatter, COO triplets summed by scipy.
 """
 
+import functools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import roots_jacobi
+
+from ipcs2d.assembly import _mass_elem, _stiffness_elem, assemble_convection
 
 
 def conical_product_rule():
@@ -37,6 +46,49 @@ def conical_product_rule():
             wts[k] = w_xi[i] * w_eta[j]
             k += 1
     return pts, wts
+
+
+def coo_sum(row_dofs, col_dofs, elem, shape):
+    """CSR matrix of the element matrices elem[c, i, j], each entry added
+    at (row_dofs[c, i], col_dofs[c, j]) through one COO matrix.  The
+    triplets are put in (row, column) order first, stably, so that tocsr
+    sums each entry's duplicates in element order; unsorted, it sorts them
+    itself, unstably, and may round differently.  elem may come flat per
+    cell, (M, nloc_row * nloc_col)."""
+    elem = elem.reshape(row_dofs.shape + col_dofs.shape[1:])
+    rows = np.broadcast_to(row_dofs[:, :, None], elem.shape).ravel()
+    cols = np.broadcast_to(col_dofs[:, None, :], elem.shape).ravel()
+    order = np.lexsort((cols, rows))
+    return sp.coo_matrix((elem.ravel()[order], (rows[order], cols[order])), shape=shape).tocsr()
+
+
+def full_space_matrix(space, elem):
+    """The block-diagonal matrix of a space from its scalar element
+    matrices (M, nloc, nloc): the scalar block summed by coo_sum, once per
+    component."""
+    n = space.n_scalar
+    block = coo_sum(space.cell_dofs, space.cell_dofs, elem, (n, n))
+    return sp.block_diag([block] * space.components, format="csr")
+
+
+def full_space_scatter(space):
+    """full_space_matrix of space as the scatter argument of
+    assembly.assemble_convection."""
+    return functools.partial(full_space_matrix, space)
+
+
+def full_velocity_matrices(ops):
+    """Full two-component velocity mass and stiffness of an operator set,
+    on its assembly rule."""
+    su = ops.space_u
+    return tuple(full_space_matrix(su, elem(su, ops.geom)) for elem in (_mass_elem, _stiffness_elem))
+
+
+def full_convection(ops, w):
+    """Full two-component convection matrix B(w) of an operator set."""
+    return assemble_convection(
+        ops.space_u, w, ops.geom, full_space_scatter(ops.space_u), ops._conv_tensor
+    )
 
 
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])

@@ -10,7 +10,8 @@ import numpy as np
 import ipcs2d as pk
 from ipcs2d.scheme import first_step_backward_euler, init_state
 
-from oracles import DenseScheme, admissible_sequence, gronwall_equality_sequence
+from oracles import DenseScheme, admissible_sequence, full_convection, full_velocity_matrices
+from oracles import gronwall_equality_sequence
 from oracles import modulus_sq_uniform_midpoint
 from test_scheme import affine_case
 
@@ -36,9 +37,9 @@ def test_criterion_01_convection_skew_symmetry(setup_cache):
         v = rng.standard_normal(su.ndofs)
         w[~su.free] = 0.0
         v[~su.free] = 0.0
-        B = pk.assemble_convection(su, w, ops.geom)
+        B = full_convection(ops, w)
         value = abs(float(v @ (B @ v)))
-        bound = 1e-12 * float(np.abs(w).max()) * float(v @ (pk.assemble_mass(su, ops.geom) @ v))
+        bound = 1e-12 * float(np.abs(w).max()) * float(v @ (full_velocity_matrices(ops)[0] @ v))
         assert value <= bound
         worst = max(worst, value / bound if bound > 0 else 0.0)
     elapsed = time.perf_counter() - t0

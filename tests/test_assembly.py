@@ -14,7 +14,13 @@ from ipcs2d.assembly import (
 )
 
 from conftest import build_setup
-from oracles import DenseScheme
+from oracles import (
+    DenseScheme,
+    coo_sum,
+    full_convection,
+    full_space_matrix,
+    full_velocity_matrices,
+)
 
 
 def unit_right_triangle_mesh():
@@ -59,7 +65,7 @@ def evaluate_fe(space, scalar_coeffs, x, y):
 def test_mass_row_sums_are_nodal_integrals(n, deg, setup_cache):
     mesh, su, _, ops = setup_cache(n, deg, 1)
     n_scalar = su.n_scalar
-    M_scalar = pk.assemble_mass(su, ops.geom)[:n_scalar, :n_scalar]
+    M_scalar = full_velocity_matrices(ops)[0][:n_scalar, :n_scalar]
     row_sums = np.asarray(M_scalar @ np.ones(n_scalar))
     # brute force: P1 basis integrates to area/3 per incident cell, P2
     # vertex functions to 0 and edge functions to area/3
@@ -78,7 +84,7 @@ def test_mass_row_sums_are_nodal_integrals(n, deg, setup_cache):
 def test_element_mass_unit_right_triangle():
     mesh = unit_right_triangle_mesh()
     s = pk.build_space(mesh, 1)
-    M = pk.assemble_mass(s).toarray()
+    M = full_space_matrix(s, _mass_elem(s, CellGeometry(mesh, pk.quad_rule(2)))).toarray()
     area = 0.5
     expect = (area / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
     assert np.allclose(M, expect, atol=1e-15)
@@ -90,14 +96,14 @@ def test_constant_function_has_unit_mass_norm(setup_cache):
     assert np.isclose(float(ones_p @ (ops.M_p @ ones_p)), 1.0)
     ones_u = np.ones(su.ndofs)
     # two unit components
-    assert np.isclose(float(ones_u @ (pk.assemble_mass(su, ops.geom) @ ones_u)), 2.0)
+    assert np.isclose(float(ones_u @ (full_velocity_matrices(ops)[0] @ ones_u)), 2.0)
 
 
 @pytest.mark.parametrize("deg", [1, 2])
 def test_stiffness_kernel_and_energy(deg, setup_cache):
     _, su, _, ops = setup_cache(3, deg, 1)
     n_scalar = su.n_scalar
-    A = pk.assemble_stiffness(su, ops.geom)[:n_scalar, :n_scalar]
+    A = full_velocity_matrices(ops)[1][:n_scalar, :n_scalar]
     const = np.ones(n_scalar)
     assert np.abs(A @ const).max() < 1e-13
     lin = su.dof_points[:, 0].copy()
@@ -118,12 +124,12 @@ def in_space(space, vec):
 def test_convection_skew_and_antisymmetry(n, deg, setup_cache):
     _, su, _, ops = setup_cache(n, deg, 1)
     rng = np.random.default_rng(11)
-    M = pk.assemble_mass(su, ops.geom)
+    M = full_velocity_matrices(ops)[0]
     for _ in range(10):
         w = in_space(su, rng.standard_normal(su.ndofs))
         u = in_space(su, rng.standard_normal(su.ndofs))
         v = in_space(su, rng.standard_normal(su.ndofs))
-        B = pk.assemble_convection(su, w, ops.geom)
+        B = full_convection(ops, w)
         scale = np.abs(w).max() * float(v @ (M @ v))
         assert abs(float(v @ (B @ v))) <= 1e-12 * scale
         pair_scale = np.abs(w).max() * np.sqrt(
@@ -134,7 +140,7 @@ def test_convection_skew_and_antisymmetry(n, deg, setup_cache):
 
 def test_zero_advecting_field_gives_zero_operator(setup_cache):
     _, su, _, ops = setup_cache(3, 2, 1)
-    B = pk.assemble_convection(su, np.zeros(su.ndofs), ops.geom)
+    B = full_convection(ops, np.zeros(su.ndofs))
     assert np.abs(B.toarray()).max() == 0.0
 
 
@@ -142,15 +148,16 @@ def test_zero_advecting_field_gives_zero_operator(setup_cache):
 def test_operators_match_dense_reference(n, setup_cache):
     mesh, su, sp, ops = setup_cache(n, 1, 1)
     dense = DenseScheme(mesh.vertices, mesh.triangles, mesh.boundary_vertex_flags)
-    assert np.abs(dense.M2 - pk.assemble_mass(su, ops.geom).toarray()).max() < 1e-14
-    assert np.abs(dense.A2 - pk.assemble_stiffness(su, ops.geom).toarray()).max() < 1e-13
+    M, A = full_velocity_matrices(ops)
+    assert np.abs(dense.M2 - M.toarray()).max() < 1e-14
+    assert np.abs(dense.A2 - A.toarray()).max() < 1e-13
     assert np.abs(dense.Ms - ops.M_p.toarray()).max() < 1e-14
     assert np.abs(dense.As - ops.N_p.toarray()).max() < 1e-13
     assert np.abs(dense.D - ops.D.toarray()).max() < 1e-14
     assert np.abs(dense.G - ops.G.toarray()).max() < 1e-14
     rng = np.random.default_rng(n)
     w = in_space(su, rng.standard_normal(su.ndofs))
-    assert np.abs(dense.convection(w) - pk.assemble_convection(su, w, ops.geom).toarray()).max() < 1e-13
+    assert np.abs(dense.convection(w) - full_convection(ops, w).toarray()).max() < 1e-13
 
 
 def test_operator_set_keeps_no_full_velocity_matrix(setup_cache):
@@ -181,8 +188,7 @@ def test_velocity_inner_products_equal_the_full_products(n, deg, setup_cache):
     # on vectors that vanish at the Dirichlet dofs the free-block products
     # are the full-matrix products bit for bit
     _, su, sp, ops = setup_cache(n, deg, 1)
-    M = pk.assemble_mass(su, ops.geom)
-    A = pk.assemble_stiffness(su, ops.geom)
+    M, A = full_velocity_matrices(ops)
     rng = np.random.default_rng(n)
     for _ in range(5):
         v = in_space(su, rng.standard_normal(su.ndofs))
@@ -200,7 +206,7 @@ def test_velocity_inner_products_equal_the_full_products(n, deg, setup_cache):
 @pytest.mark.parametrize("n,deg", [(3, 1), (4, 2)])
 def test_yh_pair_with_u_free_rows_equal_the_full_product(n, deg, setup_cache):
     _, su, sp, ops = setup_cache(n, deg, 1)
-    M = pk.assemble_mass(su, ops.geom)
+    M = full_velocity_matrices(ops)[0]
     rng = np.random.default_rng(n)
     base = in_space(su, rng.standard_normal(su.ndofs))
     phi = rng.standard_normal(sp.ndofs)
@@ -211,25 +217,18 @@ def test_yh_pair_with_u_free_rows_equal_the_full_product(n, deg, setup_cache):
 
 
 def coo_couplings(space_u, space_p, geom):
-    # D and G through one COO matrix each from the package's element
-    # matrices, duplicates summed by tocsr.  The entries are put in (row,
-    # column) order first, stably, so tocsr sums each entry's duplicates in
-    # element order; unsorted, it sorts them itself, unstably, and may
-    # round differently
+    # D and G from the package's element matrices, one COO-summed block
+    # per velocity component, stacked
     import scipy.sparse as sps
 
-    cd_u, cd_p = space_u.cell_dofs, space_p.cell_dofs
-    rows = np.repeat(cd_u, cd_p.shape[1], axis=1).ravel()
-    cols = np.tile(cd_p, (1, cd_u.shape[1])).ravel()
-    n = space_u.n_scalar
-    shape = (2 * n, space_p.n_scalar)
-    out = []
-    for elem in _coupling_elems(space_u, space_p, geom):
-        data = np.concatenate([elem[..., c].ravel() for c in range(2)])
-        i, j = np.concatenate([rows, rows + n]), np.concatenate([cols, cols])
-        order = np.lexsort((j, i))
-        out.append(sps.coo_matrix((data[order], (i[order], j[order])), shape=shape).tocsr())
-    return out
+    shape = (space_u.n_scalar, space_p.n_scalar)
+    return [
+        sps.vstack(
+            [coo_sum(space_u.cell_dofs, space_p.cell_dofs, elem[..., c], shape) for c in range(2)],
+            format="csr",
+        )
+        for elem in _coupling_elems(space_u, space_p, geom)
+    ]
 
 
 @pytest.mark.parametrize("n,deg_u,deg_p", [(3, 1, 1), (4, 2, 1), (3, 2, 2)])
@@ -282,10 +281,11 @@ def test_free_blocks_equal_the_sliced_operators(n, deg, setup_cache):
     free = su.free[:ns]
     rng = np.random.default_rng(n)
     w = in_space(su, rng.standard_normal(su.ndofs))
+    M, A = full_velocity_matrices(ops)
     pairs = [
-        (ops.M_free, pk.assemble_mass(su, ops.geom)[:ns, :ns][free][:, free]),
-        (ops.A_free, pk.assemble_stiffness(su, ops.geom)[:ns, :ns][free][:, free]),
-        (ops.free_convection(w), pk.assemble_convection(su, w, ops.geom)[:ns, :ns][free][:, free]),
+        (ops.M_free, M[:ns, :ns][free][:, free]),
+        (ops.A_free, A[:ns, :ns][free][:, free]),
+        (ops.free_convection(w), full_convection(ops, w)[:ns, :ns][free][:, free]),
     ]
     for block, sliced in pairs:
         # entry for entry, in the same CSR order
@@ -355,7 +355,7 @@ def test_gradient_transport_exact_on_skewed_cell():
     assert np.allclose(g[..., 0], 3.0, atol=1e-13)
     assert np.allclose(g[..., 1], -2.0, atol=1e-13)
     # the Dirichlet energy of the affine function is |grad|^2 * area
-    A = pk.assemble_stiffness(s1)
+    A = full_space_matrix(s1, _stiffness_elem(s1, geom))
     area = 0.5 * (2.0 * 1.7 - 0.3 * 0.4)
     assert np.isclose(float(coeffs @ (A @ coeffs)), 13.0 * area)
 
@@ -409,7 +409,7 @@ def test_projection_orthogonality_and_norm_bound(setup_cache):
     rhs = np.concatenate(
         [scalar_loads(su, g1, rule), np.zeros(su.n_scalar)]
     )
-    M = pk.assemble_mass(su, ops.geom)
+    M = full_velocity_matrices(ops)[0]
     gap = rhs - M @ coeffs
     scale = max(1.0, np.abs(rhs).max())
     assert np.abs(gap[su.free]).max() <= 1e-11 * scale

@@ -94,7 +94,17 @@ def test_verify_reports_residuals_and_passes(tmp_path, capsys):
 
 def test_missing_config_is_a_usage_error(capsys):
     assert main(["run", "/no/such/file.cfg"]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "config error: /no/such/file.cfg: cannot read the config file ("
+    )
+
+
+def test_empty_out_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "mesh_n = 2\ndt = 0.05\nT = 0.1\nout_dir =\n")
+    assert main(["run", cfg]) == 2
+    assert ":4: malformed value '' for key 'out_dir'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_is_a_usage_error(tmp_path, capsys):

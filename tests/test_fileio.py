@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipcs2d as pk
+from ipcs2d import fileio
 from ipcs2d.diagnostics import CSV_COLUMNS
 from vtk_binary import read_vtk, read_vtk_file
 
@@ -105,6 +106,15 @@ def test_config_optional_keys_are_honored(tmp_path):
 def test_config_violations_raise(tmp_path, text, match):
     with pytest.raises(pk.ConfigError, match=match):
         pk.parse_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("key", sorted(fileio._KEYS))
+def test_config_rejects_an_empty_value_at_its_line(tmp_path, key):
+    required = dict(mesh_n="4", dt="0.1", T="1")
+    lines = ["%s = %s" % item for item in required.items() if item[0] != key] + ["%s =" % key]
+    expect = "%s:%d: malformed value '' for key %r" % ("run.cfg", len(lines), key)
+    with pytest.raises(pk.ConfigError, match=re.escape(expect)):
+        pk.parse_config(write_config(tmp_path, "\n".join(lines) + "\n"))
 
 
 def test_undecodable_config_names_the_file(tmp_path):

@@ -9,7 +9,7 @@ import ipcs2d as pk
 from ipcs2d import LinearSolveError
 from ipcs2d.linsolve import STALE_SWEEPS, MomentumFactor, factor_poisson, solve_momentum, solve_spd
 
-from oracles import DenseScheme
+from oracles import DenseScheme, full_convection, full_velocity_matrices
 
 
 def test_identity_system_returns_rhs():
@@ -45,7 +45,7 @@ def test_momentum_solve_on_scaled_mass(setup_cache):
     _, su, _, ops = setup_cache(3, 1, 1)
     dt = 0.05
     free = su.free
-    S = (1.5 / dt) * pk.assemble_mass(su, ops.geom)
+    S = (1.5 / dt) * full_velocity_matrices(ops)[0]
     Sff = S.tocsr()[free][:, free]
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(int(free.sum()))
@@ -234,8 +234,8 @@ def test_convection_dominated_block_keeps_its_fill(setup_cache):
     from ipcs2d.linsolve import _factor
 
     w = pk.project_L2_onto_Uh(su, pk.stream_vortex_case(mu=1.0).u0, ops)
-    B = pk.assemble_convection(su, w, ops.geom)
-    M, A = pk.assemble_mass(su, ops.geom), pk.assemble_stiffness(su, ops.geom)
+    B = full_convection(ops, w)
+    M, A = full_velocity_matrices(ops)
     n = su.n_scalar
     free = su.free[:n]
     dt = 0.0125

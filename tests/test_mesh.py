@@ -61,8 +61,8 @@ def test_quasi_uniformity_refinement_invariant():
     [
         (0, "must be a positive integer"),
         (2.5, "must be a positive integer"),
-        (1025, "n=1025 exceeds the limit of 1024"),
-        (100000, "n=100000 exceeds the limit of 1024"),
+        (1025, "mesh_n must be at most 1024"),
+        (100000, "mesh_n must be at most 1024"),
         (float("inf"), "must be a positive integer"),
         (float("-inf"), "must be a positive integer"),
         (float("nan"), "must be a positive integer"),
@@ -76,6 +76,17 @@ def test_structured_grid_resolution_is_bounded(monkeypatch, n, fragment):
     monkeypatch.setattr(np, "linspace", no_grid)
     with pytest.raises(ValueError, match=fragment):
         pk.generate_structured_unit_square(n)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, 1025])
+def test_structured_grid_and_config_reject_mesh_n_alike(n):
+    with pytest.raises(ValueError) as direct:
+        pk.generate_structured_unit_square(n)
+    with pytest.raises(ValueError) as config:
+        pk.SchemeConfig(dt=0.1, T=1.0, mesh_n=n, u0=lambda x, y: (x, y))
+    assert str(direct.value) == str(config.value)
+    assert str(direct.value).startswith("mesh_n must be ")
+    assert str(direct.value).endswith("(got %r)" % (n,))
 
 
 @settings(deadline=None, max_examples=12)

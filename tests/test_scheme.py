@@ -15,7 +15,7 @@ from ipcs2d import scheme
 from ipcs2d.linsolve import STALE_SWEEPS
 from ipcs2d.scheme import Level, init_state, step
 
-from oracles import DenseScheme
+from oracles import DenseScheme, full_convection, full_velocity_matrices
 
 
 def affine_case():
@@ -59,17 +59,17 @@ def vortex_u0(x, y):
         (dict(dt=0.1, T=1.0, tol_poisson=float("nan")), "tol_poisson must be positive"),
         (dict(dt=0.1, T=1.0, tol_momentum=float("inf")), "tol_momentum must be positive"),
         (dict(dt=0.1, T=1.0, f_cutoff=float("nan")), "f_cutoff must be positive when given"),
-        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=float("nan")), "coupling_c"),
-        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=0.0), "coupling_c"),
-        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=-1.0), "coupling_c"),
-        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=float("inf")), "coupling_c"),
+        (dict(dt=0.1, T=-1.0), "T must be positive"),
+        (dict(dt=0.1, T=1.0, mu=float("nan")), "mu must be positive and finite"),
+        (dict(dt=0.1, T=1.0, degree_u=1.5), "degree_u must be 1 or 2"),
+        (dict(dt=0.1, T=1.0, store_every=-1), "store_every"),
         (dict(dt=0.1, T=1.0, store_every=float("inf")), "store_every"),
         (dict(dt=0.1, T=1.0, store_every=float("nan")), "store_every"),
         (dict(dt=0.1, T=1.0, mesh_n=float("inf")), "must be a positive integer"),
         (dict(dt=0.1, T=1.0, mesh_n=float("nan")), "must be a positive integer"),
         (dict(dt=0.1, T=10**400), "must be finite"),
         (dict(dt=0.1, T=1.0, mu=10**400), "mu must be positive and finite"),
-        (dict(dt=0.1, T=1.0, require_coupling=True, coupling_c=10**400), "coupling_c"),
+        (dict(dt=0.1, T=1.0, degree_p=float("nan")), "degree_p must be 1 or 2"),
     ],
 )
 def test_config_rejects_bad_parameters(kwargs, match):
@@ -96,8 +96,6 @@ CONFIG_NUMBERS = dict(
     tol_poisson=REALS,
     tol_momentum=REALS,
     store_every=REALS,
-    require_coupling=st.booleans(),
-    coupling_c=REALS,
 )
 
 
@@ -138,25 +136,12 @@ def test_dt_adjusted_to_divide_final_time():
     assert exact.warnings == []
 
 
-def test_coupling_requirement():
-    # n=2, degree 1: h^2 = 1/2 far exceeds dt
-    with pytest.raises(ValueError, match="refine dt"):
-        pk.SchemeConfig(
-            dt=0.01, T=0.1, mesh_n=2, degree_u=1, u0=vortex_u0, require_coupling=True
-        )
-    cfg = pk.SchemeConfig(
-        dt=0.01, T=0.1, mesh_n=2, degree_u=1, u0=vortex_u0,
-        require_coupling=True, coupling_c=100.0,
-    )
-    assert cfg.n_steps == 10
-
-
 def test_config_cannot_take_a_mesh_with_a_non_finite_vertex():
-    # h would be nan, and the coupling check h**(k+1) > c*dt false
+    # h would be nan
     with pytest.raises(pk.MeshFormatError, match="vertex 2 has non-finite coordinates"):
         pk.SchemeConfig(
             dt=0.01, T=0.1, mesh=pk.Mesh([[0, 0], [1, 0], [math.nan, 1]], [[0, 1, 2]], [True] * 3),
-            u0=vortex_u0, require_coupling=True,
+            u0=vortex_u0,
         )
 
 
@@ -353,7 +338,7 @@ def test_step_matches_full_system_solve(setup_cache):
     level1 = step(None, level0, ops, dt, mu, F1)
     F2, _ = ops.load(f, 1.5 * dt, 2.5 * dt)
     level2 = step(level0, level1, ops, dt, mu, F2)
-    M, A = pk.assemble_mass(su, ops.geom), pk.assemble_stiffness(su, ops.geom)
+    M, A = full_velocity_matrices(ops)
     for prev, cur, F, new in ((None, level0, F1, level1), (level0, level1, F2, level2)):
         r = ops.yh_pair_with_u(cur.utilde, cur.phi)
         if prev is None:
@@ -361,7 +346,7 @@ def test_step_matches_full_system_solve(setup_cache):
         else:
             a0, w = 1.5, 2.0 * cur.utilde - prev.utilde
             history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.utilde, prev.phi)
-        S = ((a0 / dt) * M + pk.assemble_convection(su, w, ops.geom) + mu * A).tocsr()
+        S = ((a0 / dt) * M + full_convection(ops, w) + mu * A).tocsr()
         rhs = F + ops.D @ cur.p + history / dt
         free = su.free
         ref = np.zeros(su.ndofs)
@@ -391,9 +376,9 @@ def test_step_momentum_matrix_equals_sum_then_slice(deg, setup_cache, monkeypatc
     step(level0, level1, ops, dt, mu, ops.load(f, 1.5 * dt, 2.5 * dt)[0])
     advected = ((1.0, level0.utilde), (1.5, 2.0 * level1.utilde - level0.utilde))
     assert len(seen) == 2
-    M, A = pk.assemble_mass(su, ops.geom), pk.assemble_stiffness(su, ops.geom)
+    M, A = full_velocity_matrices(ops)
     for (a0, w), S in zip(advected, seen):
-        B = pk.assemble_convection(su, w, ops.geom)
+        B = full_convection(ops, w)
         ref = (a0 / dt) * M[:n, :n] + B[:n, :n] + mu * A[:n, :n]
         ref = ref[free][:, free]
         assert np.array_equal(S.indptr, ref.indptr)
