@@ -2,11 +2,11 @@
 
 All element integrals are computed with a single quadrature rule exact for
 the highest-degree integrand among the assembled forms: mass (2k),
-skew-symmetrized convection (3k-1), the velocity/pressure couplings (k+l)
+skew-symmetrized convection (3k-1), the velocity/pressure coupling (k+l)
 and the pressure mass (2l).  Every bilinear identity the time stepper
 relies on therefore holds to rounding, not to quadrature error.
 
-The cells are affine, so every constant form (mass, stiffness, couplings)
+The cells are affine, so every constant form (mass, stiffness, coupling)
 and the convection come from reference tensors (Kirby & Logg, ACM TOMS 2006):
 a per-cell geometric factor times a tensor summed over the rule points once.
 
@@ -52,7 +52,8 @@ class CellGeometry:
         physical gradient via g @ inv_j[c]
     adj : (M, 2, 2) adjugates detJ * inv_j, the edge vectors rearranged,
         with no division
-    phys : (M, nq, 2) physical coordinates of the rule points
+    phys : (M, nq, 2) physical coordinates of the rule points, read-only
+    x, y : views of phys's two coordinates, held once: every load passes f the same arrays
     """
 
     def __init__(self, mesh, rule):
@@ -70,6 +71,8 @@ class CellGeometry:
             + q[None, :, 0, None] * e1[:, None, :]
             + q[None, :, 1, None] * e2[:, None, :]
         )
+        self.phys.flags.writeable = False
+        self.x, self.y = self.phys[..., 0], self.phys[..., 1]
         self.rule = rule
 
 
@@ -95,7 +98,8 @@ class _Scatter:
     outside the block go to a spare slot past the end, which is dropped.
     With a column space cols, the map is the rectangular block of the
     space's scalar dofs by the scalar dofs of cols.  Slots and index arrays
-    are int32."""
+    are int32.  The index arrays are read-only, and every matrix the map
+    builds shares them: an in-place edit of one raises ValueError."""
 
     def __init__(self, space, mask=None, cols=None):
         cols = space if cols is None else cols
@@ -118,16 +122,13 @@ class _Scatter:
         self.nnz = keys.size
         self.indices = (keys % m).astype(np.int32)
         self.indptr = np.append(0, np.searchsorted(keys, m * np.arange(1, n + 1))).astype(np.int32)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
         self.shape = (n, m)
 
-    def __call__(self, elem, share=False):
-        # elem: (M, nloc, nloc_col) element matrices -> CSR.  Index arrays
-        # are copied, as callers may edit them, unless share is set for a
-        # matrix whose indices nobody edits
+    def __call__(self, elem):
+        # elem: (M, nloc, nloc_col) element matrices -> CSR on the shared pattern
         data = np.bincount(self.slot, weights=elem.ravel(), minlength=self.nnz + 1)[: self.nnz]
-        if share:
-            return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def _mass_elem(space, geom):
@@ -189,14 +190,12 @@ def assemble_convection(space_u, w_coeffs, geom, scatter, tensor):
 
 
 def _coupling_elems(space_u, space_p, geom):
-    """Element matrices (elem_d, elem_g) of the couplings, (M, nloc_u, nloc_p, 2) each:
-    elem[c, i, s, d] = sum_e adj[c, e, d] T[e, i, s], with T = sum_q w_q psi_s d_e phi_i
-    for D and T = sum_q w_q phi_i d_e psi_s for G."""
-    (phi_u, dphi_u), (phi_p, dphi_p) = (s.ref.eval(geom.rule.points) for s in (space_u, space_p))
-    w = geom.rule.weights
-    t_d = np.einsum("q,qs,qie->eis", w, phi_p, dphi_u)
-    t_g = np.einsum("q,qi,qse->eis", w, phi_u, dphi_p)
-    return tuple(sum(geom.adj[:, e, None, None] * t[e, ..., None] for e in (0, 1)) for t in (t_d, t_g))
+    """Element matrices of the coupling G, (M, nloc_u, nloc_p, 2):
+    elem[c, i, s, d] = sum_e adj[c, e, d] T[e, i, s], T = sum_q w_q phi_i d_e psi_s."""
+    phi_u, _ = space_u.ref.eval(geom.rule.points)
+    _, dphi_p = space_p.ref.eval(geom.rule.points)
+    t = np.einsum("q,qi,qse->eis", geom.rule.weights, phi_u, dphi_p)
+    return sum(geom.adj[:, e, None, None] * t[e, ..., None] for e in (0, 1))
 
 
 def _time_average_weights(t_lo, t_hi, cutoff):
@@ -308,9 +307,8 @@ def assemble_load(f, t_lo, t_hi, cutoff, geom, form):
 
     Returns (F, f_norm_sq)."""
     nodes, coeffs = _time_average_weights(t_lo, t_hi, cutoff)
-    x = geom.phys[..., 0]
-    y = geom.phys[..., 1]
-    fbar = np.zeros(geom.phys.shape[:2] + (2,))
+    x, y = geom.x, geom.y
+    fbar = np.zeros(x.shape + (2,))
     for tk, ck in zip(nodes, coeffs):
         bound = form.bound is not None and f is form.bound
         vals = _eval_user_field(f, "f", x, y, tk, bound, finite=False)
@@ -362,24 +360,22 @@ class OperatorSet:
         scalar block on the free (interior) velocity dofs, the block every
         momentum and mass solve uses; both have the one CSR pattern of
         free_convection(w), so the momentum matrix of a step is a sum of
-        data arrays.  They share their index arrays, which must not be
-        edited in place
-    D, G : velocity/pressure couplings, both of shape (dim U, dim P):
+        data arrays
+    G : the one velocity/pressure coupling, of shape (dim U, dim P):
 
-            D[(c,i), q] = (psi_q, d_c phi_i)     so (div u, psi_q) = (D^T u)_q
             G[(c,i), q] = (phi_i, d_c psi_q)     so (u, grad psi_q) = (G^T u)_q
 
-        Integration by parts makes D = -G in every row whose velocity dof
-        is interior; boundary rows differ by the boundary term and are
-        never used (velocity vectors are zero there)
+        and, velocity vectors being zero on the boundary, (div u, psi_q) = -(G^T u)_q
     N_p, M_p : pressure stiffness and mass
     solve_poisson(b, tol) : zero-mean solve with N_p, factored once
 
     plus the inner products the projection scheme and its energy ledger
-    need.  Velocity vectors vanish at Dirichlet entries, and the velocity
-    inner products read only the free entries.  Fields of the composite
-    space U_h + grad(P_h) are handled as coefficient pairs (base, phi)
-    without a global basis: all pairings reduce to the matrices above."""
+    need.  Every matrix but G (two stacked blocks) shares the read-only
+    index arrays of the _Scatter that built it.  Velocity vectors vanish
+    at Dirichlet entries, and the velocity inner products read only the
+    free entries.  Fields of the composite space U_h + grad(P_h) are
+    handled as coefficient pairs (base, phi) without a global basis: all
+    pairings reduce to the matrices above."""
 
     def __init__(self, space_u, space_p):
         self.space_u = space_u
@@ -389,14 +385,12 @@ class OperatorSet:
         # free entries of each velocity component, one row per component
         self._free_index = np.flatnonzero(space_u.free).reshape(2, -1)
         self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
-        self.M_free = self.scatter_free(_mass_elem(space_u, self.geom), share=True)
-        self.A_free = self.scatter_free(_stiffness_elem(space_u, self.geom), share=True)
+        self.M_free = self.scatter_free(_mass_elem(space_u, self.geom))
+        self.A_free = self.scatter_free(_stiffness_elem(space_u, self.geom))
         # one scalar block per velocity component, stacked
         scatter_up = _Scatter(space_u, cols=space_p)
-        self.D, self.G = (
-            sp.vstack([scatter_up(elem[..., c]) for c in range(2)], format="csr")
-            for elem in _coupling_elems(space_u, space_p, self.geom)
-        )
+        elem = _coupling_elems(space_u, space_p, self.geom)
+        self.G = sp.vstack([scatter_up(elem[..., c]) for c in range(2)], format="csr")
         scatter_p = _Scatter(space_p)
         self.M_p = scatter_p(_mass_elem(space_p, self.geom))
         self.N_p = scatter_p(_stiffness_elem(space_p, self.geom))
@@ -489,6 +483,6 @@ def project_L2_onto_Uh(space_u, g, ops, tol=1e-12):
     the velocity degree enclose, to rounding, both components at once.
     """
     geom = CellGeometry(space_u.mesh, quad_rule(6))
-    rhs = _LoadForm(space_u, geom)(_eval_user_field(g, "u0", geom.phys[..., 0], geom.phys[..., 1]))
+    rhs = _LoadForm(space_u, geom)(_eval_user_field(g, "u0", geom.x, geom.y))
     # both components share the scalar mass block and its free dofs
     return ops.from_free(solve_mass(ops.M_free, ops.free_values(rhs), space_u.degree, tol))

@@ -177,9 +177,12 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
     level: the last sweep no longer halved it, or in every column the
     normwise backward error |r|_inf / (|A|_inf |x|_inf + |b|_inf) is at
     most EPS (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 12; |A|_inf is computed at most once per call).  Raises
-    LinearSolveError when the sweeps run out.  The sweeps start from x0
+    ch. 12; |A|_inf of the CSR matrix A, with no empty row, is summed over
+    its data at most once per call).  Raises LinearSolveError when the
+    sweeps run out (ValueError for sweeps < 1).  The sweeps start from x0
     when it is given and |b - A x0| < |b|, else from x = 0."""
+    if sweeps < 1:
+        raise ValueError("%s solve needs at least one sweep, got sweeps=%r" % (what, sweeps))
     bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -200,7 +203,7 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
             if not to_rounding or res >= 0.5 * last:
                 return x
             if a_norm is None:
-                a_norm = float(abs(A).sum(axis=1).max())
+                a_norm = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
                 b_inf = np.abs(b).max(axis=0)
             if np.all(np.abs(r).max(axis=0) <= EPS * (a_norm * np.abs(x).max(axis=0) + b_inf)):
                 return x

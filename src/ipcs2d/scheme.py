@@ -280,8 +280,9 @@ def step(
     a0 = 3/2, advected by 2 utilde^m - utilde^{m-1}, history
     2 r^m - r^{m-1}/2; the extrapolated advecting field keeps the momentum
     system linear while the convection stays second-order consistent.
-    Both use mass coefficient a0/dt, pressure right side
-    -(a0/dt) D^T utilde and phi = -(dt/a0) dp.
+    Both use mass coefficient a0/dt, momentum right side
+    F - G p^m + history/dt, pressure right side (a0/dt) G^T utilde and
+    phi = -(dt/a0) dp, which zeroes the weak divergence G^T utilde + N_p phi.
 
     factor, a linsolve.MomentumFactor, carries the momentum LU from step
     to step: only the convection changes while (a0, dt, mu) stay fixed, so
@@ -314,7 +315,7 @@ def step(
     # both components have the same free dofs: one factorization, two columns
     data = (a0 / dt) * ops.M_free.data + B.data + mu * ops.A_free.data
     S = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
-    rhs = ops.free_values(F + ops.D @ cur.p + history / dt)
+    rhs = ops.free_values(F - ops.G @ cur.p + history / dt)
     x0 = None
     if older is not None:
         x0 = ops.free_values(3.0 * (cur.utilde - prev.utilde) + older.utilde)
@@ -322,7 +323,7 @@ def step(
     utilde = ops.from_free(x)
     _check_finite(utilde, "intermediate velocity", m)
 
-    dp = ops.solve_poisson(-(a0 / dt) * (ops.D.T @ utilde), tol_poisson)
+    dp = ops.solve_poisson((a0 / dt) * (ops.G.T @ utilde), tol_poisson)
     return Level(
         m, m * dt, utilde, -(dt / a0) * dp, cur.p + dp, _skew_residual(ops, B, w_advect, x)
     )

@@ -10,7 +10,9 @@ through its three-point Gauss window average.
 The full-space velocity matrices are the one exception: the package
 assembles only their scalar block on the free dofs, so full_space_matrix
 sums the package's own element matrices into the full block-diagonal
-matrix by an independent scatter, COO triplets summed by scipy.
+matrix by an independent scatter, COO triplets summed by scipy.  Likewise
+the package keeps no divergence coupling D, only G; divergence_coupling
+integrates D point by point on the package's rule and cell geometry.
 """
 
 import functools
@@ -89,6 +91,22 @@ def full_convection(ops, w):
     return assemble_convection(
         ops.space_u, w, ops.geom, full_space_scatter(ops.space_u), ops._conv_tensor
     )
+
+
+def divergence_coupling(ops):
+    """The divergence coupling D[(c, i), q] = (psi_q, d_c phi_i) of an
+    operator set's spaces, integrated point by point on its rule with the
+    pushed-forward velocity gradients and summed by coo_sum.  The package
+    keeps only G: on the free velocity rows, integration by parts makes
+    D = -G."""
+    su, sq, geom = ops.space_u, ops.space_p, ops.geom
+    psi, _ = sq.ref.eval(geom.rule.points)
+    _, dphi = su.ref.eval(geom.rule.points)
+    gphi = dphi @ geom.inv_j[:, None]
+    elem = np.einsum("q,qs,cqid,c->cisd", geom.rule.weights, psi, gphi, geom.detJ)
+    shape = (su.n_scalar, sq.n_scalar)
+    blocks = [coo_sum(su.cell_dofs, sq.cell_dofs, elem[..., c], shape) for c in range(2)]
+    return sp.vstack(blocks, format="csr")
 
 
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])

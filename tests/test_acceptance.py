@@ -140,7 +140,7 @@ def test_criterion_06_dense_oracle_step_equivalence(setup_cache):
         if n == 2:
             # the supporting mesh must actually move (n=1 has no interior
             # velocity dof, so its agreement is structural)
-            assert pk.error_norms(traj, pk.zero_case())["err_p_L2"] > 1e-3
+            assert pk.error_norms(traj, pk.zero_case(mu=1.0))["err_p_L2"] > 1e-3
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(

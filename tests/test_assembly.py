@@ -17,6 +17,7 @@ from conftest import build_setup
 from oracles import (
     DenseScheme,
     coo_sum,
+    divergence_coupling,
     full_convection,
     full_space_matrix,
     full_velocity_matrices,
@@ -153,8 +154,11 @@ def test_operators_match_dense_reference(n, setup_cache):
     assert np.abs(dense.A2 - A.toarray()).max() < 1e-13
     assert np.abs(dense.Ms - ops.M_p.toarray()).max() < 1e-14
     assert np.abs(dense.As - ops.N_p.toarray()).max() < 1e-13
-    assert np.abs(dense.D - ops.D.toarray()).max() < 1e-14
     assert np.abs(dense.G - ops.G.toarray()).max() < 1e-14
+    # the set keeps no D: on the free rows the dense D is -G
+    assert not hasattr(ops, "D")
+    free = su.free
+    assert np.abs(dense.D[free] + ops.G.toarray()[free]).max() < 1e-14
     rng = np.random.default_rng(n)
     w = in_space(su, rng.standard_normal(su.ndofs))
     assert np.abs(dense.convection(w) - full_convection(ops, w).toarray()).max() < 1e-13
@@ -180,7 +184,7 @@ def test_operator_set_builds_without_coo(monkeypatch):
 
     monkeypatch.setattr(sps, "coo_matrix", refuse)
     _, su, sp, ops = build_setup(3, 2, 1)
-    assert ops.D.shape == ops.G.shape == (su.ndofs, sp.ndofs)
+    assert ops.G.shape == (su.ndofs, sp.ndofs)
 
 
 @pytest.mark.parametrize("n,deg", [(3, 1), (4, 2)])
@@ -216,36 +220,35 @@ def test_yh_pair_with_u_free_rows_equal_the_full_product(n, deg, setup_cache):
     assert np.array_equal(r[~su.free], (ops.G @ phi)[~su.free])
 
 
-def coo_couplings(space_u, space_p, geom):
-    # D and G from the package's element matrices, one COO-summed block
-    # per velocity component, stacked
+def coo_coupling(space_u, space_p, geom):
+    # G from the package's element matrices, one COO-summed block per
+    # velocity component, stacked
     import scipy.sparse as sps
 
     shape = (space_u.n_scalar, space_p.n_scalar)
-    return [
-        sps.vstack(
-            [coo_sum(space_u.cell_dofs, space_p.cell_dofs, elem[..., c], shape) for c in range(2)],
-            format="csr",
-        )
-        for elem in _coupling_elems(space_u, space_p, geom)
-    ]
+    elem = _coupling_elems(space_u, space_p, geom)
+    return sps.vstack(
+        [coo_sum(space_u.cell_dofs, space_p.cell_dofs, elem[..., c], shape) for c in range(2)],
+        format="csr",
+    )
 
 
 @pytest.mark.parametrize("n,deg_u,deg_p", [(3, 1, 1), (4, 2, 1), (3, 2, 2)])
 def test_couplings_equal_the_coo_reference(n, deg_u, deg_p, setup_cache):
     _, su, sp, ops = setup_cache(n, deg_u, deg_p)
-    for built, ref in zip((ops.D, ops.G), coo_couplings(su, sp, ops.geom)):
-        # entry for entry, explicit zeros included
-        assert built.shape == ref.shape
-        assert np.array_equal(built.indptr, ref.indptr)
-        assert np.array_equal(built.indices, ref.indices)
-        assert np.array_equal(built.data, ref.data)
+    built, ref = ops.G, coo_coupling(su, sp, ops.geom)
+    # entry for entry, explicit zeros included
+    assert built.shape == ref.shape
+    assert np.array_equal(built.indptr, ref.indptr)
+    assert np.array_equal(built.indices, ref.indices)
+    assert np.array_equal(built.data, ref.data)
 
 
-def coupling_gap(ops):
-    """max |D + G| over rows of interior velocity dofs (identically zero up
-    to rounding for conforming assembly)."""
-    diff = (ops.D + ops.G).tocsr()[ops.space_u.free]
+def coupling_gap(ops, D):
+    """max |D + G| over rows of interior velocity dofs, D the reference
+    divergence coupling (identically zero up to rounding for conforming
+    assembly)."""
+    diff = (D + ops.G).tocsr()[ops.space_u.free]
     return float(np.abs(diff.data).max()) if diff.nnz else 0.0
 
 
@@ -255,7 +258,7 @@ def test_coupling_operators(n, deg_u, deg_p, setup_cache):
     # gradient of the constant pressure function vanishes
     assert np.abs(ops.G @ np.ones(sp.ndofs)).max() < 1e-13
     # integration by parts with boundary-zero velocities: D = -G on free rows
-    assert coupling_gap(ops) <= 1e-13
+    assert coupling_gap(ops, divergence_coupling(ops)) <= 1e-13
 
 
 def test_coupling_gap_stays_sparse(setup_cache, monkeypatch):
@@ -263,7 +266,8 @@ def test_coupling_gap_stays_sparse(setup_cache, monkeypatch):
     import scipy.sparse as sps
 
     _, su, sp, ops = setup_cache(32, 2, 1)
-    expect = abs((ops.D + ops.G).tocsr()[su.free]).max()
+    D = divergence_coupling(ops)
+    expect = abs((D + ops.G).tocsr()[su.free]).max()
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("coupling_gap densified a sparse matrix")
@@ -271,7 +275,7 @@ def test_coupling_gap_stays_sparse(setup_cache, monkeypatch):
     for cls in (sps.csr_matrix, sps.csc_matrix, sps.coo_matrix):
         monkeypatch.setattr(cls, "toarray", refuse)
         monkeypatch.setattr(cls, "todense", refuse)
-    assert coupling_gap(ops) == expect
+    assert coupling_gap(ops, D) == expect
 
 
 @pytest.mark.parametrize("n,deg", [(3, 1), (4, 2)])
@@ -305,7 +309,8 @@ def test_weak_divergence_functional_matches_dense_reference(setup_cache):
     rng = np.random.default_rng(3)
     for q in rng.integers(0, sp.ndofs, size=10):
         assert abs(got[q] - expect[q]) < 1e-14
-    assert np.abs((ops.D.T @ u) - (dense.D.T @ u)).max() < 1e-14
+    # u vanishes on the boundary, so -G^T u is its divergence
+    assert np.abs((-ops.G.T @ u) - (dense.D.T @ u)).max() < 1e-14
 
 
 def test_load_zero_forcing(setup_cache):
@@ -572,7 +577,6 @@ def element_matrices_by_quadrature(space_u, space_p, geom):
         out["stiffness_" + name] = np.einsum(
             "q,cqid,cqjd,c->cij", w, gphi[name], gphi[name], geom.detJ
         )
-    out["D"] = np.einsum("q,qs,cqid,c->cisd", w, phi["p"], gphi["u"], geom.detJ)
     out["G"] = np.einsum("q,qi,cqsd,c->cisd", w, phi["u"], gphi["p"], geom.detJ)
     return out
 
@@ -585,14 +589,12 @@ def test_reference_tensor_elements_match_pointwise_quadrature(deg_u, deg_p, jitt
     sp = pk.build_space(mesh, deg_p, components=1, zero_mean=True)
     geom = CellGeometry(mesh, assembly.assembly_rule(deg_u, deg_p))
     expect = element_matrices_by_quadrature(su, sp, geom)
-    elem_d, elem_g = _coupling_elems(su, sp, geom)
     got = {
         "mass_u": _mass_elem(su, geom),
         "mass_p": _mass_elem(sp, geom),
         "stiffness_u": _stiffness_elem(su, geom),
         "stiffness_p": _stiffness_elem(sp, geom),
-        "D": elem_d,
-        "G": elem_g,
+        "G": _coupling_elems(su, sp, geom),
     }
     for name, elem in got.items():
         ref = expect[name]

@@ -243,7 +243,7 @@ def test_config_file_and_api_agree(fuzz_path, values):
     # that SchemeConfig's message names
     fuzz_path.write_text("".join("%s = %r\n" % kv for kv in values.items()))
     try:
-        api = pk.SchemeConfig(u0=pk.stream_vortex_case().u0, **values)
+        api = pk.SchemeConfig(u0=pk.stream_vortex_case(mu=1.0).u0, **values)
     except ValueError as exc:
         with pytest.raises(pk.ConfigError) as info:
             pk.parse_config(str(fuzz_path))

@@ -112,6 +112,28 @@ def test_two_column_residual_equals_the_multi_vector_product(setup_cache):
         assert np.array_equal(_residual(A, b[:, 0], x[:, 0]), b[:, 0] - A @ x[:, 0])
 
 
+def test_refine_rejects_fewer_than_one_sweep():
+    from ipcs2d.linsolve import _refine
+
+    A = sp.identity(3, format="csr")
+    for sweeps in (0, -1):
+        with pytest.raises(ValueError, match="sweeps=%d" % sweeps):
+            _refine(lambda r: r, A, np.ones(3), 1e-12, "x", sweeps=sweeps)
+
+
+def test_row_sum_norm_equals_scipys_row_sums(setup_cache):
+    # _refine takes |A|_inf as np.add.reduceat of |A.data| over the row
+    # starts, with no copy of A; with no empty row (every mass and momentum
+    # row holds its diagonal) that is abs(A).sum(axis=1).max() bit for bit
+    _, su, _, ops = setup_cache(32, 2, 1)
+    rng = np.random.default_rng(7)
+    B = ops.free_convection(rng.standard_normal(su.ndofs))
+    S = sp.csr_matrix((80.0 * ops.M_free.data + B.data + ops.A_free.data, B.indices, B.indptr))
+    for A in (ops.M_free, S):
+        assert np.all(np.diff(A.indptr) > 0)
+        assert np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max() == abs(A).sum(axis=1).max()
+
+
 def _counting_splu(monkeypatch):
     # solve_momentum looks splu up at call time
     calls = []
@@ -278,12 +300,12 @@ def test_poisson_inconsistency_is_spread_along_the_mass_weights(setup_cache):
 
 
 def test_poisson_solve_meets_tol_where_a_pinned_row_stalled(setup_cache):
-    # a pressure right side -(a0/dt) D^T u as a BDF2 step forms it, n = 72,
+    # a pressure right side (a0/dt) G^T u as a BDF2 step forms it, n = 72,
     # P2/P1: a pinned solve stalled here at 1.3e-12, all of it in the
     # pinned row (numpy 2.4, scipy 1.17)
     _, su, _, ops = setup_cache(72, 2, 1)
     u = su.interpolate(lambda x, y: (np.sin(3 * x) * np.cos(2 * y), x * y * (1 - x)))
-    b = -(1.5 / 0.0125) * (ops.D.T @ u)
+    b = (1.5 / 0.0125) * (ops.G.T @ u)
     x = ops.solve_poisson(b, 1e-12)
     b -= b.mean()
     assert np.linalg.norm(b - ops.N_p @ x) <= 1e-12 * np.linalg.norm(b)

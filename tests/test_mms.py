@@ -170,6 +170,43 @@ def test_memoized_factors_match_a_fresh_case():
     assert_fresh(case, 0.4, x[:, :3], y[:, :3])  # a view of another shape
 
 
+def test_forcing_fields_are_computed_once_at_read_only_points(setup_cache, monkeypatch):
+    # an OperatorSet's rule points are read-only: the forcing keeps its six
+    # spatial fields there, by reference, and recombines them on each of a
+    # step's three calls; writeable points, or a read-only view of a
+    # writeable array, are evaluated afresh on every call
+    _, _, _, ops = setup_cache(4, 2, 1)
+    x, y = ops.geom.x, ops.geom.y
+    case = pk.stream_vortex_case(0.7)
+    times = (0.1, 0.2, 0.3)
+    sin, arrays = np.sin, []
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a):
+            arrays.append(np.shape(a))
+        return sin(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counted)
+    got = [np.array(case.f(t, x, y)) for t in times]
+    assert arrays == [x.shape, y.shape]  # sin(pi x) and sin(pi y), once
+    base = ops.geom.phys.copy()
+    xv, yv = base[..., 0], base[..., 1]
+    xv.flags.writeable = yv.flags.writeable = False
+    for points in ((x.copy(), y.copy()), (xv, yv)):
+        arrays.clear()
+        for t in times:
+            case.f(t, *points)
+        assert len(arrays) == 2 * len(times)
+    monkeypatch.undo()
+    for t, values in zip(times, got):
+        assert np.array_equal(values, np.array(pk.stream_vortex_case(0.7).f(t, x, y)))
+    # a write to the base array of a read-only view reaches the values
+    case.f(0.3, xv, yv)
+    base[..., 0] += 0.125
+    fresh = pk.stream_vortex_case(0.7).f(0.3, xv, yv)
+    assert np.array_equal(np.array(case.f(0.3, xv, yv)), np.array(fresh))
+
+
 def forcing_by_terms(mu, t, x, y):
     """The stream vortex forcing term by term, each with its time factor:
     the arithmetic before the spatial fields were kept per point set."""
@@ -311,10 +348,10 @@ def test_zero_case_study_has_zero_errors_and_nan_rates():
 
 
 def test_case_by_name():
-    assert pk.case_by_name("stream_vortex").name == "stream_vortex"
+    assert pk.case_by_name("stream_vortex", mu=1.0).name == "stream_vortex"
     assert pk.case_by_name("zero", mu=0.3).mu == 0.3
     with pytest.raises(ValueError, match="unknown case"):
-        pk.case_by_name("couette")
+        pk.case_by_name("couette", mu=1.0)
     with pytest.raises(ValueError, match="mu must be positive"):
         pk.stream_vortex_case(mu=0.0)
 
@@ -326,7 +363,7 @@ def test_study_requires_a_case():
 
 
 def test_study_rejects_unknown_mode():
-    case = pk.zero_case()
+    case = pk.zero_case(mu=1.0)
     cfg = pk.SchemeConfig(dt=0.02, T=0.04, mesh_n=2, u0=case.u0, case_name="zero")
     with pytest.raises(ValueError, match="mode must be"):
         pk.convergence_study("diagonal", cfg, case)

@@ -15,7 +15,7 @@ from ipcs2d import scheme
 from ipcs2d.linsolve import STALE_SWEEPS
 from ipcs2d.scheme import Level, init_state, step
 
-from oracles import DenseScheme, full_convection, full_velocity_matrices
+from oracles import DenseScheme, divergence_coupling, full_convection, full_velocity_matrices
 
 
 def affine_case():
@@ -339,6 +339,9 @@ def test_step_matches_full_system_solve(setup_cache):
     F2, _ = ops.load(f, 1.5 * dt, 2.5 * dt)
     level2 = step(level0, level1, ops, dt, mu, F2)
     M, A = full_velocity_matrices(ops)
+    # the pressure enters through the divergence coupling D, which the step
+    # replaces by -G on the free rows
+    D = divergence_coupling(ops)
     for prev, cur, F, new in ((None, level0, F1, level1), (level0, level1, F2, level2)):
         r = ops.yh_pair_with_u(cur.utilde, cur.phi)
         if prev is None:
@@ -347,7 +350,7 @@ def test_step_matches_full_system_solve(setup_cache):
             a0, w = 1.5, 2.0 * cur.utilde - prev.utilde
             history = 2.0 * r - 0.5 * ops.yh_pair_with_u(prev.utilde, prev.phi)
         S = ((a0 / dt) * M + full_convection(ops, w) + mu * A).tocsr()
-        rhs = F + ops.D @ cur.p + history / dt
+        rhs = F + D @ cur.p + history / dt
         free = su.free
         ref = np.zeros(su.ndofs)
         ref[free] = spsolve(S[free][:, free].tocsc(), rhs[free])
@@ -384,6 +387,34 @@ def test_step_momentum_matrix_equals_sum_then_slice(deg, setup_cache, monkeypatc
         assert np.array_equal(S.indptr, ref.indptr)
         assert np.array_equal(S.indices, ref.indices)
         assert np.array_equal(S.data, ref.data)
+
+
+def test_operators_and_step_matrices_share_read_only_patterns(setup_cache, monkeypatch):
+    # every matrix of the set but the stacked G, and the convection and
+    # momentum matrices of a step, hold the index arrays of the _Scatter
+    # that built them: no step copies them, and none can be edited in place
+    _, su, _, ops = setup_cache(4, 2, 1)
+    seen = []
+    convection, solve = ops.free_convection, scheme.solve_momentum
+    monkeypatch.setattr(ops, "free_convection", lambda w: seen.append(convection(w)) or seen[-1])
+    monkeypatch.setattr(
+        scheme, "solve_momentum", lambda A, b, **kwargs: seen.append(A) or solve(A, b, **kwargs)
+    )
+    u0, f = affine_case()
+    level0 = init_state(ops, u0, 0.05)
+    step(None, level0, ops, 0.05, 1.0, ops.load(f, 0.025, 0.075)[0])
+    assert len(seen) == 2
+    pattern = ops.scatter_free
+    for matrix in [ops.M_free, ops.A_free] + seen:
+        assert np.shares_memory(matrix.indices, pattern.indices)
+        assert np.shares_memory(matrix.indptr, pattern.indptr)
+    assert np.shares_memory(ops.M_p.indices, ops.N_p.indices)
+    assert np.shares_memory(ops.M_p.indptr, ops.N_p.indptr)
+    for matrix in [ops.M_free, ops.A_free, ops.M_p, ops.N_p] + seen:
+        for index in (matrix.indices, matrix.indptr):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = index[0]
 
 
 def test_gates_fire_inside_run(setup_cache):
