@@ -17,7 +17,9 @@ ever assembled.  Velocity vectors keep full length with zeros at
 Dirichlet entries.  OperatorSet stores each velocity operator once, as its
 scalar block on the free dofs on one fixed CSR pattern (M_free, A_free
 and free_convection), and its inner products read only the free entries,
-so no solve or pairing slices a matrix.
+so no solve or pairing slices a matrix.  The free dofs are numbered in the
+reverse Cuthill-McKee order of that pattern, so the momentum LU does not
+depend on how the mesh numbers its vertices.
 """
 
 import inspect
@@ -26,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe import quad_rule
-from .linsolve import factor_poisson, solve_mass
+from .linsolve import factor_poisson, rcm_order, solve_mass
 
 __all__ = [
     "CellGeometry",
@@ -94,20 +96,25 @@ class _Scatter:
     velocity components share that block, so no vector matrix is built.
 
     With a boolean mask over the scalar dofs, the map is restricted to the
-    block of the masked rows and columns, numbered in order.  Entries
-    outside the block go to a spare slot past the end, which is dropped.
-    With a column space cols, the map is the rectangular block of the
-    space's scalar dofs by the scalar dofs of cols.  Slots and index arrays
-    are int32.  The index arrays are read-only, and every matrix the map
-    builds shares them: an in-place edit of one raises ValueError."""
+    block of the masked rows and columns.  Entries outside the block go to
+    a spare slot past the end, which is dropped.  The block's dofs are
+    numbered in order or, given order, in the order that order(pattern)
+    returns for the block's CSR pattern in that numbering: position k of
+    the block holds the masked dof order[k], and self.order keeps it (None
+    without one).  The map is built in that order directly.  With a column
+    space cols, the map is the rectangular block of the space's scalar dofs
+    by the scalar dofs of cols.  Slots and index arrays are int32.  The
+    index arrays are read-only, and every matrix the map builds shares
+    them: an in-place edit of one raises ValueError."""
 
-    def __init__(self, space, mask=None, cols=None):
+    def __init__(self, space, mask=None, cols=None, order=None):
         cols = space if cols is None else cols
         cd, n, cd_col, m = space.cell_dofs, space.n_scalar, cols.cell_dofs, cols.n_scalar
         key = np.repeat(cd, cd_col.shape[1], axis=1).ravel() * m
         key += np.tile(cd_col, (1, cd.shape[1])).ravel()
         keys, slot = np.unique(key, return_inverse=True)
         del key
+        self.order = None
         if mask is not None:
             # renumbering the masked dofs in order keeps the keys sorted
             rows, columns = np.divmod(keys, n)
@@ -115,13 +122,23 @@ class _Scatter:
             number = np.cumsum(mask) - 1
             n = m = int(mask.sum())
             keys = number[rows[keep]] * n + number[columns[keep]]
-            spare = np.cumsum(keep) - 1
-            spare[~keep] = keys.size
+            sort = slice(None)
+            if order is not None:
+                pattern = (np.ones(keys.size, np.int8),) + _csr_index(keys, n, n)
+                self.order = order(sp.csr_matrix(pattern, shape=(n, n)))
+                # relabel the keys to the new numbers and sort them
+                number = np.empty(n, dtype=np.int64)
+                number[self.order] = np.arange(n)
+                keys = number[keys // n] * n + number[keys % n]
+                sort = np.argsort(keys)
+                keys = keys[sort]
+            # each kept entry goes to the slot of its key, the rest past the end
+            spare = np.full(keep.size, keys.size)
+            spare[np.flatnonzero(keep)[sort]] = np.arange(keys.size)
             slot = spare[slot]
         self.slot = slot.astype(np.int32)
         self.nnz = keys.size
-        self.indices = (keys % m).astype(np.int32)
-        self.indptr = np.append(0, np.searchsorted(keys, m * np.arange(1, n + 1))).astype(np.int32)
+        self.indices, self.indptr = _csr_index(keys, n, m)
         self.indices.flags.writeable = self.indptr.flags.writeable = False
         self.shape = (n, m)
 
@@ -129,6 +146,13 @@ class _Scatter:
         # elem: (M, nloc, nloc_col) element matrices -> CSR on the shared pattern
         data = np.bincount(self.slot, weights=elem.ravel(), minlength=self.nnz + 1)[: self.nnz]
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _csr_index(keys, n, m):
+    # int32 CSR index arrays of n rows with entries at the sorted keys row * m + column
+    indices = (keys % m).astype(np.int32)
+    indptr = np.append(0, np.searchsorted(keys, m * np.arange(1, n + 1))).astype(np.int32)
+    return indices, indptr
 
 
 def _mass_elem(space, geom):
@@ -338,12 +362,15 @@ def eval_at_quad(space, geom, coeffs):
     )
 
 
-def eval_grad_at_quad(space, geom, coeffs):
+def eval_grad_at_quad(space, geom, coeffs, gphi=None):
     """Field gradients at the rule points of every cell.
 
     Scalar spaces give (M, nq, 2); vector spaces give (M, nq, 2, 2) with
-    entry [..., c, d] = d_d u_c."""
-    gphi = _phys_grads(space, geom)
+    entry [..., c, d] = d_d u_c.  gphi, the basis gradients pushed through
+    every cell (_phys_grads(space, geom)), may be passed by a caller that
+    evaluates several fields on one geometry."""
+    if gphi is None:
+        gphi = _phys_grads(space, geom)
     cd = space.cell_dofs
     if space.components == 1:
         return np.einsum("cqid,ci->cqd", gphi, coeffs[cd])
@@ -360,7 +387,11 @@ class OperatorSet:
         scalar block on the free (interior) velocity dofs, the block every
         momentum and mass solve uses; both have the one CSR pattern of
         free_convection(w), so the momentum matrix of a step is a sum of
-        data arrays
+        data arrays.  The block's dofs are numbered in the reverse
+        Cuthill-McKee order of that pattern (scatter_free.order, found
+        once), so the momentum LU's minimum degree ordering starts from a
+        banded numbering whatever the mesh's; free_values and from_free
+        gather and scatter in that order, so no step permutes anything
     G : the one velocity/pressure coupling, of shape (dim U, dim P):
 
             G[(c,i), q] = (phi_i, d_c psi_q)     so (u, grad psi_q) = (G^T u)_q
@@ -382,9 +413,9 @@ class OperatorSet:
         self.space_p = space_p
         self.geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))
         self._conv_tensor = _convection_tensor(space_u, self.geom.rule)
-        # free entries of each velocity component, one row per component
-        self._free_index = np.flatnonzero(space_u.free).reshape(2, -1)
-        self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
+        self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar], order=rcm_order)
+        # free entries of each velocity component in block order, one row per component
+        self._free_index = np.flatnonzero(space_u.free).reshape(2, -1)[:, self.scatter_free.order]
         self.M_free = self.scatter_free(_mass_elem(space_u, self.geom))
         self.A_free = self.scatter_free(_stiffness_elem(space_u, self.geom))
         # one scalar block per velocity component, stacked
@@ -413,8 +444,8 @@ class OperatorSet:
         return assemble_load(f, t_lo, t_hi, cutoff, self.geom, self._load_form)
 
     def free_values(self, vec):
-        """The free entries of a velocity vector, one column per component:
-        the layout of the scalar free blocks' right sides."""
+        """The free entries of a velocity vector in block order, one column
+        per component: the layout of the scalar free blocks' right sides."""
         return vec[self._free_index].T
 
     def from_free(self, x):

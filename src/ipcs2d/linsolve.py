@@ -20,13 +20,18 @@ the mass, a fixed polynomial in diag(M)^-1 M:
     for a stale momentum factor below;
   * solve_momentum: the momentum system of a step, by sparse LU (minimum
     degree ordering on A^T + A, diagonal pivot threshold 0.1), one
-    factorization for all columns of b.  Given the run's MomentumFactor it
-    reuses the LU of an earlier step: only the convection changes from
-    step to step, so a stale LU is still a good preconditioner.  A stale
-    factor starts from the caller's start vector (a step passes an
-    extrapolation of its earlier velocities) when that has a smaller
-    residual than x = 0, and sweeps until the residual is at most tol |b|
-    and at rounding level: the normwise backward error of every column is
+    factorization for all columns of b.  Minimum degree is sensitive to the
+    numbering it starts from (George & Liu, Computer Solution of Large
+    Sparse Positive Definite Systems, 1981); the operator set numbers the
+    free velocity block in its reverse Cuthill-McKee order (rcm_order)
+    once, so the matrix arrives in that order and the LU size does not
+    depend on how the mesh numbers its vertices.  Given the run's
+    MomentumFactor it reuses the LU of an earlier step: only the
+    convection changes from step to step, so a stale LU is still a good
+    preconditioner.  A stale factor starts from the caller's start vector
+    (a step passes an extrapolation of its earlier velocities) when that
+    has a smaller residual than x = 0, and sweeps until the residual is at
+    most tol |b| and at rounding level: the normwise backward error of every column is
     at most EPS in the infinity norm, or the last sweep no longer halved
     the residual (stopping at tol alone would leave an error the energy
     ledger shows); tol is only the failure threshold.  It has STALE_SWEEPS
@@ -36,8 +41,10 @@ the mass, a fixed polynomial in diag(M)^-1 M:
     tol.  The factor is also rebuilt whenever its key, the (a0, dt, mu) of
     the step, changes;
   * factor_poisson: the pure-Neumann pressure Poisson operator, projected
-    onto zero row sums and factored once with one dof pinned; each solve
-    projects the right side onto the complement of the constant kernel,
+    onto zero row sums and factored once with one dof pinned, the pinned
+    block renumbered the same way, by its reverse Cuthill-McKee order,
+    found once and applied inside each LU solve; each solve projects the
+    right side onto the complement of the constant kernel,
     spreads what rounding leaves inconsistent along the mass weights, and
     shifts the solution to zero mass-weighted mean.
 
@@ -55,6 +62,7 @@ __all__ = [
     "solve_mass",
     "solve_momentum",
     "factor_poisson",
+    "rcm_order",
 ]
 
 # sweeps a stale momentum factor may take before the matrix is refactored
@@ -218,6 +226,18 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
     )
 
 
+def rcm_order(A):
+    """Reverse Cuthill-McKee order of the structurally symmetric sparse
+    matrix A (Cuthill & McKee 1969; George & Liu 1981): the rows of A
+    renumbered so that each sits near its neighbours, whatever numbering A
+    came in.  Minimum degree started from it fills the LU less."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    if A.shape[0] == 0:
+        return np.zeros(0, dtype=np.int32)
+    return reverse_cuthill_mckee(A, symmetric_mode=True)
+
+
 def _factor(A, what):
     from scipy.sparse.linalg import splu
 
@@ -225,8 +245,11 @@ def _factor(A, what):
         # threshold pivoting keeps the minimum degree order when convection
         # dominates; the fresh residual check guards the accuracy
         return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
-    except RuntimeError as exc:
-        raise LinearSolveError("%s matrix factorization failed: %s" % (what, exc)) from exc
+    except (RuntimeError, MemoryError) as exc:
+        raise LinearSolveError(
+            "%s matrix factorization of %d dofs failed: %s"
+            % (what, A.shape[0], exc or type(exc).__name__)
+        ) from exc
 
 
 def solve_mass(M, b, degree, tol=1e-12):
@@ -315,19 +338,26 @@ def factor_poisson(N, mass):
     against the unpinned (projected) N, and shifts the solution to zero
     mass-weighted mean.  N's column sums stay of rounding size, so b is
     inconsistent by rounding; rather than leave that in the pinned row, each
-    correction cancels the row with a multiple of the pinned solve of w = mass @ 1."""
+    correction cancels the row with a multiple of the pinned solve of w = mass @ 1.
+    The pinned block N[1:, 1:] is factored in its reverse Cuthill-McKee
+    order, and each LU solve reads and writes its dofs in that order."""
     N = N.tocsr(copy=True)
     N.setdiag(N.diagonal() - N @ np.ones(N.shape[0]))
-    lu = _factor(N[1:, 1:], "pressure Poisson")
+    pinned = N[1:, 1:]
+    order = rcm_order(pinned)
+    lu = _factor(pinned[order][:, order], "pressure Poisson")
+    del pinned
+    # dofs of the pinned block in the order of its LU
+    order += 1
     w = mass @ np.ones(N.shape[0])
     row0 = N[0].toarray().ravel()
     x_w = np.zeros_like(w)
-    x_w[1:] = lu.solve(w[1:])
+    x_w[order] = lu.solve(w[order])
     rho_w = w[0] - row0 @ x_w
 
     def spread(r):
         x = np.zeros_like(r)
-        x[1:] = lu.solve(r[1:])
+        x[order] = lu.solve(r[order])
         x -= (r[0] - row0 @ x) / rho_w * x_w
         return x
 

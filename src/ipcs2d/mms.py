@@ -10,7 +10,7 @@ pi y; the derivation is in the stream_vortex_case docstring.  A run
 evaluates the forcing at the same quadrature points three times a step,
 and only its time factors change, so the forcing keeps the spatial fields
 of its last read-only point set and recombines them with sin t, cos t and
-cos^2 t.
+cos^2 t.  The exact fields keep the sines and cosines of that set alike.
 
 The stock case drives a decaying vortex from the stream function
 psi = sin^2(pi x) sin^2(pi y) cos(t), so the velocity is divergence free
@@ -26,10 +26,11 @@ one with a conforming gradient.
 """
 
 import math
+import weakref
 
 import numpy as np
 
-from .assembly import CellGeometry, eval_at_quad, eval_grad_at_quad
+from .assembly import CellGeometry, _phys_grads, eval_at_quad, eval_grad_at_quad
 from .fe import quad_rule
 from .mesh import generate_structured_unit_square
 from .scheme import SchemeConfig, run
@@ -91,10 +92,12 @@ def stream_vortex_case(mu):
         C = 2 pi^3 sx^2 sy^2 (Sx, Sy)
         D = -2 pi^3 mu (Sy (1 - 4 sx^2), Sx (4 sy^2 - 1)) - pi (sx cy, cx sy)
 
-    f keeps these six fields for the last read-only point set it saw, by
-    reference, so repeated calls at one such set (an OperatorSet's rule
-    points) compute them once; writeable points are evaluated afresh.  Its
-    values are the same, bit for bit, as those of a fresh case."""
+    f keeps these six fields for the last read-only point set the case
+    saw, while those points live, so repeated calls at one such set (an OperatorSet's
+    rule points) compute them once; u, grad_u and p keep the six sines and
+    cosines of that set the same way (error_norms evaluates them at one set
+    for every level).  Writeable points are evaluated afresh.  The values
+    are the same, bit for bit, as those of a fresh case."""
     if mu <= 0:
         raise ValueError("viscosity mu must be positive")
     pi = math.pi
@@ -105,32 +108,44 @@ def stream_vortex_case(mu):
         sx, cx, sy, cy = np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y)
         return sx, cx, 2.0 * sx * cx, sy, cy, 2.0 * sy * cy
 
-    # the last read-only (x, y) f saw and its six fields there; no write
-    # reaches points read-only together with every array they view
+    # weak references to the last read-only (x, y) seen and what one kind
+    # of callable computed there: the six sines and cosines (u, grad_u, p)
+    # or the six forcing fields (f); no write reaches points read-only
+    # together with every array they view.  The values go when the points
+    # do, so a projection's or an error rule's points are not kept for a run.
     memo = []
 
-    def forcing_fields(x, y):
+    def forget(ref):
+        if memo and (memo[0] is ref or memo[1] is ref):
+            memo.clear()
+
+    def remembered(kind, compute, x, y):
         frozen = _read_only(x) and _read_only(y)
-        if frozen and memo and memo[0] is x and memo[1] is y:
-            return memo[2:]
+        if frozen and memo and memo[0]() is x and memo[1]() is y and memo[2] == kind:
+            return memo[3]
+        memo.clear()
+        values = compute(x, y)
+        if frozen:
+            memo[:] = [weakref.ref(x, forget), weakref.ref(y, forget), kind, values]
+        return values
+
+    def forcing_fields(x, y):
         sx, cx, Sx, sy, cy, Sy = trig(x, y)
         sx2, sy2 = sx * sx, sy * sy
         convect = 2.0 * pi**3 * sx2 * sy2
         diffuse = 2.0 * pi**3 * mu
-        fields = [  # A, C, D of the first component, then of the second
+        return [  # A, C, D of the first component, then of the second
             -pi * sx2 * Sy, convect * Sx, -diffuse * Sy * (1.0 - 4.0 * sx2) - pi * sx * cy,
             pi * Sx * sy2, convect * Sy, -diffuse * Sx * (4.0 * sy2 - 1.0) - pi * cx * sy,
         ]
-        memo[:] = [x, y] + fields if frozen else []
-        return fields
 
     def u(t, x, y):
-        sx, _, Sx, sy, _, Sy = trig(x, y)
+        sx, _, Sx, sy, _, Sy = remembered("trig", trig, x, y)
         a = pi * np.cos(t)
         return a * sx * sx * Sy, -a * Sx * sy * sy
 
     def grad_u(t, x, y):
-        sx, _, Sx, sy, _, Sy = trig(x, y)
+        sx, _, Sx, sy, _, Sy = remembered("trig", trig, x, y)
         a = pi * pi * np.cos(t)
         g11 = a * Sx * Sy
         return (
@@ -141,11 +156,11 @@ def stream_vortex_case(mu):
         )
 
     def p(t, x, y):
-        _, cx, _, _, cy, _ = trig(x, y)
+        _, cx, _, _, cy, _ = remembered("trig", trig, x, y)
         return cx * cy * np.cos(t)
 
     def f(t, x, y):
-        a1, c1, d1, a2, c2, d2 = forcing_fields(x, y)
+        a1, c1, d1, a2, c2, d2 = remembered("forcing", forcing_fields, x, y)
         st, ct = np.sin(t), np.cos(t)
         ct2 = ct * ct
         return st * a1 + ct2 * c1 + ct * d1, st * a2 + ct2 * c2 + ct * d2
@@ -181,40 +196,41 @@ def _error_geometry(traj):
     return CellGeometry(traj.config.mesh, quad_rule(degree))
 
 
-def _field_errors_at(traj, case, geom, level):
+def _l2_sq(geom, sq):
+    # quadrature integral of a pointwise square
+    return float(np.einsum("q,cq,c->", geom.rule.weights, sq, geom.detJ))
+
+
+def _velocity_errors_at(traj, case, geom, grad_psi, level):
+    """Squared L2 errors of the end-of-step and the intermediate velocity
+    of a level; grad_psi holds the pressure basis gradients on geom."""
     ops = traj.ops
-    w = geom.rule.weights
-    X, Y = geom.x, geom.y
-    t = level.t
-
-    ue1, ue2 = case.u(t, X, Y)
+    ue1, ue2 = case.u(level.t, geom.x, geom.y)
     utilde = eval_at_quad(ops.space_u, geom, level.utilde)
-    uh = utilde + eval_grad_at_quad(ops.space_p, geom, level.phi)
+    uh = utilde + eval_grad_at_quad(ops.space_p, geom, level.phi, grad_psi)
 
-    def l2sq(d1, d2):
-        return float(np.einsum("q,cq,c->", w, d1 * d1 + d2 * d2, geom.detJ))
+    def sq(v):
+        d1, d2 = v[..., 0] - ue1, v[..., 1] - ue2
+        return d1 * d1 + d2 * d2
 
-    err_u_sq = l2sq(uh[..., 0] - ue1, uh[..., 1] - ue2)
-    err_utilde_sq = l2sq(utilde[..., 0] - ue1, utilde[..., 1] - ue2)
+    return _l2_sq(geom, sq(uh)), _l2_sq(geom, sq(utilde))
 
-    g11, g12, g21, g22 = case.grad_u(t, X, Y)
-    gut = eval_grad_at_quad(ops.space_u, geom, level.utilde)
-    err_h1_sq = float(
-        np.einsum(
-            "q,cq,c->",
-            w,
-            (gut[..., 0, 0] - g11) ** 2
-            + (gut[..., 0, 1] - g12) ** 2
-            + (gut[..., 1, 0] - g21) ** 2
-            + (gut[..., 1, 1] - g22) ** 2,
-            geom.detJ,
-        )
+
+def _gradient_and_pressure_errors_at(traj, case, geom, grad_phi, level):
+    """Squared H1-seminorm error of the intermediate velocity and squared
+    L2 error of the pressure; grad_phi holds the velocity basis gradients
+    on geom."""
+    ops = traj.ops
+    g11, g12, g21, g22 = case.grad_u(level.t, geom.x, geom.y)
+    gut = eval_grad_at_quad(ops.space_u, geom, level.utilde, grad_phi)
+    sq = (
+        (gut[..., 0, 0] - g11) ** 2
+        + (gut[..., 0, 1] - g12) ** 2
+        + (gut[..., 1, 0] - g21) ** 2
+        + (gut[..., 1, 1] - g22) ** 2
     )
-
-    pe = case.p(t, X, Y)
     ph = eval_at_quad(ops.space_p, geom, level.p)
-    err_p_sq = float(np.einsum("q,cq,c->", w, (ph - pe) ** 2, geom.detJ))
-    return err_u_sq, err_utilde_sq, err_h1_sq, err_p_sq
+    return _l2_sq(geom, sq), _l2_sq(geom, (ph - case.p(level.t, geom.x, geom.y)) ** 2)
 
 
 def error_norms(traj, case):
@@ -224,9 +240,13 @@ def error_norms(traj, case):
     err_u_H1 (seminorm, intermediate field), err_p_L2, and — when every
     level was stored — the squared-in-time L2(0,T; L2) velocity errors
     err_u_L2L2 / err_utilde_L2L2 of the piecewise-constant-in-time
-    interpolants (None otherwise)."""
+    interpolants (None otherwise).  The basis gradients of both spaces
+    are pushed through the cells once per call, and every level reads
+    them."""
     geom = _error_geometry(traj)
-    eu, eut, eh1, ep = _field_errors_at(traj, case, geom, traj.final)
+    grad_phi, grad_psi = (_phys_grads(s, geom) for s in (traj.ops.space_u, traj.ops.space_p))
+    eu, eut = _velocity_errors_at(traj, case, geom, grad_psi, traj.final)
+    eh1, ep = _gradient_and_pressure_errors_at(traj, case, geom, grad_phi, traj.final)
     out = {
         "err_u_L2": math.sqrt(eu),
         "err_utilde_L2": math.sqrt(eut),
@@ -239,7 +259,7 @@ def error_norms(traj, case):
         acc_u = 0.0
         acc_ut = 0.0
         for lv in traj.levels[1:]:
-            eu, eut, _, _ = _field_errors_at(traj, case, geom, lv)
+            eu, eut = _velocity_errors_at(traj, case, geom, grad_psi, lv)
             acc_u += eu
             acc_ut += eut
         out["err_u_L2L2"] = math.sqrt(traj.dt * acc_u)

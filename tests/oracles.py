@@ -12,7 +12,11 @@ assembles only their scalar block on the free dofs, so full_space_matrix
 sums the package's own element matrices into the full block-diagonal
 matrix by an independent scatter, COO triplets summed by scipy.  Likewise
 the package keeps no divergence coupling D, only G; divergence_coupling
-integrates D point by point on the package's rule and cell geometry.
+integrates D point by point on the package's rule and cell geometry.  The
+package numbers the free block in its own (reverse Cuthill-McKee) order;
+free_block and block_ordered_product slice and multiply the full matrices
+in that order, so that sums run in the package's order and compare bit for
+bit.
 """
 
 import functools
@@ -91,6 +95,29 @@ def full_convection(ops, w):
     return assemble_convection(
         ops.space_u, w, ops.geom, full_space_scatter(ops.space_u), ops._conv_tensor
     )
+
+
+def free_block(ops, matrix):
+    """The free scalar block of a velocity matrix (full, or its scalar
+    block), rows and columns in the operator set's block order, with
+    sorted indices: the CSR layout of ops.M_free."""
+    index = ops._free_index[0]
+    block = sp.csr_matrix(matrix)[index][:, index]
+    block.sort_indices()
+    return block
+
+
+def block_ordered_product(ops, matrix, vec):
+    """matrix @ vec for a full velocity matrix, each row summed in the
+    column order of the free block: the free dofs of each component in
+    block order, then the Dirichlet dofs, whose zero entries of vec add
+    nothing."""
+    order = np.concatenate([ops._free_index.ravel(), np.flatnonzero(~ops.space_u.free)])
+    permuted = sp.csr_matrix(matrix)[order][:, order]
+    permuted.sort_indices()
+    out = np.empty_like(vec)
+    out[order] = permuted @ vec[order]
+    return out
 
 
 def divergence_coupling(ops):

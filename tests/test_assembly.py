@@ -16,8 +16,10 @@ from ipcs2d.assembly import (
 from conftest import build_setup
 from oracles import (
     DenseScheme,
+    block_ordered_product,
     coo_sum,
     divergence_coupling,
+    free_block,
     full_convection,
     full_space_matrix,
     full_velocity_matrices,
@@ -190,16 +192,17 @@ def test_operator_set_builds_without_coo(monkeypatch):
 @pytest.mark.parametrize("n,deg", [(3, 1), (4, 2)])
 def test_velocity_inner_products_equal_the_full_products(n, deg, setup_cache):
     # on vectors that vanish at the Dirichlet dofs the free-block products
-    # are the full-matrix products bit for bit
+    # are the full-matrix products bit for bit, each row summed in block order
     _, su, sp, ops = setup_cache(n, deg, 1)
     M, A = full_velocity_matrices(ops)
     rng = np.random.default_rng(n)
     for _ in range(5):
         v = in_space(su, rng.standard_normal(su.ndofs))
         phi = rng.standard_normal(sp.ndofs)
-        assert ops.norm_u_sq(v) == float(v @ (M @ v))
-        assert ops.grad_u_sq(v) == float(v @ (A @ v))
-        full = v @ (M @ v) + 2.0 * (v @ (ops.G @ phi)) + phi @ (ops.N_p @ phi)
+        Mv = block_ordered_product(ops, M, v)
+        assert ops.norm_u_sq(v) == float(v @ Mv)
+        assert ops.grad_u_sq(v) == float(v @ block_ordered_product(ops, A, v))
+        full = v @ Mv + 2.0 * (v @ (ops.G @ phi)) + phi @ (ops.N_p @ phi)
         assert ops.yh_norm_sq(v, phi) == float(full)
         # only the free entries are read
         noisy = v + ~su.free * rng.standard_normal(su.ndofs)
@@ -215,7 +218,8 @@ def test_yh_pair_with_u_free_rows_equal_the_full_product(n, deg, setup_cache):
     base = in_space(su, rng.standard_normal(su.ndofs))
     phi = rng.standard_normal(sp.ndofs)
     r = ops.yh_pair_with_u(base, phi)
-    assert np.array_equal(r[su.free], (M @ base + ops.G @ phi)[su.free])
+    expect = block_ordered_product(ops, M, base) + ops.G @ phi
+    assert np.array_equal(r[su.free], expect[su.free])
     # the mass acts on the free block only: Dirichlet rows hold G phi alone
     assert np.array_equal(r[~su.free], (ops.G @ phi)[~su.free])
 
@@ -286,10 +290,15 @@ def test_free_blocks_equal_the_sliced_operators(n, deg, setup_cache):
     rng = np.random.default_rng(n)
     w = in_space(su, rng.standard_normal(su.ndofs))
     M, A = full_velocity_matrices(ops)
+    # the block is numbered in the reverse Cuthill-McKee order of its own
+    # pattern in the natural numbering
+    order = ops.scatter_free.order
+    assert np.array_equal(order, linsolve.rcm_order(M[:ns, :ns][free][:, free]))
+    assert np.array_equal(ops._free_index[0], np.flatnonzero(free)[order])
     pairs = [
-        (ops.M_free, M[:ns, :ns][free][:, free]),
-        (ops.A_free, A[:ns, :ns][free][:, free]),
-        (ops.free_convection(w), full_convection(ops, w)[:ns, :ns][free][:, free]),
+        (ops.M_free, free_block(ops, M)),
+        (ops.A_free, free_block(ops, A)),
+        (ops.free_convection(w), free_block(ops, full_convection(ops, w))),
     ]
     for block, sliced in pairs:
         # entry for entry, in the same CSR order
@@ -523,8 +532,10 @@ def test_projection_matches_a_dense_mass_solve(deg, jitter, monkeypatch):
     rhs, _ = load_by_einsum(su, geom, np.stack(g(geom.phys[..., 0], geom.phys[..., 1]), axis=-1))
     n = su.n_scalar
     free = su.free[:n]
+    # the dense solve in the natural numbering of the free dofs
+    M = full_velocity_matrices(ops)[0][:n, :n][free][:, free].toarray()
     expect = np.zeros((2, n))
-    expect[:, free] = np.linalg.solve(ops.M_free.toarray(), rhs.reshape(2, n)[:, free].T).T
+    expect[:, free] = np.linalg.solve(M, rhs.reshape(2, n)[:, free].T).T
     assert np.abs(got - expect.ravel()).max() <= 1e-13 * np.abs(expect).max()
 
 
@@ -551,13 +562,14 @@ def test_reference_tensor_convection_on_a_perturbed_mesh(deg):
     su = pk.build_space(perturbed_mesh(6, deg), deg, components=2, homogeneous_dirichlet=True)
     sp = pk.build_space(su.mesh, 1, components=1, zero_mean=True)
     ops = pk.OperatorSet(su, sp)
-    free = su.free[: su.n_scalar]
+    index = ops._free_index[0]
     rng = np.random.default_rng(deg)
     M = ops.M_free
     for _ in range(5):
         w = in_space(su, rng.standard_normal(su.ndofs))
         B = ops.free_convection(w)
-        expect = convection_by_quadrature(su, w, ops.geom.rule)[free][:, free]
+        # the free block, rows and columns in block order
+        expect = convection_by_quadrature(su, w, ops.geom.rule)[np.ix_(index, index)]
         assert np.abs(B.toarray() - expect).max() <= 1e-14 * np.abs(expect).max()
         # the form pairs a field with itself to zero
         v = rng.standard_normal(M.shape[0])

@@ -48,6 +48,9 @@ def test_traced_quickstart_attributes_every_step(tmp_path, monkeypatch):
     # the run keeps its momentum LU across steps: the Poisson operator,
     # backward Euler and the first BDF2 step factor (the mass needs none)
     assert counts["linsolve.lu_factorizations"] <= 6
+    # the free velocity block and the pinned pressure block reach SuperLU in
+    # their reverse Cuthill-McKee order: a numbering regression shows here
+    assert counts["linsolve.lu_fill_nnz"] <= 100_000
     # every forcing evaluation goes through the case's (wrapped) f: three
     # Gauss nodes per step, 2 n^2 cells, the 7-point rule of P2/P1
     assert counts["mms.forcing_points"] == 3 * spec["n_steps"] * 2 * spec["mesh_n"] ** 2 * 7

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import ipcs2d as pk
-from ipcs2d import LinearSolveError
+from ipcs2d import LinearSolveError, linsolve
 from ipcs2d.linsolve import STALE_SWEEPS, MomentumFactor, factor_poisson, solve_momentum, solve_spd
 
 from oracles import DenseScheme, full_convection, full_velocity_matrices
@@ -330,3 +330,61 @@ def test_error_carries_achieved_residual():
         assert err.residual is None or err.residual > 0
     else:
         raise AssertionError("expected LinearSolveError")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("Factor is exactly singular"), MemoryError()])
+def test_failed_factorization_names_the_matrix_and_its_order(error, monkeypatch):
+    # splu may fail for lack of memory as well as on a singular matrix;
+    # either way the error says which matrix of how many dofs
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
+    A, b = _random_system(n=17)
+    with pytest.raises(LinearSolveError, match="^momentum matrix factorization of 17 dofs failed: ") as info:
+        solve_momentum(A, b)
+    assert info.value.__cause__ is error
+    with pytest.raises(LinearSolveError, match="^pressure Poisson matrix factorization of 8 dofs"):
+        factor_poisson(sp.identity(9, format="csr"), sp.identity(9, format="csr"))
+
+
+def shuffled(mesh, seed):
+    """The mesh with its vertices and its triangles in random order, as a
+    mesh file may number them."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(mesh.vertices))
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    perm_t = rng.permutation(mesh.n_triangles)
+    flags = mesh.boundary_vertex_flags[perm]
+    return pk.Mesh(mesh.vertices[perm], inv[mesh.triangles][perm_t], flags)
+
+
+def test_lu_fill_does_not_depend_on_the_vertex_numbering(monkeypatch):
+    # the free velocity block is renumbered by its own reverse Cuthill-McKee
+    # order before minimum degree sees it, so a mesh numbered at random
+    # factors about as sparsely as the structured one, and runs the same
+    fills = []
+    factor = linsolve._factor
+
+    def counted(A, what):
+        lu = factor(A, what)
+        if what == "momentum":
+            fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(linsolve, "_factor", counted)
+    case = pk.stream_vortex_case(mu=1.0)
+    structured = pk.generate_structured_unit_square(32)
+    runs = []
+    for mesh in (structured, shuffled(structured, 5)):
+        fills.clear()
+        cfg = pk.SchemeConfig(
+            dt=0.01, T=0.03, mu=1.0, mesh=mesh, degree_u=2, degree_p=1, u0=case.u0, f=case.f,
+        )
+        traj = pk.run(cfg)
+        assert traj.n_steps == 3 and len(fills) == 2
+        runs.append((max(fills), traj.ledger.column("E_h")))
+    (fill, energy), (fill_shuffled, energy_shuffled) = runs
+    assert fill_shuffled <= 1.25 * fill
+    assert np.abs(energy_shuffled - energy).max() <= 1e-12 * np.abs(energy).max()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -168,6 +169,28 @@ def test_memoized_factors_match_a_fresh_case():
     y[::2] = 0.5
     assert_fresh(case, 0.4, x, y)
     assert_fresh(case, 0.4, x[:, :3], y[:, :3])  # a view of another shape
+    # read-only points, which the case remembers: the forcing and the exact
+    # fields take turns at one set, then at a read-only view of a
+    # writeable array that is changed in place
+    frozen = [x2.copy(), y2.copy()]
+    base = np.stack([x, y], axis=-1)
+    views = [base[..., 0], base[..., 1]]
+    for a in frozen + views:
+        a.flags.writeable = False
+    for points in (frozen, views):
+        for t in (0.0, 0.3, 0.3, 1.1):
+            assert_fresh(case, t, *points)
+    base[2:5] += 0.125
+    assert_fresh(case, 0.3, *views)
+    # the case keeps no point set alive, so its memo goes with the points
+    points = [np.array(rng.random((40, 7))) for _ in range(2)]
+    for c in (0, 1):
+        points[c].flags.writeable = False
+    for field in (case.u, case.grad_u, case.p, case.f):
+        field(0.3, *points)
+    alive = [weakref.ref(c) for c in points]
+    del points
+    assert all(ref() is None for ref in alive)
 
 
 def test_forcing_fields_are_computed_once_at_read_only_points(setup_cache, monkeypatch):

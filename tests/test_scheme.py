@@ -15,7 +15,13 @@ from ipcs2d import scheme
 from ipcs2d.linsolve import STALE_SWEEPS
 from ipcs2d.scheme import Level, init_state, step
 
-from oracles import DenseScheme, divergence_coupling, full_convection, full_velocity_matrices
+from oracles import (
+    DenseScheme,
+    divergence_coupling,
+    free_block,
+    full_convection,
+    full_velocity_matrices,
+)
 
 
 def affine_case():
@@ -363,7 +369,6 @@ def test_step_momentum_matrix_equals_sum_then_slice(deg, setup_cache, monkeypatc
     # the matrix the sum-then-slice formula gives, entry for entry
     _, su, _, ops = setup_cache(4, deg, 1)
     n = su.n_scalar
-    free = su.free[:n]
     seen = []
     solve = scheme.solve_momentum
 
@@ -382,8 +387,7 @@ def test_step_momentum_matrix_equals_sum_then_slice(deg, setup_cache, monkeypatc
     M, A = full_velocity_matrices(ops)
     for (a0, w), S in zip(advected, seen):
         B = full_convection(ops, w)
-        ref = (a0 / dt) * M[:n, :n] + B[:n, :n] + mu * A[:n, :n]
-        ref = ref[free][:, free]
+        ref = free_block(ops, (a0 / dt) * M[:n, :n] + B[:n, :n] + mu * A[:n, :n])
         assert np.array_equal(S.indptr, ref.indptr)
         assert np.array_equal(S.indices, ref.indices)
         assert np.array_equal(S.data, ref.data)
@@ -415,6 +419,18 @@ def test_operators_and_step_matrices_share_read_only_patterns(setup_cache, monke
             assert not index.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = index[0]
+
+
+def test_mesh_without_free_velocity_dofs_runs():
+    # n=1 P1: every velocity dof lies on the boundary, so the free block,
+    # and the order it is numbered in, are empty
+    case = pk.stream_vortex_case(mu=1.0)
+    cfg = pk.SchemeConfig(
+        dt=0.1, T=0.2, mu=1.0, mesh_n=1, degree_u=1, degree_p=1, u0=case.u0, f=case.f,
+    )
+    traj = pk.run(cfg)
+    assert traj.ops.M_free.shape == (0, 0) and traj.ops.scatter_free.order.size == 0
+    assert traj.n_steps == 2 and not np.any(traj.final.utilde)
 
 
 def test_gates_fire_inside_run(setup_cache):

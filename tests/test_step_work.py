@@ -6,6 +6,8 @@ once, the velocity mass is applied three times per step, the momentum
 refinement stays within its sweep budget, each step assembles one
 convection, the run factors only the Poisson operator and two momentum
 matrices (no mass), and the signatures of u0 and f are checked once.
+The error norms of that run push the basis gradients forward and take
+the exact fields' sines and cosines once per call, not once per level.
 The VTK writer builds the level-independent part of a file once per
 space pair.  No timing: the counts repeat exactly from run to run.
 """
@@ -16,7 +18,7 @@ import inspect
 import numpy as np
 
 import ipcs2d as pk
-from ipcs2d import assembly, fileio, linsolve
+from ipcs2d import assembly, fileio, linsolve, mms
 
 
 def test_quickstart_run_work_counts(monkeypatch):
@@ -72,6 +74,38 @@ def test_quickstart_run_work_counts(monkeypatch):
     assert counts["signature"] == 2
     # no stored level keeps its Riesz vector once the run is over
     assert all(level.riesz is None for level in traj.levels)
+
+
+def test_quickstart_error_norms_work_counts(monkeypatch):
+    case = pk.stream_vortex_case(mu=1.0)
+    cfg = pk.SchemeConfig(
+        dt=0.01, T=0.5, mu=1.0, mesh_n=16, degree_u=2, degree_p=1,
+        u0=case.u0, f=case.f, case_name=case.name,
+    )
+    traj = pk.run(cfg)
+    assert len(traj.levels) == 51 and traj.is_complete()
+    expect = pk.error_norms(traj, pk.stream_vortex_case(mu=1.0))
+    grads, sines = [], []
+    phys_grads, sin = assembly._phys_grads, np.sin
+
+    def counted_grads(space, geom):
+        grads.append(space.degree)
+        return phys_grads(space, geom)
+
+    def counted_sin(a, *args, **kwargs):
+        sines.append(np.ndim(a))
+        return sin(a, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_phys_grads", counted_grads)
+    monkeypatch.setattr(mms, "_phys_grads", counted_grads)
+    monkeypatch.setattr(np, "sin", counted_sin)
+    for _ in range(2):
+        grads.clear()
+        sines.clear()
+        assert pk.error_norms(traj, case) == expect
+        # one push forward per space, and sin(pi x), sin(pi y) for all levels
+        assert sorted(grads) == [1, 2]
+        assert sines.count(2) == 2
 
 
 def test_vtk_output_work_counts(tmp_path, monkeypatch):
