@@ -98,40 +98,35 @@ class _Scatter:
     With a boolean mask over the scalar dofs, the map is restricted to the
     block of the masked rows and columns.  Entries outside the block go to
     a spare slot past the end, which is dropped.  The block's dofs are
-    numbered in order or, given order, in the order that order(pattern)
-    returns for the block's CSR pattern in that numbering: position k of
-    the block holds the masked dof order[k], and self.order keeps it (None
-    without one).  The map is built in that order directly.  With a column
-    space cols, the map is the rectangular block of the space's scalar dofs
-    by the scalar dofs of cols.  Slots and index arrays are int32.  The
-    index arrays are read-only, and every matrix the map builds shares
-    them: an in-place edit of one raises ValueError."""
+    numbered in the reverse Cuthill-McKee order of the block's own CSR
+    pattern (rcm_order): position k of the block holds the masked dof
+    self.order[k].  With a column space cols, the map is the rectangular
+    block of the space's scalar dofs by the scalar dofs of cols.  Slots
+    and index arrays are int32.  The index arrays are read-only, and every
+    matrix the map builds shares them: an in-place edit of one raises
+    ValueError."""
 
-    def __init__(self, space, mask=None, cols=None, order=None):
+    def __init__(self, space, mask=None, cols=None):
         cols = space if cols is None else cols
         cd, n, cd_col, m = space.cell_dofs, space.n_scalar, cols.cell_dofs, cols.n_scalar
         key = np.repeat(cd, cd_col.shape[1], axis=1).ravel() * m
         key += np.tile(cd_col, (1, cd.shape[1])).ravel()
         keys, slot = np.unique(key, return_inverse=True)
         del key
-        self.order = None
         if mask is not None:
-            # renumbering the masked dofs in order keeps the keys sorted
             rows, columns = np.divmod(keys, n)
             keep = mask[rows] & mask[columns]
             number = np.cumsum(mask) - 1
             n = m = int(mask.sum())
             keys = number[rows[keep]] * n + number[columns[keep]]
-            sort = slice(None)
-            if order is not None:
-                pattern = (np.ones(keys.size, np.int8),) + _csr_index(keys, n, n)
-                self.order = order(sp.csr_matrix(pattern, shape=(n, n)))
-                # relabel the keys to the new numbers and sort them
-                number = np.empty(n, dtype=np.int64)
-                number[self.order] = np.arange(n)
-                keys = number[keys // n] * n + number[keys % n]
-                sort = np.argsort(keys)
-                keys = keys[sort]
+            pattern = (np.ones(keys.size, np.int8),) + _csr_index(keys, n, n)
+            self.order = rcm_order(sp.csr_matrix(pattern, shape=(n, n)))
+            # relabel the keys to the block numbers and sort them
+            number = np.empty(n, dtype=np.int64)
+            number[self.order] = np.arange(n)
+            keys = number[keys // n] * n + number[keys % n]
+            sort = np.argsort(keys)
+            keys = keys[sort]
             # each kept entry goes to the slot of its key, the rest past the end
             spare = np.full(keep.size, keys.size)
             spare[np.flatnonzero(keep)[sort]] = np.arange(keys.size)
@@ -413,7 +408,7 @@ class OperatorSet:
         self.space_p = space_p
         self.geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))
         self._conv_tensor = _convection_tensor(space_u, self.geom.rule)
-        self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar], order=rcm_order)
+        self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
         # free entries of each velocity component in block order, one row per component
         self._free_index = np.flatnonzero(space_u.free).reshape(2, -1)[:, self.scatter_free.order]
         self.M_free = self.scatter_free(_mass_elem(space_u, self.geom))

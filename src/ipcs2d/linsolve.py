@@ -248,7 +248,7 @@ def _factor(A, what):
     except (RuntimeError, MemoryError) as exc:
         raise LinearSolveError(
             "%s matrix factorization of %d dofs failed: %s"
-            % (what, A.shape[0], exc or type(exc).__name__)
+            % (what, A.shape[0], str(exc) or type(exc).__name__)
         ) from exc
 
 

@@ -332,10 +332,14 @@ def test_error_carries_achieved_residual():
         raise AssertionError("expected LinearSolveError")
 
 
-@pytest.mark.parametrize("error", [RuntimeError("Factor is exactly singular"), MemoryError()])
-def test_failed_factorization_names_the_matrix_and_its_order(error, monkeypatch):
+@pytest.mark.parametrize(
+    "error, tail",
+    [(RuntimeError("Factor is exactly singular"), "Factor is exactly singular"), (MemoryError(), "MemoryError")],
+)
+def test_failed_factorization_names_the_matrix_and_its_order(error, tail, monkeypatch):
     # splu may fail for lack of memory as well as on a singular matrix;
-    # either way the error says which matrix of how many dofs
+    # either way the error says which matrix of how many dofs, and why:
+    # the exception's message, or its type when the message is empty
     def fail(*args, **kwargs):
         raise error
 
@@ -343,6 +347,7 @@ def test_failed_factorization_names_the_matrix_and_its_order(error, monkeypatch)
     A, b = _random_system(n=17)
     with pytest.raises(LinearSolveError, match="^momentum matrix factorization of 17 dofs failed: ") as info:
         solve_momentum(A, b)
+    assert str(info.value).endswith("failed: " + tail)
     assert info.value.__cause__ is error
     with pytest.raises(LinearSolveError, match="^pressure Poisson matrix factorization of 8 dofs"):
         factor_poisson(sp.identity(9, format="csr"), sp.identity(9, format="csr"))

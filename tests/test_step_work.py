@@ -75,16 +75,10 @@ def test_quickstart_run_work_counts(monkeypatch):
     # no stored level keeps its Riesz vector once the run is over
     assert all(level.riesz is None for level in traj.levels)
 
-
-def test_quickstart_error_norms_work_counts(monkeypatch):
-    case = pk.stream_vortex_case(mu=1.0)
-    cfg = pk.SchemeConfig(
-        dt=0.01, T=0.5, mu=1.0, mesh_n=16, degree_u=2, degree_p=1,
-        u0=case.u0, f=case.f, case_name=case.name,
-    )
-    traj = pk.run(cfg)
+    # the error norms of the 51 levels push the basis gradients forward
+    # once per space and take sin(pi x), sin(pi y) once, not once per level
     assert len(traj.levels) == 51 and traj.is_complete()
-    expect = pk.error_norms(traj, pk.stream_vortex_case(mu=1.0))
+    expect = pk.error_norms(traj, case)
     grads, sines = [], []
     phys_grads, sin = assembly._phys_grads, np.sin
 
@@ -103,7 +97,6 @@ def test_quickstart_error_norms_work_counts(monkeypatch):
         grads.clear()
         sines.clear()
         assert pk.error_norms(traj, case) == expect
-        # one push forward per space, and sin(pi x), sin(pi y) for all levels
         assert sorted(grads) == [1, 2]
         assert sines.count(2) == 2
 
