@@ -28,7 +28,6 @@ from .diagnostics import (
     energy_inequality_check,
     gronwall_monotone_bound,
     interpolant_difference_norms,
-    step_identity_residual,
     time_modulus,
 )
 from .fe import FESpace, QuadratureRule, ReferenceElement, build_space, quad_rule

@@ -27,7 +27,7 @@ import inspect
 import numpy as np
 import scipy.sparse as sp
 
-from .fe import quad_rule
+from .fe import quad_rule, require_one_mesh
 from .linsolve import factor_poisson, rcm_order, solve_mass
 
 __all__ = [
@@ -242,9 +242,7 @@ class _LoadForm:
     What no field changes is computed once: w_phi[q, i] = w_q phi_i(x_q),
     w_det[c, q] = detJ_c w_q (the quadrature weights of the physical cells)
     and the slot of every element load entry.  A call contracts with them
-    in one matrix product and scatters with np.bincount.  bound is the last
-    callable a load through this form evaluated, whose signature needs no
-    second check."""
+    in one matrix product and scatters with np.bincount."""
 
     def __init__(self, space_u, geom):
         phi, _ = space_u.ref.eval(geom.rule.points)
@@ -255,7 +253,6 @@ class _LoadForm:
         # element entry (c, d, i) is component d of the cell's local dof i
         self.slot = (space_u.cell_dofs[:, None, :] + n * np.arange(2)[:, None]).ravel()
         self.size = 2 * n
-        self.bound = None
 
     def __call__(self, vals):
         # vals: (M, nq, 2) vector field at the rule points of every cell
@@ -269,21 +266,23 @@ class _LoadForm:
         return float(np.sum(self.w_det * sq))
 
 
-def _eval_user_field(fn, name, x, y, t=None, bound=False, finite=True):
+def _eval_user_field(fn, name, x, y, t=None):
     """Values of a user vector field at the points x, y, shape x.shape + (2,).
 
     fn is called as fn(x, y), or as fn(t, x, y) when t is given.  A value
     that is not a callable of those arguments, or a result other than two
-    components broadcastable to x.shape, or (with finite) values that are
-    not all finite, raises ValueError naming the callable, the expected
-    shape and the time.  With bound, fn has passed the callable and
-    signature check before and is called straight away."""
+    finite components broadcastable to x.shape, raises ValueError naming
+    the callable, the expected shape and the time.  fn is called straight
+    away; its signature is read only when the call raises TypeError, to
+    tell a wrong callable from an error inside it (which is re-raised)."""
     args = (x, y) if t is None else (t, x, y)
     where = "%s(x, y)" % name if t is None else "%s(t, x, y) at t=%r" % (name, float(t))
     expected = "%s must return two finite components of shape %s" % (where, x.shape)
-    if not bound:
+    try:
+        out = fn(*args)
+    except TypeError:
         if not callable(fn):
-            raise ValueError("%s: %s is %r, not a callable" % (expected, name, fn))
+            raise ValueError("%s: %s is %r, not a callable" % (expected, name, fn)) from None
         try:
             inspect.signature(fn).bind(*args)
         except TypeError as exc:
@@ -291,8 +290,8 @@ def _eval_user_field(fn, name, x, y, t=None, bound=False, finite=True):
                 "%s: it cannot be called with %d arguments (%s)" % (expected, len(args), exc)
             ) from None
         except ValueError:
-            pass  # no signature to inspect; the call itself decides
-    out = fn(*args)
+            pass  # no signature to inspect
+        raise
     try:
         comps = tuple(out)
     except TypeError:
@@ -305,7 +304,7 @@ def _eval_user_field(fn, name, x, y, t=None, bound=False, finite=True):
             vals[..., c] = comp
         except (TypeError, ValueError) as exc:
             raise ValueError("%s: component %d: %s" % (expected, c, exc)) from None
-    if finite and not np.isfinite(vals).all():
+    if not np.isfinite(vals).all():
         raise ValueError("%s: got non-finite values" % expected)
     return vals
 
@@ -320,25 +319,19 @@ def assemble_load(f, t_lo, t_hi, cutoff, geom, form):
     (None for none) while the denominator keeps the full window, and the
     norm uses the same spatial rule as the load so the discrete
     Cauchy-Schwarz pairing with velocity fields is exact.  form is the
-    _LoadForm of geom; f's signature is checked on its first load through
-    a form.  Finiteness is checked once, on the average; when that fails,
-    the nodes are checked one by one, so that the error names the time.
+    _LoadForm of geom.  The values of each time node are checked as they
+    arrive, so that a non-finite node is named at its time, and the
+    average is checked again, for overflow.
 
     Returns (F, f_norm_sq)."""
     nodes, coeffs = _time_average_weights(t_lo, t_hi, cutoff)
     x, y = geom.x, geom.y
     fbar = np.zeros(x.shape + (2,))
     for tk, ck in zip(nodes, coeffs):
-        bound = form.bound is not None and f is form.bound
-        vals = _eval_user_field(f, "f", x, y, tk, bound, finite=False)
-        form.bound = f
+        vals = _eval_user_field(f, "f", x, y, tk)
         vals *= ck
         fbar += vals
     if not np.isfinite(fbar).all():
-        # the first node whose values are not finite raises
-        for tk in nodes:
-            _eval_user_field(f, "f", x, y, tk, bound=True)
-        # unless f gives other values on a second call
         raise ValueError("f(t, x, y) averaged over [%r, %r] is not finite" % (t_lo, t_hi))
     return form(fbar), form.norm_sq(fbar)
 
@@ -401,9 +394,20 @@ class OperatorSet:
     at Dirichlet entries, and the velocity inner products read only the
     free entries.  Fields of the composite space U_h + grad(P_h) are
     handled as coefficient pairs (base, phi) without a global basis: all
-    pairings reduce to the matrices above."""
+    pairings reduce to the matrices above.  Geometry is read from
+    space_u.mesh; a pair of spaces the set cannot serve raises ValueError."""
 
     def __init__(self, space_u, space_p):
+        require_one_mesh(space_u, space_p)
+        if space_u.components != 2 or space_p.components != 1:
+            raise ValueError(
+                "need a two-component velocity space and a scalar pressure space, got %d and %d "
+                "components" % (space_u.components, space_p.components)
+            )
+        if not space_u.homogeneous_dirichlet:
+            raise ValueError(
+                "the velocity space must vanish on the boundary (homogeneous_dirichlet=True)"
+            )
         self.space_u = space_u
         self.space_p = space_p
         self.geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))
@@ -434,8 +438,7 @@ class OperatorSet:
         )
 
     def load(self, f, t_lo, t_hi, cutoff=None):
-        """assemble_load on this set's rule; the load form is built once,
-        and f's signature is checked on its first load only."""
+        """assemble_load on this set's rule, whose load form is built once."""
         return assemble_load(f, t_lo, t_hi, cutoff, self.geom, self._load_form)
 
     def free_values(self, vec):

@@ -134,15 +134,11 @@ def _cmd_verify(args):
     traj = run(config)  # raises SchemeError on any per-step gate violation
     _print_warnings(traj.warnings)
     ledger = traj.ledger
-
-    def col_max(name):
-        return max(row[name] for row in ledger.rows)
-
     print("steps: %d (dt=%.17g)" % (traj.n_steps, traj.dt))
-    print("max identity residual:    %.3e" % col_max("residual_identity"))
-    print("max splitting residual:   %.3e" % col_max("residual_pythagoras"))
-    print("max weak-div residual:    %.3e" % col_max("residual_weak_div"))
-    print("max convection residual:  %.3e" % col_max("residual_skew"))
+    print("max identity residual:    %.3e" % ledger.column("residual_identity").max())
+    print("max splitting residual:   %.3e" % ledger.column("residual_pythagoras").max())
+    print("max weak-div residual:    %.3e" % ledger.column("residual_weak_div").max())
+    print("max convection residual:  %.3e" % ledger.column("residual_skew").max())
     if traj.dt <= 1.0 / 6.0:
         report = energy_inequality_check(ledger)
         print(

@@ -18,6 +18,11 @@ plus the orthogonality |utilde|^2 = |u|^2 + |u - utilde|^2 and the weak
 divergence of the end-of-step field.  The assembly quadrature is exact for
 every integrand involved, so all three hold to rounding.
 
+The ledger is the run's one per-level record; beside its CSV columns a
+row keeps extras such as extrap_split_sq = |grad(2 phi^m - phi^{m-1})|^2
+and, in row 1, the start-up jump utilde1_minus_u0_sq.  The energy bound
+and the interpolant-difference norms read only the ledger.
+
 Summing the level identities telescopes into a global energy inequality.
 The a-priori bound asserted here carries an explicit constant obtained by
 walking the weighted sum of the identities through Cauchy-Schwarz/Young
@@ -45,7 +50,6 @@ __all__ = [
     "CSV_COLUMNS",
     "EnergyLedger",
     "record_level",
-    "step_identity_residual",
     "EnergyReport",
     "energy_inequality_check",
     "interpolant_difference_norms",
@@ -71,18 +75,18 @@ CSV_COLUMNS = [
 
 
 class EnergyLedger:
-    """Per-level rows of energy quantities and identity residuals.
+    """Per-level rows of energy quantities and identity residuals: the one
+    record of a run, which the trajectory diagnostics read.
 
     rows[m] is a dict with the CSV_COLUMNS keys plus in-memory extras
-    (gradp_sq, utilde_norm_sq, f_norm_sq, residual_weak_div, residual_skew).
-    The scalar utilde1_minus_u0_sq is kept separately; it enters the energy
-    bound but belongs to no single level."""
+    (gradp_sq, utilde_norm_sq, extrap_split_sq = |grad(2 phi^m - phi^{m-1})|^2,
+    0 at level 0, f_norm_sq, residual_weak_div, residual_skew).  Row 1 also
+    holds utilde1_minus_u0_sq, the start-up jump |utilde^1 - u^0|^2."""
 
     def __init__(self, dt, mu):
         self.dt = dt
         self.mu = mu
         self.rows = []
-        self.utilde1_minus_u0_sq = 0.0
 
     def column(self, name):
         return np.array([row[name] for row in self.rows])
@@ -95,43 +99,10 @@ def _relative_residual(lhs_terms, rhs_terms):
     return abs(sum(lhs_terms) - sum(rhs_terms)) / scale
 
 
-def _level_norms(ops, window):
-    """Squared norms of the newest level of window (= [level m-2 or None,
-    level m-1 or None, level m]), keyed by their ledger column names.  At
-    level 1 the jump |utilde^1 - u^0|^2 of the start-up identity is added
-    as utilde1_minus_u0_sq.  |u^m|^2 and |utilde^m|^2 come from the
-    level's Riesz vector (Level.riesz_vector)."""
-    prev2, prev, cur = window
-    ut, phi = cur.utilde, cur.phi
-    # ut . r = |ut|^2 + (ut, grad phi), as ut vanishes where r holds G phi
-    ut_r = float(ut @ cur.riesz_vector(ops))
-    ut_g = float(ut @ (ops.G @ phi))
-    split_sq = ops.grad_p_sq(phi)
-    u_sq = ut_r + ut_g + split_sq
-    norms = {
-        "norm_u_sq": u_sq,
-        # reporting convention at level 0: the missing level -1 field is
-        # taken to be u^0 itself
-        "norm_2u_minus_um1_sq": u_sq
-        if prev is None
-        else ops.yh_norm_sq(2.0 * ut - prev.utilde, 2.0 * phi - prev.phi),
-        "split_err_sq": split_sq,
-        "second_diff_sq": 0.0
-        if prev2 is None
-        else ops.yh_norm_sq(ut - 2.0 * prev.utilde + prev2.utilde, phi - 2.0 * prev.phi + prev2.phi),
-        "grad_utilde_sq": ops.grad_u_sq(ut),
-        "gradp_sq": ops.grad_p_sq(cur.p),
-        "utilde_norm_sq": ut_r - ut_g,
-    }
-    if cur.m == 1:
-        norms["utilde1_minus_u0_sq"] = ops.yh_norm_sq(ut - prev.utilde, -prev.phi)
-    return norms
-
-
 def _identity_residual(m, new, old, dt, mu, f_dot):
     """Relative residual of the energy identity (module docstring) of the
-    step arriving at level m.  new and old are the _level_norms of levels m
-    and m-1 (old is unused at level 0); f_dot = (f^m, utilde^m)."""
+    step arriving at level m.  new and old are the rows of levels m and
+    m-1 (old is unused at level 0); f_dot = (f^m, utilde^m)."""
     if m == 0:
         lhs = [new["norm_u_sq"], dt * dt * new["gradp_sq"]]
         return _relative_residual(lhs, [new["utilde_norm_sq"]])
@@ -159,24 +130,45 @@ def _identity_residual(m, new, old, dt, mu, f_dot):
     return _relative_residual(lhs, [4.0 * f_dot])
 
 
-def record_level(ledger, ops, dt, mu, window, f_dot, f_norm_sq):
+def record_level(ledger, ops, window, f_dot, f_norm_sq):
     """Compute and append the ledger row of the newest level in window
     (= [level m-2 or None, level m-1 or None, level m]); the previous row
     of the ledger must be level m-1.  Returns the row.
 
     The level's Riesz vector is computed here, once, and kept in its
-    riesz for the next two steps."""
-    cur = window[2]
+    riesz for the next two steps; |u^m|^2 and |utilde^m|^2 come from it."""
+    prev2, prev, cur = window
+    ut, phi = cur.utilde, cur.phi
     cur.riesz = cur.riesz_vector(ops)
-    row = _level_norms(ops, window)
+    # ut . r = |ut|^2 + (ut, grad phi), as ut vanishes where r holds G phi
+    ut_r = float(ut @ cur.riesz)
+    ut_g = float(ut @ (ops.G @ phi))
+    split_sq = ops.grad_p_sq(phi)
+    u_sq = ut_r + ut_g + split_sq
+    row = {
+        "norm_u_sq": u_sq,
+        # reporting convention at level 0: the missing level -1 field is
+        # taken to be u^0 itself
+        "norm_2u_minus_um1_sq": u_sq
+        if prev is None
+        else ops.yh_norm_sq(2.0 * ut - prev.utilde, 2.0 * phi - prev.phi),
+        "split_err_sq": split_sq,
+        "second_diff_sq": 0.0
+        if prev2 is None
+        else ops.yh_norm_sq(ut - 2.0 * prev.utilde + prev2.utilde, phi - 2.0 * prev.phi + prev2.phi),
+        "grad_utilde_sq": ops.grad_u_sq(ut),
+        "gradp_sq": ops.grad_p_sq(cur.p),
+        "utilde_norm_sq": ut_r - ut_g,
+        "extrap_split_sq": 0.0 if prev is None else ops.grad_p_sq(2.0 * phi - prev.phi),
+    }
+    if cur.m == 1:
+        row["utilde1_minus_u0_sq"] = ops.yh_norm_sq(ut - prev.utilde, -prev.phi)
+    dt, mu = ledger.dt, ledger.mu
     residual_identity = _identity_residual(
         cur.m, row, ledger.rows[-1] if ledger.rows else None, dt, mu, f_dot
     )
-    if cur.m == 1:
-        ledger.utilde1_minus_u0_sq = row.pop("utilde1_minus_u0_sq")
-    u_sq = row["norm_u_sq"]
 
-    wd = ops.weak_divergence(cur.utilde, cur.phi)
+    wd = ops.weak_divergence(ut, phi)
     if u_sq > 0.0:
         residual_weak_div = float(np.max(np.abs(wd) / (math.sqrt(u_sq) * ops.grad_psi_norms)))
     else:
@@ -200,22 +192,6 @@ def record_level(ledger, ops, dt, mu, window, f_dot, f_norm_sq):
     )
     ledger.rows.append(row)
     return row
-
-
-def step_identity_residual(window, ops, F, dt, mu):
-    """Relative residual of the per-step energy identity of the step
-    arriving at the newest level of window (= [level m-2, level m-1,
-    level m], m >= 2).  F is the load vector of the arrival level.
-    Self-contained recomputation from the level fields; the run ledger
-    records the same quantity incrementally."""
-    prev2, prev, cur = window
-    if cur.m < 2 or prev.m != cur.m - 1 or (prev2 is not None and prev2.m != cur.m - 2):
-        raise ValueError("need consecutive levels arriving at m >= 2")
-    if prev2 is None:
-        raise ValueError("the window must carry the previous level of window[1]")
-    old = _level_norms(ops, [None, prev2, prev])
-    new = _level_norms(ops, window)
-    return _identity_residual(cur.m, new, old, dt, mu, float(F @ cur.utilde))
 
 
 def _safe_ratio(num, den):
@@ -307,7 +283,7 @@ def energy_inequality_check(ledger):
         + cum_sd
         + 2.0 * cum_split
         + 4.0 * mu * dt * cum_g
-        + 3.0 * ledger.utilde1_minus_u0_sq
+        + 3.0 * ledger.rows[1]["utilde1_minus_u0_sq"]
     )
     forced = bool(np.any(f_sq > 0.0))
     return EnergyReport(Ms, lhs, rhs_exp, rhs_gronwall, utilde_sq[1:], E[1:], forced)
@@ -327,33 +303,18 @@ def interpolant_difference_norms(traj):
     extrapolated end-of-step vs extrapolated intermediate.
 
     The interpolants are constant on each (t^m, t^{m+1}], so the time
-    integrals collapse to dt-weighted sums; the extrapolated fields use
-    the level-1 values on the first interval."""
-    _require_complete(traj)
-    ops, dt = traj.ops, traj.dt
-    levels = traj.levels
-    n = traj.n_steps
-
-    u_minus_utilde = 0.0
-    for lv in levels[1:]:
-        u_minus_utilde += ops.grad_p_sq(lv.phi)
-
-    u_minus_ubar = 0.0
-    ubar_minus_uhat = 0.0
-    for m in range(1, n):
-        a, bq, c = levels[m + 1], levels[m], levels[m - 1]
-        u_minus_ubar += ops.yh_norm_sq(
-            a.utilde - 2.0 * bq.utilde + c.utilde, a.phi - 2.0 * bq.phi + c.phi
-        )
-        # (2u^m - u^{m-1}) - (2utilde^m - utilde^{m-1}) is a pure gradient
-        ubar_minus_uhat += ops.grad_p_sq(2.0 * bq.phi - c.phi)
-    if n >= 1:
-        ubar_minus_uhat += ops.grad_p_sq(levels[1].phi)
-
+    integrals collapse to dt-weighted sums of ledger columns, and no
+    stored level is needed: u - utilde = grad(phi) gives split_err_sq,
+    the second difference second_diff_sq, and the extrapolants differ by
+    the gradient in extrap_split_sq.  The extrapolated fields use the
+    level-1 values on the first interval."""
+    column, dt = traj.ledger.column, traj.dt
+    split = column("split_err_sq")
+    # Python sums, in level order
     return {
-        "u_minus_utilde_sq": dt * u_minus_utilde,
-        "u_minus_ubar_sq": dt * u_minus_ubar,
-        "ubar_minus_uhat_sq": dt * ubar_minus_uhat,
+        "u_minus_utilde_sq": dt * sum(split[1:]),
+        "u_minus_ubar_sq": dt * sum(column("second_diff_sq")[2:]),
+        "ubar_minus_uhat_sq": dt * (sum(column("extrap_split_sq")[1:-1]) + split[1]),
     }
 
 

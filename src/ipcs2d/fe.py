@@ -247,3 +247,9 @@ def build_space(mesh, degree, components=1, homogeneous_dirichlet=False, zero_me
     midpoints for degree 2).
     """
     return FESpace(mesh, degree, components, homogeneous_dirichlet, zero_mean)
+
+
+def require_one_mesh(space_u, space_p):
+    """Raise ValueError unless the two spaces are built on one mesh."""
+    if space_u.mesh is not space_p.mesh:
+        raise ValueError("the velocity and pressure spaces must share one mesh")

@@ -48,7 +48,7 @@ import numpy as np
 
 from .assembly import CellGeometry
 from .diagnostics import CSV_COLUMNS
-from .fe import quad_rule
+from .fe import quad_rule, require_one_mesh
 from .mms import case_by_name
 from .scheme import SchemeConfig, first_failed_rule
 
@@ -259,8 +259,7 @@ _PLANS = weakref.WeakKeyDictionary()
 def _output_plan(space_u, space_p):
     plan = _PLANS.get(space_p)
     if plan is None or plan.space_u is not space_u:
-        if space_u.mesh is not space_p.mesh:
-            raise ValueError("the velocity and pressure spaces must share one mesh")
+        require_one_mesh(space_u, space_p)
         plan = _PLANS[space_p] = _OutputPlan(space_u, space_p)
     return plan
 

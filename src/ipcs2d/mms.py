@@ -33,7 +33,7 @@ import numpy as np
 from .assembly import CellGeometry, _phys_grads, eval_at_quad, eval_grad_at_quad
 from .fe import quad_rule
 from .mesh import generate_structured_unit_square
-from .scheme import SchemeConfig, run
+from .scheme import SchemeConfig, first_failed_rule, run
 
 __all__ = [
     "ManufacturedCase",
@@ -50,9 +50,13 @@ class ManufacturedCase:
 
     u(t, x, y) -> (u1, u2); p(t, x, y) -> scalar; f(t, x, y) -> (f1, f2);
     grad_u(t, x, y) -> (d1u1, d2u1, d1u2, d2u2); u0(x, y) = u(0, x, y).
-    All callables broadcast over array x, y."""
+    All callables broadcast over array x, y.  A viscosity mu that
+    SchemeConfig would reject raises ValueError with its message."""
 
     def __init__(self, name, mu, u, p, f, grad_u):
+        failed = first_failed_rule({"mu": mu})
+        if failed is not None:
+            raise ValueError(failed[1])
         self.name = name
         self.mu = mu
         self.u = u
@@ -98,8 +102,6 @@ def stream_vortex_case(mu):
     cosines of that set the same way (error_norms evaluates them at one set
     for every level).  Writeable points are evaluated afresh.  The values
     are the same, bit for bit, as those of a fresh case."""
-    if mu <= 0:
-        raise ValueError("viscosity mu must be positive")
     pi = math.pi
 
     def trig(x, y):

@@ -360,7 +360,7 @@ def run(config, ops=None):
     factor = MomentumFactor()
 
     window = [None, None, init_state(ops, config.u0, dt, tol_poisson=config.tol_poisson)]
-    row = diagnostics.record_level(traj.ledger, ops, dt, config.mu, window, 0.0, 0.0)
+    row = diagnostics.record_level(traj.ledger, ops, window, 0.0, 0.0)
     _check_gates(row, 0)
     traj.levels.append(window[2])
 
@@ -381,7 +381,7 @@ def run(config, ops=None):
             window[1].riesz = None  # no later step reads it
         window = [window[1], window[2], level]
         f_dot = float(F @ level.utilde)
-        row = diagnostics.record_level(traj.ledger, ops, dt, config.mu, window, f_dot, f_norm_sq)
+        row = diagnostics.record_level(traj.ledger, ops, window, f_dot, f_norm_sq)
         _check_gates(row, m)
         if m % config.store_every == 0 or m == N:
             traj.levels.append(level)

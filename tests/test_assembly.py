@@ -444,6 +444,31 @@ def perturbed_mesh(n, seed):
     return pk.Mesh(v, mesh.triangles)
 
 
+@pytest.mark.parametrize(
+    "case", ["jittered-pressure-mesh", "other-size-pressure-mesh", "one-component-velocity",
+             "two-component-pressure", "no-velocity-boundary-condition"],
+)
+def test_operator_set_rejects_spaces_it_cannot_serve(case):
+    mesh = pk.generate_structured_unit_square(4)
+    su = pk.build_space(mesh, 2, components=2, homogeneous_dirichlet=True)
+    sp = pk.build_space(mesh, 1, components=1, zero_mean=True)
+    one_mesh = "the velocity and pressure spaces must share one mesh"
+    if case == "jittered-pressure-mesh":  # same connectivity, moved vertices
+        sp, match = pk.build_space(perturbed_mesh(4, 0), 1, zero_mean=True), one_mesh
+    elif case == "other-size-pressure-mesh":
+        sp, match = pk.build_space(pk.generate_structured_unit_square(3), 1, zero_mean=True), one_mesh
+    elif case == "one-component-velocity":
+        su = pk.build_space(mesh, 2, components=1, homogeneous_dirichlet=True)
+        match = "two-component velocity space .* got 1 and 1 components"
+    elif case == "two-component-pressure":
+        sp = pk.build_space(mesh, 1, components=2, zero_mean=True)
+        match = "scalar pressure space, got 2 and 2 components"
+    else:
+        su, match = pk.build_space(mesh, 2, components=2), "must vanish on the boundary"
+    with pytest.raises(ValueError, match=match):
+        pk.OperatorSet(su, sp)
+
+
 def load_by_einsum(space_u, geom, vals):
     """(vals, phi_i) for every velocity basis function, and the squared
     quadrature norm of vals: the einsum contraction and np.add.at scatter
@@ -473,7 +498,7 @@ def test_load_matches_the_einsum_reference(deg_u):
         assert abs(q - q_ref) <= 1e-14 * q_ref
 
 
-def test_load_binds_the_signature_once_and_checks_the_average(setup_cache, monkeypatch):
+def test_load_reads_no_signature_and_names_the_first_bad_node(setup_cache, monkeypatch):
     _, _, _, ops = setup_cache(2, 1, 1)
     binds = []
     signature = assembly.inspect.signature
@@ -484,18 +509,19 @@ def test_load_binds_the_signature_once_and_checks_the_average(setup_cache, monke
 
     for m in range(3):
         ops.load(f, 0.1 * m, 0.1 * m + 0.1)
-    assert binds == [f]
-    # a callable that is not finite only on its first call: every node is
-    # finite when re-checked, so the error names the window
+    assert binds == []
+    # a callable that is not finite only on its first call fails at its
+    # first node, named at its time, without being called again
     calls = []
 
     def flaky(t, x, y):
         calls.append(t)
         return (np.full_like(x, np.nan if len(calls) == 1 else 1.0), y)
 
-    with pytest.raises(ValueError, match="f\\(t, x, y\\) averaged over \\[0.0, 0.1\\] is not finite"):
+    with pytest.raises(ValueError, match="got non-finite values") as excinfo:
         ops.load(flaky, 0.0, 0.1)
-    assert len(calls) == 6
+    assert len(calls) == 1
+    assert "f(t, x, y) at t=%r must" % float(calls[0]) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("deg", [1, 2])

@@ -90,7 +90,7 @@ def test_energy_check_requires_a_completed_step(setup_cache):
     dt = 0.05
     state = init_state(ops, lambda x, y: (0.0 * x, 0.0 * y), dt)
     ledger = EnergyLedger(dt, 1.0)
-    record_level(ledger, ops, dt, 1.0, [None, None, state], 0.0, 0.0)
+    record_level(ledger, ops, [None, None, state], 0.0, 0.0)
     with pytest.raises(ValueError, match="at least one completed step"):
         pk.energy_inequality_check(ledger)
 

@@ -379,6 +379,19 @@ def test_case_by_name():
         pk.stream_vortex_case(mu=0.0)
 
 
+@pytest.mark.parametrize(
+    "mu", [0, -1, float("nan"), float("inf"), 10**400], ids=["0", "-1", "nan", "inf", "10**400"]
+)
+@pytest.mark.parametrize("make_case", [pk.stream_vortex_case, pk.zero_case])
+def test_cases_reject_what_the_config_rejects(make_case, mu):
+    with pytest.raises(ValueError) as config_error:
+        pk.SchemeConfig(dt=0.1, T=1.0, mu=mu, mesh_n=2, u0=lambda x, y: (x, y))
+    assert "mu must be positive and finite" in str(config_error.value)
+    with pytest.raises(ValueError) as case_error:
+        make_case(mu)
+    assert str(case_error.value) == str(config_error.value)
+
+
 def test_study_requires_a_case():
     cfg = pk.SchemeConfig(dt=0.02, T=0.04, mesh_n=2, u0=lambda x, y: (0.0 * x, 0.0 * y))
     with pytest.raises(ValueError, match="names none"):

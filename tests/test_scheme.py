@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import ipcs2d as pk
 from ipcs2d import scheme
+from ipcs2d.diagnostics import EnergyLedger, record_level
 from ipcs2d.linsolve import STALE_SWEEPS
 from ipcs2d.scheme import Level, init_state, step
 
@@ -528,25 +529,26 @@ def test_user_callables_are_checked(setup_cache, which, fn, match):
             ops.load(fn, 0.5 * dt, 1.5 * dt)
 
 
-def test_store_every_keeps_endpoints(stream_case_run):
-    traj = stream_case_run
-    assert [lv.m for lv in traj.levels] == [0, 3, 6, 9, 10]
-    assert len(traj.ledger.rows) == 11
-    assert not traj.is_complete()
-    with pytest.raises(ValueError, match="full trajectory"):
-        pk.interpolant_difference_norms(traj)
-    with pytest.raises(ValueError, match="full trajectory"):
-        pk.time_modulus(traj, traj.dt)
-
-
-@pytest.fixture(scope="module")
-def stream_case_run():
+def stream_case_run(store_every):
     case = pk.stream_vortex_case(mu=1.0)
     cfg = pk.SchemeConfig(
         dt=0.02, T=0.2, mu=1.0, mesh_n=4, degree_u=1, degree_p=1,
-        u0=case.u0, f=case.f, store_every=3,
+        u0=case.u0, f=case.f, store_every=store_every,
     )
     return pk.run(cfg)
+
+
+def test_store_every_keeps_endpoints():
+    traj = stream_case_run(3)
+    assert [lv.m for lv in traj.levels] == [0, 3, 6, 9, 10]
+    assert len(traj.ledger.rows) == 11
+    assert not traj.is_complete()
+    # the interpolant norms read the ledger, which holds every level
+    assert pk.interpolant_difference_norms(traj) == pk.interpolant_difference_norms(
+        stream_case_run(1)
+    )
+    with pytest.raises(ValueError, match="full trajectory"):
+        pk.time_modulus(traj, traj.dt)
 
 
 def manual_states(ops, case, dt, mu, n_steps):
@@ -562,14 +564,23 @@ def manual_states(ops, case, dt, mu, n_steps):
     return states, loads
 
 
+def identity_residuals(ops, states, loads, dt, mu):
+    # replay the levels through the run's ledger, one row per level
+    ledger = EnergyLedger(dt, mu)
+    window = [None, None, None]
+    for m, level in enumerate(states):
+        window = window[1:] + [level]
+        f_dot = 0.0 if m == 0 else float(loads[m] @ level.utilde)
+        record_level(ledger, ops, window, f_dot, 0.0)
+    return ledger.column("residual_identity")
+
+
 def test_step_identity_residual_accepts_true_steps(setup_cache):
     _, su, sp, ops = setup_cache(4, 1, 1)
     case = pk.stream_vortex_case(mu=1.0)
     dt = 0.02
     states, loads = manual_states(ops, case, dt, 1.0, 5)
-    for m in range(2, 6):
-        res = pk.step_identity_residual(states[m - 2 : m + 1], ops, loads[m], dt, 1.0)
-        assert res <= 1e-9
+    assert identity_residuals(ops, states, loads, dt, 1.0).max() <= 1e-9
 
 
 def test_step_identity_residual_detects_perturbation(setup_cache):
@@ -581,21 +592,7 @@ def test_step_identity_residual_detects_perturbation(setup_cache):
     rng = np.random.default_rng(23)
     bump = 1e-3 * rng.standard_normal(su.ndofs)
     bad = Level(good.m, good.t, good.utilde + bump, good.phi, good.p)
-    res = pk.step_identity_residual([states[1], states[2], bad], ops, loads[3], dt, 1.0)
-    assert res > 1e-5
-
-
-def test_step_identity_residual_validates_inputs(setup_cache):
-    _, su, sp, ops = setup_cache(4, 1, 1)
-    case = pk.stream_vortex_case(mu=1.0)
-    dt = 0.02
-    states, loads = manual_states(ops, case, dt, 1.0, 3)
-    with pytest.raises(ValueError, match="consecutive"):
-        pk.step_identity_residual([None, states[0], states[1]], ops, loads[1], dt, 1.0)
-    with pytest.raises(ValueError, match="consecutive"):
-        pk.step_identity_residual([states[0], states[1], states[3]], ops, loads[3], dt, 1.0)
-    with pytest.raises(ValueError, match="previous level"):
-        pk.step_identity_residual([None, states[1], states[2]], ops, loads[2], dt, 1.0)
+    assert identity_residuals(ops, states[:3] + [bad], loads, dt, 1.0)[3] > 1e-5
 
 
 def test_forcing_cutoff_changes_only_clipped_windows(setup_cache):
