@@ -310,7 +310,7 @@ def interpolant_difference_norms(traj):
     level-1 values on the first interval."""
     column, dt = traj.ledger.column, traj.dt
     split = column("split_err_sq")
-    # Python sums, in level order
+    # Python's sum adds in level order; numpy's pairwise sum would move the last digits
     return {
         "u_minus_utilde_sq": dt * sum(split[1:]),
         "u_minus_ubar_sq": dt * sum(column("second_diff_sq")[2:]),
