@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe import quad_rule, require_one_mesh
-from .linsolve import factor_poisson, rcm_order, solve_mass
+from .linsolve import dot, factor_poisson, rcm_order, solve_mass
 
 __all__ = [
     "CellGeometry",
@@ -385,17 +385,20 @@ class OperatorSet:
             G[(c,i), q] = (phi_i, d_c psi_q)     so (u, grad psi_q) = (G^T u)_q
 
         and, velocity vectors being zero on the boundary, (div u, psi_q) = -(G^T u)_q
-    N_p, M_p : pressure stiffness and mass
+    N_p, M_p : pressure stiffness and mass; N_p is projected onto zero row
+        sums once it is assembled (its diagonal less its row sums), so that
+        the constants are its kernel to rounding whatever order assembled it
     solve_poisson(b, tol) : zero-mean solve with N_p, factored once
 
     plus the inner products the projection scheme and its energy ledger
-    need.  Every matrix but G (two stacked blocks) shares the read-only
-    index arrays of the _Scatter that built it.  Velocity vectors vanish
-    at Dirichlet entries, and the velocity inner products read only the
-    free entries.  Fields of the composite space U_h + grad(P_h) are
-    handled as coefficient pairs (base, phi) without a global basis: all
-    pairings reduce to the matrices above.  Geometry is read from
-    space_u.mesh; a pair of spaces the set cannot serve raises ValueError."""
+    need, each taken by linsolve.dot.  Every matrix but G (two stacked
+    blocks) shares the read-only index arrays of the _Scatter that built
+    it.  Velocity vectors vanish at Dirichlet entries, and the velocity
+    inner products read only the free entries.  Fields of the composite
+    space U_h + grad(P_h) are handled as coefficient pairs (base, phi)
+    without a global basis: all pairings reduce to the matrices above.
+    Geometry is read from space_u.mesh; a pair of spaces the set cannot
+    serve raises ValueError."""
 
     def __init__(self, space_u, space_p):
         require_one_mesh(space_u, space_p)
@@ -413,8 +416,10 @@ class OperatorSet:
         self.geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))
         self._conv_tensor = _convection_tensor(space_u, self.geom.rule)
         self.scatter_free = _Scatter(space_u, space_u.free[: space_u.n_scalar])
-        # free entries of each velocity component in block order, one row per component
-        self._free_index = np.flatnonzero(space_u.free).reshape(2, -1)[:, self.scatter_free.order]
+        # free entries of each velocity component in block order, one row per
+        # component; C order, so that free_values gives contiguous columns
+        free = np.flatnonzero(space_u.free).reshape(2, -1)
+        self._free_index = np.ascontiguousarray(free[:, self.scatter_free.order])
         self.M_free = self.scatter_free(_mass_elem(space_u, self.geom))
         self.A_free = self.scatter_free(_stiffness_elem(space_u, self.geom))
         # one scalar block per velocity component, stacked
@@ -424,6 +429,7 @@ class OperatorSet:
         scatter_p = _Scatter(space_p)
         self.M_p = scatter_p(_mass_elem(space_p, self.geom))
         self.N_p = scatter_p(_stiffness_elem(space_p, self.geom))
+        self.N_p.setdiag(self.N_p.diagonal() - self.N_p @ np.ones(space_p.ndofs))
         self.solve_poisson = factor_poisson(self.N_p, self.M_p)
         self._load_form = _LoadForm(space_u, self.geom)
         # |grad psi_q| per pressure basis function, for normalized
@@ -442,8 +448,9 @@ class OperatorSet:
         return assemble_load(f, t_lo, t_hi, cutoff, self.geom, self._load_form)
 
     def free_values(self, vec):
-        """The free entries of a velocity vector in block order, one column
-        per component: the layout of the scalar free blocks' right sides."""
+        """The free entries of a velocity vector in block order, one
+        contiguous column per component (Fortran order): the layout of the
+        scalar free blocks' right sides."""
         return vec[self._free_index].T
 
     def from_free(self, x):
@@ -455,38 +462,39 @@ class OperatorSet:
 
     # -- inner products ------------------------------------------------------
 
-    def _apply_free(self, block, vec):
-        # block (M_free or A_free) applied to both components of vec, as a
-        # full-length vector that is zero in the Dirichlet rows
+    def apply_free(self, block, vec):
+        """block (M_free or A_free) applied to both components of the
+        velocity vector vec, as a full-length vector that is zero in the
+        Dirichlet rows."""
         out = np.zeros(vec.shape)
         for index in self._free_index:
             out[index] = block @ vec.take(index)
         return out
 
     def norm_u_sq(self, vec):
-        return float(vec @ self._apply_free(self.M_free, vec))
+        return dot(vec, self.apply_free(self.M_free, vec))
 
     def grad_u_sq(self, vec):
-        return float(vec @ self._apply_free(self.A_free, vec))
+        return dot(vec, self.apply_free(self.A_free, vec))
 
     def norm_p_sq(self, vec):
-        return float(vec @ (self.M_p @ vec))
+        return dot(vec, self.M_p @ vec)
 
     def grad_p_sq(self, vec):
-        return float(vec @ (self.N_p @ vec))
+        return dot(vec, self.N_p @ vec)
 
     def yh_norm_sq(self, base, phi):
         """Squared L2 norm of base + grad(phi)."""
-        return float(
-            base @ self._apply_free(self.M_free, base)
-            + 2.0 * (base @ (self.G @ phi))
-            + phi @ (self.N_p @ phi)
+        return (
+            dot(base, self.apply_free(self.M_free, base))
+            + 2.0 * dot(base, self.G @ phi)
+            + dot(phi, self.N_p @ phi)
         )
 
     def yh_pair_with_u(self, base, phi):
         """Riesz vector r with r . v = (base + grad(phi), v) for v in U_h.
         The mass acts on the free rows only: Dirichlet rows hold G phi."""
-        return self._apply_free(self.M_free, base) + self.G @ phi
+        return self.apply_free(self.M_free, base) + self.G @ phi
 
     def weak_divergence(self, base, phi):
         """(base + grad(phi), grad psi_q) for every pressure basis function."""

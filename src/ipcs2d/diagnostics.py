@@ -23,6 +23,15 @@ row keeps extras such as extrap_split_sq = |grad(2 phi^m - phi^{m-1})|^2
 and, in row 1, the start-up jump utilde1_minus_u0_sq.  The energy bound
 and the interpolant-difference norms read only the ledger.
 
+A row reads the images of its levels (scheme.Level): the step hands the
+new level M utilde and G^T utilde, and the row turns them into the Riesz
+vector r = M utilde + G phi and the weak divergence d = G^T utilde + N_p
+phi, which levels m-1 and m-2 keep while a later row reads them.  Every
+norm of a combination sum_k c_k u^k of window levels is then
+B . sum c_k r^k + Phi . sum c_k d^k, with B and Phi the combined utilde
+and phi, and takes no sparse product.  Every inner product is
+linsolve.dot, so the ledger's bits do not depend on the BLAS thread count.
+
 Summing the level identities telescopes into a global energy inequality.
 The a-priori bound asserted here carries an explicit constant obtained by
 walking the weighted sum of the identities through Cauchy-Schwarz/Young
@@ -45,6 +54,8 @@ the displayed exponential for dt <= 1/6.
 import math
 
 import numpy as np
+
+from .linsolve import dot
 
 __all__ = [
     "CSV_COLUMNS",
@@ -130,45 +141,78 @@ def _identity_residual(m, new, old, dt, mu, f_dot):
     return _relative_residual(lhs, [4.0 * f_dot])
 
 
+def _combination_sq(coeffs, fields):
+    """|sum_k c_k (b_k + grad phi_k)|^2 of the fields (b_k, phi_k, r_k, d_k)
+    with images r_k = M b_k + G phi_k and d_k = G^T b_k + N_p phi_k.  With
+    B and Phi the combined b and phi, |B + grad Phi|^2 is
+    B . (M B + G Phi) + Phi . (G^T B + N_p Phi), so it is
+    B . sum c_k r_k + Phi . sum c_k d_k: no sparse product."""
+    b, phi, r, d = (sum(c * f[i] for c, f in zip(coeffs, fields)) for i in range(4))
+    return dot(b, r) + dot(phi, d)
+
+
+def _images(level):
+    return level.utilde, level.phi, level.riesz, level.div
+
+
 def record_level(ledger, ops, window, f_dot, f_norm_sq):
     """Compute and append the ledger row of the newest level in window
     (= [level m-2 or None, level m-1 or None, level m]); the previous row
     of the ledger must be level m-1.  Returns the row.
 
-    The level's Riesz vector is computed here, once, and kept in its
-    riesz for the next two steps; |u^m|^2 and |utilde^m|^2 come from it."""
+    The row forms the images of level m (scheme.Level): its Riesz vector
+    riesz = M utilde + G phi and its weak divergence
+    div = G^T utilde + N_p phi, from the mass_u and gt_u the step handed
+    over (formed here when the level has none), and then drops mass_u and
+    gt_u.  Besides G phi and N_p phi it forms only A utilde and the two
+    pressure products N_p p and N_p (2 phi^m - phi^{m-1}).
+    Every norm of a combination of window levels, |2u^m - u^{m-1}|^2, the
+    second difference and the start-up jump, is read off the images with
+    no further sparse product (_combination_sq), and the weak-divergence
+    gate reads div.  riesz and div stay on level m and m-1 for the two
+    steps and rows that read them; the row drops those of level m-2."""
     prev2, prev, cur = window
     ut, phi = cur.utilde, cur.phi
-    cur.riesz = cur.riesz_vector(ops)
+    mass_u = ops.apply_free(ops.M_free, ut) if cur.mass_u is None else cur.mass_u
+    gt_u = ops.G.T @ ut if cur.gt_u is None else cur.gt_u
+    g_phi, np_phi = ops.G @ phi, ops.N_p @ phi
+    cur.riesz, cur.div = mass_u + g_phi, gt_u + np_phi
     # ut . r = |ut|^2 + (ut, grad phi), as ut vanishes where r holds G phi
-    ut_r = float(ut @ cur.riesz)
-    ut_g = float(ut @ (ops.G @ phi))
-    split_sq = ops.grad_p_sq(phi)
+    ut_r = dot(ut, cur.riesz)
+    ut_g = dot(ut, g_phi)
+    split_sq = dot(phi, np_phi)
     u_sq = ut_r + ut_g + split_sq
+    here = _images(cur)
     row = {
         "norm_u_sq": u_sq,
         # reporting convention at level 0: the missing level -1 field is
         # taken to be u^0 itself
         "norm_2u_minus_um1_sq": u_sq
         if prev is None
-        else ops.yh_norm_sq(2.0 * ut - prev.utilde, 2.0 * phi - prev.phi),
+        else _combination_sq((2.0, -1.0), (here, _images(prev))),
         "split_err_sq": split_sq,
         "second_diff_sq": 0.0
         if prev2 is None
-        else ops.yh_norm_sq(ut - 2.0 * prev.utilde + prev2.utilde, phi - 2.0 * prev.phi + prev2.phi),
+        else _combination_sq((1.0, -2.0, 1.0), (here, _images(prev), _images(prev2))),
         "grad_utilde_sq": ops.grad_u_sq(ut),
         "gradp_sq": ops.grad_p_sq(cur.p),
         "utilde_norm_sq": ut_r - ut_g,
         "extrap_split_sq": 0.0 if prev is None else ops.grad_p_sq(2.0 * phi - prev.phi),
     }
     if cur.m == 1:
-        row["utilde1_minus_u0_sq"] = ops.yh_norm_sq(ut - prev.utilde, -prev.phi)
+        # utilde^1 - u^0, whose utilde^1 has images M utilde^1 and G^T utilde^1
+        row["utilde1_minus_u0_sq"] = _combination_sq(
+            (1.0, -1.0), ((ut, 0.0, mass_u, gt_u), _images(prev))
+        )
+    cur.mass_u = cur.gt_u = None
+    if prev2 is not None:
+        prev2.drop_images()
     dt, mu = ledger.dt, ledger.mu
     residual_identity = _identity_residual(
         cur.m, row, ledger.rows[-1] if ledger.rows else None, dt, mu, f_dot
     )
 
-    wd = ops.weak_divergence(ut, phi)
+    wd = cur.div
     if u_sq > 0.0:
         residual_weak_div = float(np.max(np.abs(wd) / (math.sqrt(u_sq) * ops.grad_psi_norms)))
     else:

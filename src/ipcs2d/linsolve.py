@@ -40,17 +40,24 @@ the mass, a fixed polynomial in diag(M)^-1 M:
     refines with up to three correction sweeps and raises if it misses
     tol.  The factor is also rebuilt whenever its key, the (a0, dt, mu) of
     the step, changes;
-  * factor_poisson: the pure-Neumann pressure Poisson operator, projected
-    onto zero row sums and factored once with one dof pinned, the pinned
+  * factor_poisson: the pure-Neumann pressure Poisson operator, given
+    with zero row sums and factored once with one dof pinned, the pinned
     block renumbered the same way, by its reverse Cuthill-McKee order,
     found once and applied inside each LU solve; each solve projects the
     right side onto the complement of the constant kernel,
     spreads what rounding leaves inconsistent along the mass weights, and
     shifts the solution to zero mass-weighted mean.
 
+Multi-column right sides, residuals and solutions are Fortran-ordered,
+one contiguous column per velocity component, the layout SuperLU reads
+and writes.
+
 solve_spd is conjugate gradients for symmetric positive (semi-)definite
 systems with the same zero-mean handling, written out so the iteration
 cap (10 times the system size) is exactly as documented.
+
+Every inner product here and in the energy bookkeeping is dot(a, b), one
+reduction whose bits do not depend on the BLAS thread count.
 """
 
 import numpy as np
@@ -63,6 +70,7 @@ __all__ = [
     "solve_momentum",
     "factor_poisson",
     "rcm_order",
+    "dot",
 ]
 
 # sweeps a stale momentum factor may take before the matrix is refactored
@@ -87,17 +95,28 @@ class LinearSolveError(RuntimeError):
         self.residual = residual
 
 
+def dot(a, b):
+    """The inner product of two arrays of one shape: numpy's pairwise sum
+    of their elementwise product.  Every inner product that feeds the
+    energy ledger, its gates or the error norms is taken this way.  A 1-D
+    a @ b goes to BLAS ddot, which splits vectors of more than about 10^4
+    entries across its threads, so its last bits depend on the BLAS thread
+    count; this sum does not.  It also avoids a BLAS reduction right after
+    a sparse product, which can stall with several BLAS threads."""
+    return float(np.sum(a * b))
+
+
 def _cg(A, b, x, tol_abs, max_iter):
     """Plain conjugate gradients from initial guess x; returns (x, iters)."""
     r = b - A @ x
     p = r.copy()
-    rs = float(r @ r)
+    rs = dot(r, r)
     it = 0
     while np.sqrt(rs) > tol_abs:
         if it >= max_iter:
             return x, it, False
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = dot(p, Ap)
         if pAp <= 0.0 or not np.isfinite(pAp):
             raise LinearSolveError(
                 "conjugate gradients hit a non-positive curvature direction "
@@ -107,7 +126,7 @@ def _cg(A, b, x, tol_abs, max_iter):
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
+        rs_new = dot(r, r)
         p = r + (rs_new / rs) * p
         rs = rs_new
         it += 1
@@ -131,7 +150,7 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
     n = b.size
     if zero_mean:
         b -= b.mean()
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros(n)
     tol_abs = tol * bnorm
@@ -143,7 +162,7 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
     while True:
         x, it, converged = _cg(A, b, x, tol_abs, budget - used)
         used += max(it, 1)
-        true_res = float(np.linalg.norm(b - A @ x))
+        true_res = _norm(b - A @ x)
         if not np.isfinite(true_res):
             raise LinearSolveError("conjugate gradients produced non-finite values")
         if true_res <= tol_abs:
@@ -158,7 +177,7 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
         if mass is not None:
             ones = np.ones(n)
             w = mass @ ones
-            x -= float(w @ x) / float(w @ ones)
+            x -= dot(w, x) / dot(w, ones)
         else:
             x -= x.mean()
     return x
@@ -166,16 +185,20 @@ def solve_spd(A, b, tol=1e-12, zero_mean=False, mass=None):
 
 def _residual(A, b, x):
     # b - A x by one single-vector product per column of b: faster here than
-    # scipy's multi-vector product, which adds in the same order
+    # scipy's multi-vector product, which adds in the same order.  The
+    # columns are contiguous (Fortran order), so the column maxima of
+    # _refine and the LU solves read them without a strided pass
     if b.ndim == 1:
         return b - A @ x
-    return np.column_stack([b_j - A @ x_j for b_j, x_j in zip(b.T, x.T)])
+    r = np.empty(b.shape, order="F")
+    for j in range(b.shape[1]):
+        np.subtract(b[:, j], A @ x[:, j], out=r[:, j])
+    return r
 
 
 def _norm(r):
-    # the Frobenius norm by an elementwise sum: a BLAS reduction right after
-    # a sparse product can stall with several BLAS threads
-    return float(np.sqrt(np.sum(r * r)))
+    # the Frobenius norm, by the thread-count independent dot
+    return float(np.sqrt(dot(r, r)))
 
 
 def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
@@ -331,18 +354,18 @@ def factor_poisson(N, mass):
     """Factor the pure-Neumann Poisson operator N once, with its first dof
     pinned to zero, and return solve(b, tol).
 
-    N is first projected onto zero row sums, so that the constants are its
-    kernel to rounding whatever order assembled it.  Like
-    solve_spd(N, b, tol, zero_mean=True, mass=mass), the solve projects b
-    onto the complement of the constant kernel, verifies the residual
-    against the unpinned (projected) N, and shifts the solution to zero
-    mass-weighted mean.  N's column sums stay of rounding size, so b is
-    inconsistent by rounding; rather than leave that in the pinned row, each
-    correction cancels the row with a multiple of the pinned solve of w = mass @ 1.
-    The pinned block N[1:, 1:] is factored in its reverse Cuthill-McKee
-    order, and each LU solve reads and writes its dofs in that order."""
-    N = N.tocsr(copy=True)
-    N.setdiag(N.diagonal() - N @ np.ones(N.shape[0]))
+    N must have zero row sums, so that the constants are its kernel to
+    rounding (OperatorSet projects its N_p so once it is assembled); no
+    copy of N is kept.  Like solve_spd(N, b, tol, zero_mean=True,
+    mass=mass), the solve projects b onto the complement of the constant
+    kernel, verifies the residual against the unpinned N, and shifts the
+    solution to zero mass-weighted mean.  N's column sums stay of rounding
+    size, so b is inconsistent by rounding; rather than leave that in the
+    pinned row, each correction cancels the row with a multiple of the
+    pinned solve of w = mass @ 1.  The pinned block N[1:, 1:] is factored
+    in its reverse Cuthill-McKee order, and each LU solve reads and writes
+    its dofs in that order."""
+    N = N.tocsr()
     pinned = N[1:, 1:]
     order = rcm_order(pinned)
     lu = _factor(pinned[order][:, order], "pressure Poisson")
@@ -353,16 +376,16 @@ def factor_poisson(N, mass):
     row0 = N[0].toarray().ravel()
     x_w = np.zeros_like(w)
     x_w[order] = lu.solve(w[order])
-    rho_w = w[0] - row0 @ x_w
+    rho_w = w[0] - dot(row0, x_w)
 
     def spread(r):
         x = np.zeros_like(r)
         x[order] = lu.solve(r[order])
-        x -= (r[0] - row0 @ x) / rho_w * x_w
+        x -= (r[0] - dot(row0, x)) / rho_w * x_w
         return x
 
     def solve(b, tol=1e-12):
         x = _refine(spread, N, b - b.mean(), tol, "pressure Poisson")
-        return x - float(w @ x) / float(w.sum())
+        return x - dot(w, x) / float(w.sum())
 
     return solve

@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from . import diagnostics
 from .assembly import build_operators, project_L2_onto_Uh
 from .fe import build_space
-from .linsolve import MomentumFactor, solve_momentum
+from .linsolve import MomentumFactor, dot, solve_momentum
 from .mesh import MAX_MESH_N, generate_structured_unit_square
 
 __all__ = [
@@ -79,24 +79,34 @@ class SchemeError(RuntimeError):
 class Level:
     """All fields of one time level: the intermediate velocity utilde (a
     velocity-space coefficient vector), the pressure-space vector phi of
-    the end-of-step velocity utilde + grad(phi), and the pressure p.  skew
-    records how far the convection form was from contributing zero energy
-    in the step that produced the level (normalized; 0 at level 0).
+    the end-of-step velocity u = utilde + grad(phi), and the pressure p.
+    skew records how far the convection form was from contributing zero
+    energy in the step that produced the level (normalized; 0 at level 0).
 
-    riesz is the level's Riesz vector in U_h (riesz_vector), which
-    diagnostics.record_level keeps there for the two steps that read it;
-    run drops it once no later step reads it, so stored levels hold None."""
+    The level also holds images, operator products of its fields, while
+    something reads them:
+      * mass_u = M utilde and gt_u = G^T utilde.  step forms both anyway,
+        for the skew normalization and the pressure right side, and
+        init_state forms gt_u; diagnostics.record_level reads them once
+        and drops them;
+      * riesz = M utilde + G phi, the Riesz vector of u in U_h
+        (riesz_vector), and div = G^T utilde + N_p phi, the weak divergence
+        of u, which record_level forms.  The next two ledger rows and steps
+        read them; record_level drops them from level m-2 and run from its
+        last levels, so stored levels hold None in all four."""
 
-    __slots__ = ("m", "t", "utilde", "phi", "p", "skew", "riesz")
+    __slots__ = ("m", "t", "utilde", "phi", "p", "skew", "mass_u", "gt_u", "riesz", "div")
 
-    def __init__(self, m, t, utilde, phi, p, skew=0.0):
+    def __init__(self, m, t, utilde, phi, p, skew=0.0, mass_u=None, gt_u=None):
         self.m = m
         self.t = t
         self.utilde = utilde
         self.phi = phi
         self.p = p
         self.skew = skew
-        self.riesz = None
+        self.mass_u = mass_u
+        self.gt_u = gt_u
+        self.riesz = self.div = None
 
     def riesz_vector(self, ops):
         """r with r . v = (utilde + grad(phi), v) for v in U_h: riesz when
@@ -104,6 +114,9 @@ class Level:
         if self.riesz is not None:
             return self.riesz
         return ops.yh_pair_with_u(self.utilde, self.phi)
+
+    def drop_images(self):
+        self.mass_u = self.gt_u = self.riesz = self.div = None
 
 
 def _positive_finite(value):
@@ -255,17 +268,18 @@ def init_state(ops, u0, dt, tol_poisson=1e-12):
     |u|^2 + dt^2 |grad p|^2 = |u_tilde|^2 exactly."""
     utilde0 = project_L2_onto_Uh(ops.space_u, u0, ops, tol=tol_poisson)
     _check_finite(utilde0, "projected initial velocity", 0)
-    rhs = (ops.G.T @ utilde0) / dt
-    p0 = ops.solve_poisson(rhs, tol_poisson)
-    return Level(0, 0.0, utilde0, -dt * p0, p0)
+    gt_u = ops.G.T @ utilde0
+    p0 = ops.solve_poisson(gt_u / dt, tol_poisson)
+    return Level(0, 0.0, utilde0, -dt * p0, p0, gt_u=gt_u)
 
 
-def _skew_residual(ops, B, w_advect, x):
+def _skew_residual(B, w_advect, x, utilde_sq):
     # the skew-symmetrized convection must pair to zero against the field
     # it transports; normalize by the natural magnitude of the form.  B is
     # the free scalar block, x the free values of one component per column
+    # and utilde_sq = x . M x the squared norm of the field
     value = abs(float(np.sum(x * (B @ x))))
-    scale = float(np.max(np.abs(w_advect))) * float(np.sum(x * (ops.M_free @ x)))
+    scale = float(np.max(np.abs(w_advect))) * utilde_sq
     return value / scale if scale > 0.0 else value
 
 
@@ -296,7 +310,8 @@ def step(
     Without a factor every step factors afresh.  Either way solve_momentum
     runs once per step.  The Riesz vectors of cur and prev are read from
     the levels (Level.riesz_vector), which a run's ledger has already
-    computed.
+    computed.  The new level carries the images M utilde and G^T utilde
+    that the step forms (Level), for the ledger to read.
 
     The momentum matrix lives on the fixed pattern of the free scalar
     block: ops.free_convection(w) assembles the convection onto the
@@ -322,11 +337,11 @@ def step(
     x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu), x0=x0)
     utilde = ops.from_free(x)
     _check_finite(utilde, "intermediate velocity", m)
+    mass_u, gt_u = ops.apply_free(ops.M_free, utilde), ops.G.T @ utilde
 
-    dp = ops.solve_poisson((a0 / dt) * (ops.G.T @ utilde), tol_poisson)
-    return Level(
-        m, m * dt, utilde, -(dt / a0) * dp, cur.p + dp, _skew_residual(ops, B, w_advect, x)
-    )
+    dp = ops.solve_poisson((a0 / dt) * gt_u, tol_poisson)
+    skew = _skew_residual(B, w_advect, x, dot(utilde, mass_u))
+    return Level(m, m * dt, utilde, -(dt / a0) * dp, cur.p + dp, skew, mass_u, gt_u)
 
 
 # the traced benchmark (perfbench/spans.py) wraps the step under these names
@@ -377,15 +392,12 @@ def run(config, ops=None):
         )
         traj.momentum_sweeps.append(factor.sweeps)
         traj.momentum_refactored.append(factor.refactored)
-        if window[1] is not None:
-            window[1].riesz = None  # no later step reads it
         window = [window[1], window[2], level]
-        f_dot = float(F @ level.utilde)
-        row = diagnostics.record_level(traj.ledger, ops, window, f_dot, f_norm_sq)
+        row = diagnostics.record_level(traj.ledger, ops, window, dot(F, level.utilde), f_norm_sq)
         _check_gates(row, m)
         if m % config.store_every == 0 or m == N:
             traj.levels.append(level)
 
     for level in window[1:]:
-        level.riesz = None
+        level.drop_images()
     return traj

@@ -192,7 +192,8 @@ def test_operator_set_builds_without_coo(monkeypatch):
 @pytest.mark.parametrize("n,deg", [(3, 1), (4, 2)])
 def test_velocity_inner_products_equal_the_full_products(n, deg, setup_cache):
     # on vectors that vanish at the Dirichlet dofs the free-block products
-    # are the full-matrix products bit for bit, each row summed in block order
+    # are the full-matrix products bit for bit, each row summed in block order,
+    # each inner product taken as the documented reduction np.sum(a * b)
     _, su, sp, ops = setup_cache(n, deg, 1)
     M, A = full_velocity_matrices(ops)
     rng = np.random.default_rng(n)
@@ -200,9 +201,9 @@ def test_velocity_inner_products_equal_the_full_products(n, deg, setup_cache):
         v = in_space(su, rng.standard_normal(su.ndofs))
         phi = rng.standard_normal(sp.ndofs)
         Mv = block_ordered_product(ops, M, v)
-        assert ops.norm_u_sq(v) == float(v @ Mv)
-        assert ops.grad_u_sq(v) == float(v @ block_ordered_product(ops, A, v))
-        full = v @ Mv + 2.0 * (v @ (ops.G @ phi)) + phi @ (ops.N_p @ phi)
+        assert ops.norm_u_sq(v) == float(np.sum(v * Mv))
+        assert ops.grad_u_sq(v) == float(np.sum(v * block_ordered_product(ops, A, v)))
+        full = np.sum(v * Mv) + 2.0 * np.sum(v * (ops.G @ phi)) + np.sum(phi * (ops.N_p @ phi))
         assert ops.yh_norm_sq(v, phi) == float(full)
         # only the free entries are read
         noisy = v + ~su.free * rng.standard_normal(su.ndofs)
@@ -295,6 +296,10 @@ def test_free_blocks_equal_the_sliced_operators(n, deg, setup_cache):
     order = ops.scatter_free.order
     assert np.array_equal(order, linsolve.rcm_order(M[:ns, :ns][free][:, free]))
     assert np.array_equal(ops._free_index[0], np.flatnonzero(free)[order])
+    # free values come one contiguous column per component, and back
+    x = ops.free_values(w)
+    assert x.flags.f_contiguous and np.array_equal(x[:, 1], w[ops._free_index[1]])
+    assert np.array_equal(ops.from_free(x), w)
     pairs = [
         (ops.M_free, free_block(ops, M)),
         (ops.A_free, free_block(ops, A)),

@@ -1,5 +1,9 @@
-"""Trajectory diagnostics: energy bound, interpolant norms, time modulus,
-and the discrete Gronwall lemma."""
+"""Trajectory diagnostics: the ledger's norms, energy bound, interpolant
+norms, time modulus, and the discrete Gronwall lemma."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,11 +15,94 @@ from ipcs2d.diagnostics import EnergyLedger, record_level
 from ipcs2d.scheme import init_state
 
 from oracles import (
+    DenseScheme,
     admissible_sequence,
     gronwall_equality_sequence,
     modulus_sq_segment_midpoint,
     modulus_sq_uniform_midpoint,
 )
+
+
+def dense_norms(mesh):
+    """|base + grad phi|^2 and |grad phi|^2 from the dense P1/P1 oracle's
+    matrices."""
+    dense = DenseScheme(mesh.vertices, mesh.triangles, mesh.boundary_vertex_flags)
+
+    def yh_sq(base, phi):
+        return base @ dense.M2 @ base + 2.0 * (base @ dense.G @ phi) + phi @ dense.As @ phi
+
+    return yh_sq, lambda phi: phi @ dense.As @ phi
+
+
+@pytest.mark.parametrize("degree_u", [2, 1])
+def test_ledger_norms_read_off_images_equal_direct_norms(degree_u):
+    # the ledger takes every norm of a combination of levels from the
+    # levels' Riesz vectors and weak divergences; each equals the direct
+    # norm of the combined fields, to 1e-13 relative (the second
+    # difference, a small difference of large fields, relative to |u|^2).
+    # P2/P1 is checked by the operator set's own norms, P1/P1 by the dense
+    # oracle's matrices
+    case = pk.stream_vortex_case(mu=1.0)
+    cfg = pk.SchemeConfig(
+        dt=0.05, T=0.2, mu=1.0, mesh_n=4, degree_u=degree_u, degree_p=1, u0=case.u0, f=case.f,
+    )
+    traj = pk.run(cfg)
+    ops = traj.ops
+    if degree_u == 2:
+        yh_sq, gp_sq = ops.yh_norm_sq, ops.grad_p_sq
+    else:
+        yh_sq, gp_sq = dense_norms(cfg.mesh)
+    levels, rows = traj.levels, traj.ledger.rows
+    assert len(levels) == len(rows) == 5
+
+    def comb(coeffs, m, name):
+        return sum(c * getattr(levels[m - k], name) for k, c in enumerate(coeffs))
+
+    def direct(coeffs, m):
+        return yh_sq(comb(coeffs, m, "utilde"), comb(coeffs, m, "phi"))
+
+    for m, row in enumerate(rows):
+        expect = {
+            "norm_u_sq": direct([1.0], m),
+            "split_err_sq": gp_sq(levels[m].phi),
+            "utilde_norm_sq": yh_sq(levels[m].utilde, 0.0 * levels[m].phi),
+        }
+        if m >= 1:
+            expect["norm_2u_minus_um1_sq"] = direct([2.0, -1.0], m)
+            expect["extrap_split_sq"] = gp_sq(comb([2.0, -1.0], m, "phi"))
+        if m == 1:
+            expect["utilde1_minus_u0_sq"] = yh_sq(levels[1].utilde - levels[0].utilde, -levels[0].phi)
+        for name, value in expect.items():
+            assert abs(row[name] - value) <= 1e-13 * abs(value), (m, name)
+        if m >= 2:
+            second = direct([1.0, -2.0, 1.0], m)
+            assert abs(row["second_diff_sq"] - second) <= 1e-13 * row["norm_u_sq"]
+            assert second > 1e-6 * row["norm_u_sq"]
+
+
+def test_ledger_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a 1-D a @ b goes to BLAS ddot, which splits vectors above about 10^4
+    # entries across its threads and so adds in another order; the n=40
+    # P2/P1 velocity has 13,122 entries.  Every ledger reduction is
+    # linsolve.dot, so the ledger is the same bytes on one thread or two
+    # (on a one-core machine OpenBLAS runs one thread either way)
+    script = (
+        "import sys; import ipcs2d as pk\n"
+        "case = pk.stream_vortex_case(mu=1.0)\n"
+        "cfg = pk.SchemeConfig(dt=0.0125, T=0.05, mu=1.0, mesh_n=40, degree_u=2, degree_p=1,\n"
+        "                      u0=case.u0, f=case.f)\n"
+        "pk.write_ledger_csv(pk.run(cfg).ledger, sys.argv[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(pk.__file__))
+    ledgers = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        path = tmp_path / ("ledger_%s.csv" % threads)
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=300)
+        ledgers.append(path.read_bytes())
+    assert ledgers[0].count(b"\n") == 6
+    assert ledgers[0] == ledgers[1]
 
 
 def test_energy_bound_holds_on_forced_run(vortex_run):

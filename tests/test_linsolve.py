@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import ipcs2d as pk
-from ipcs2d import LinearSolveError, linsolve
+from ipcs2d import LinearSolveError, assembly, linsolve
 from ipcs2d.linsolve import STALE_SWEEPS, MomentumFactor, factor_poisson, solve_momentum, solve_spd
 
 from oracles import DenseScheme, full_convection, full_velocity_matrices
@@ -108,7 +108,10 @@ def test_two_column_residual_equals_the_multi_vector_product(setup_cache):
     S = sp.csr_matrix((150.0 * ops.M_free.data + B.data + ops.A_free.data, B.indices, B.indptr))
     b, x = rng.standard_normal((2, n, 2))
     for A in (ops.M_free, S):
-        assert np.array_equal(_residual(A, b, x), b - A @ x)
+        r = _residual(A, b, x)
+        assert np.array_equal(r, b - A @ x)
+        # one contiguous column per component, as SuperLU reads them
+        assert r.flags.f_contiguous
         assert np.array_equal(_residual(A, b[:, 0], x[:, 0]), b[:, 0] - A @ x[:, 0])
 
 
@@ -268,15 +271,31 @@ def test_convection_dominated_block_keeps_its_fill(setup_cache):
     assert fill[1e-3] <= 1.05 * fill[1.0]
 
 
-def test_poisson_factor_ignores_row_sum_rounding(setup_cache):
-    _, _, spp, ops = setup_cache(8, 1, 1)
+def test_poisson_factor_ignores_row_sum_rounding(setup_cache, monkeypatch):
+    # the operator set projects N_p onto zero row sums once it is assembled,
+    # and factor_poisson factors that N_p with no copy of its own
+    _, su, spp, ops = setup_cache(8, 1, 1)
     c = spp.interpolate(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
     b = ops.N_p @ c
-    # row sums off by 1e-12 of the diagonal, as another contraction order
-    # of the element matrices may leave them
+    # symmetric pressure element matrices with entries, and so row sums,
+    # off by 1e-12, as another contraction order of the element matrices
+    # may leave them
     rng = np.random.default_rng(5)
-    N = ops.N_p + sp.diags(1e-12 * rng.standard_normal(spp.ndofs) * ops.N_p.diagonal())
-    x = factor_poisson(N, ops.M_p)(b, 1e-12)
+    stiffness = assembly._stiffness_elem
+
+    def rounded(space, geom):
+        elem = stiffness(space, geom)
+        if space.components == 2:
+            return elem
+        noise = 1e-12 * rng.standard_normal(elem.shape) * elem
+        return elem + noise + noise.transpose(0, 2, 1)
+
+    monkeypatch.setattr(assembly, "_stiffness_elem", rounded)
+    perturbed = pk.OperatorSet(su, spp)
+    N = perturbed.N_p
+    assert not np.array_equal(N.data, ops.N_p.data)
+    assert np.abs(N @ np.ones(spp.ndofs)).max() <= 1e-14 * N.diagonal().max()
+    x = perturbed.solve_poisson(b, 1e-12)
     assert np.abs(x - ops.solve_poisson(b)).max() <= 1e-10 * np.abs(x).max()
 
 

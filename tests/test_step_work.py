@@ -2,11 +2,13 @@
 
 The README quick-start run (n=16 P2/P1, dt=0.01, 50 steps) with the calls
 that dominate a step counted: the Riesz vector of each level is formed
-once, the velocity mass is applied three times per step, the momentum
-refinement stays within its sweep budget, each step assembles one
-convection, the run factors only the Poisson operator and two momentum
-matrices (no mass), and no signature of u0 or f is read (they are
-called straight away).
+once, by its ledger row, and no step forms one of its own; the velocity
+mass is applied once per level (by the step, and by the ledger at level
+0); the ledger takes no direct norm of a combination of levels; the
+momentum refinement stays within its sweep budget; each step assembles
+one convection; the run factors only the Poisson operator and two
+momentum matrices (no mass); no signature of u0 or f is read (they are
+called straight away); and no stored level keeps an image.
 The error norms of that run push the basis gradients forward and take
 the exact fields' sines and cosines once per call, not once per level.
 The VTK writer builds the level-independent part of a file once per
@@ -19,20 +21,29 @@ import inspect
 import numpy as np
 
 import ipcs2d as pk
-from ipcs2d import assembly, fileio, linsolve, mms
+from ipcs2d import assembly, fileio, linsolve, mms, scheme
 
 
 def test_quickstart_run_work_counts(monkeypatch):
-    counts = {"riesz": 0, "mass": 0, "convection": 0, "signature": 0}
+    counts = dict.fromkeys(["riesz", "step_riesz", "mass", "yh_norm", "convection", "signature"], 0)
     factored = []
     ops_class = assembly.OperatorSet
-    yh_pair_with_u = ops_class.yh_pair_with_u
-    apply_free = ops_class._apply_free
+    yh_pair_with_u, yh_norm_sq = ops_class.yh_pair_with_u, ops_class.yh_norm_sq
+    apply_free = ops_class.apply_free
     assemble_convection = assembly.assemble_convection
+    riesz_slot = scheme.Level.riesz
 
-    def counted_riesz(self, base, phi):
-        counts["riesz"] += 1
+    def set_riesz(level, value):
+        counts["riesz"] += value is not None
+        riesz_slot.__set__(level, value)
+
+    def counted_step_riesz(self, base, phi):
+        counts["step_riesz"] += 1
         return yh_pair_with_u(self, base, phi)
+
+    def counted_yh_norm(self, base, phi):
+        counts["yh_norm"] += 1
+        return yh_norm_sq(self, base, phi)
 
     def counted_apply(self, block, vec):
         counts["mass"] += block is self.M_free
@@ -55,8 +66,10 @@ def test_quickstart_run_work_counts(monkeypatch):
 
     monkeypatch.setattr(linsolve, "_factor", counted_factor)
     monkeypatch.setattr(inspect, "signature", counted_signature)
-    monkeypatch.setattr(ops_class, "yh_pair_with_u", counted_riesz)
-    monkeypatch.setattr(ops_class, "_apply_free", counted_apply)
+    monkeypatch.setattr(scheme.Level, "riesz", property(riesz_slot.__get__, set_riesz))
+    monkeypatch.setattr(ops_class, "yh_pair_with_u", counted_step_riesz)
+    monkeypatch.setattr(ops_class, "yh_norm_sq", counted_yh_norm)
+    monkeypatch.setattr(ops_class, "apply_free", counted_apply)
     monkeypatch.setattr(assembly, "assemble_convection", counted_convection)
 
     case = pk.stream_vortex_case(mu=1.0)
@@ -67,14 +80,16 @@ def test_quickstart_run_work_counts(monkeypatch):
     traj = pk.run(cfg)
     n = traj.n_steps
     assert n == 50
-    assert counts["riesz"] == n + 1
-    assert counts["mass"] <= 3 * n + 1
+    assert counts["riesz"] == n + 1 and counts["step_riesz"] == 0
+    assert counts["mass"] == n + 1
+    assert counts["yh_norm"] == 0
     assert sum(traj.momentum_sweeps) <= 200
     assert counts["convection"] == n
     assert factored == ["pressure Poisson", "momentum", "momentum"]
     assert counts["signature"] == 0
-    # no stored level keeps its Riesz vector once the run is over
-    assert all(level.riesz is None for level in traj.levels)
+    # no stored level keeps an image once the run is over
+    for level in traj.levels:
+        assert level.mass_u is level.gt_u is level.riesz is level.div is None
 
     # the error norms of the 51 levels push the basis gradients forward
     # once per space and take sin(pi x), sin(pi y) once, not once per level
