@@ -84,12 +84,6 @@ def assembly_rule(degree_u, degree_p):
     return quad_rule(max(2 * k, 3 * k - 1, k + l, 2 * l))
 
 
-def _phys_grads(space, geom):
-    # gphi[c, q, i, d] = reference gradient pushed through cell c
-    _, dphi = space.ref.eval(geom.rule.points)
-    return dphi @ geom.inv_j[:, None]
-
-
 class _Scatter:
     """COO -> CSR map of one space's element matrices onto the scalar block
     of its scalar dofs, computed once: the CSR slot of every entry.  Both
@@ -350,22 +344,28 @@ def eval_at_quad(space, geom, coeffs):
     )
 
 
-def eval_grad_at_quad(space, geom, coeffs, gphi=None):
+def eval_grad_at_quad(space, geom, coeffs):
     """Field gradients at the rule points of every cell.
 
     Scalar spaces give (M, nq, 2); vector spaces give (M, nq, 2, 2) with
-    entry [..., c, d] = d_d u_c.  gphi, the basis gradients pushed through
-    every cell (_phys_grads(space, geom)), may be passed by a caller that
-    evaluates several fields on one geometry."""
-    if gphi is None:
-        gphi = _phys_grads(space, geom)
-    cd = space.cell_dofs
-    if space.components == 1:
-        return np.einsum("cqid,ci->cqd", gphi, coeffs[cd])
-    return np.stack(
-        [np.einsum("cqid,ci->cqd", gphi, space.component(coeffs, c)[cd]) for c in range(2)],
-        axis=-2,
-    )
+    entry [..., c, d] = d_d u_c.  One matrix product contracts the cell
+    coefficients of every component with the reference basis gradients,
+    and each reference gradient g goes to the physical one g @ inv_j[c]
+    by four multiply-adds: no table of the basis gradients pushed through
+    every cell, (M, nq, nloc, 2), is built."""
+    _, dphi = space.ref.eval(geom.rule.points)
+    nq, nloc, _ = dphi.shape
+    comps = [coeffs] if space.components == 1 else [space.component(coeffs, c) for c in (0, 1)]
+    local = np.stack([u[space.cell_dofs] for u in comps], axis=1)
+    # reference gradients of every component, (M, components, nq, 2)
+    ref = local.reshape(-1, nloc) @ dphi.transpose(1, 0, 2).reshape(nloc, 2 * nq)
+    ref = ref.reshape(local.shape[:2] + (nq, 2))
+    inv_j = geom.inv_j[:, None, None]
+    grad = np.empty(ref.shape)
+    for d in (0, 1):
+        grad[..., d] = ref[..., 0] * inv_j[..., 0, d] + ref[..., 1] * inv_j[..., 1, d]
+    grad = np.moveaxis(grad, 1, 2)
+    return grad[:, :, 0] if space.components == 1 else grad
 
 
 class OperatorSet:
@@ -495,10 +495,6 @@ class OperatorSet:
         """Riesz vector r with r . v = (base + grad(phi), v) for v in U_h.
         The mass acts on the free rows only: Dirichlet rows hold G phi."""
         return self.apply_free(self.M_free, base) + self.G @ phi
-
-    def weak_divergence(self, base, phi):
-        """(base + grad(phi), grad psi_q) for every pressure basis function."""
-        return self.G.T @ base + self.N_p @ phi
 
 
 def build_operators(space_u, space_p):

@@ -25,8 +25,16 @@ the mass, a fixed polynomial in diag(M)^-1 M:
     Sparse Positive Definite Systems, 1981); the operator set numbers the
     free velocity block in its reverse Cuthill-McKee order (rcm_order)
     once, so the matrix arrives in that order and the LU size does not
-    depend on how the mesh numbers its vertices.  Given the run's
-    MomentumFactor it reuses the LU of an earlier step: only the
+    depend on how the mesh numbers its vertices.  The LU is held in single
+    precision, which halves the bytes of its values, and refined against
+    double-precision residuals, so the solution is as accurate as with a
+    double-precision LU (mixed-precision iterative refinement:
+    Langou et al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
+    Each sweep casts its residual to float32 and adds the float32
+    correction to the float64 iterate.  A fresh float32 factor cuts the
+    residual by about 1e-6 per sweep on the stock blocks, so where a
+    float64 LU reached rounding in one solve it takes three or four.  Given
+    the run's MomentumFactor it reuses the LU of an earlier step: only the
     convection changes from step to step, so a stale LU is still a good
     preconditioner.  A stale factor starts from the caller's start vector
     (a step passes an extrapolation of its earlier velocities) when that
@@ -37,16 +45,28 @@ the mass, a fixed polynomial in diag(M)^-1 M:
     ledger shows); tol is only the failure threshold.  It has STALE_SWEEPS
     sweeps.  When they run out, or a sweep gives non-finite values, the
     stale LU is dropped and the matrix refactored once; a fresh factor
-    refines with up to three correction sweeps and raises if it misses
-    tol.  The factor is also rebuilt whenever its key, the (a0, dt, mu) of
-    the step, changes;
+    sweeps on to rounding as a stale one does, but with up to three
+    correction sweeps, and raises only if it misses tol (on fine meshes a
+    float32 factor's fourth solve can be within tol and a little short of
+    the backward-error test, as a float64 LU's one solve is).  A float32
+    factor can miss: an entry beyond the float32 range makes it singular
+    or non-finite, and once cond(A) 2^-24 nears 1 its sweeps no longer
+    contract.  The same matrix is then factored once more in float64, and
+    the MomentumFactor stays in float64 for the rest of its run.  The
+    factor is also rebuilt whenever its key, the (a0, dt, mu) of the step,
+    changes;
   * factor_poisson: the pure-Neumann pressure Poisson operator, given
     with zero row sums and factored once with one dof pinned, the pinned
     block renumbered the same way, by its reverse Cuthill-McKee order,
     found once and applied inside each LU solve; each solve projects the
     right side onto the complement of the constant kernel,
     spreads what rounding leaves inconsistent along the mass weights, and
-    shifts the solution to zero mass-weighted mean.
+    shifts the solution to zero mass-weighted mean.  This LU stays in
+    float64.  It is a fifth of the momentum LU (207,692 against 1,114,708
+    entries at n = 64 P2/P1), so float32 would save about 0.8 MB, while
+    its sweeps, which would contract by about cond(N) 2^-24, would have to
+    reach a tol_poisson that the double-precision rounding floor already
+    nears at n = 160.
 
 Multi-column right sides, residuals and solutions are Fortran-ordered,
 one contiguous column per velocity component, the layout SuperLU reads
@@ -201,7 +221,7 @@ def _norm(r):
     return float(np.sqrt(dot(r, r)))
 
 
-def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
+def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None, require_rounding=True):
     """Sweeps x <- x + solve(b - A x), at most sweeps of them, until the
     fresh residual r = b - A x has |r| <= tol |b| (Frobenius norm over the
     columns of a multi-column b) and, with to_rounding, is at rounding
@@ -210,8 +230,10 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
     most EPS (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 12; |A|_inf of the CSR matrix A, with no empty row, is summed over
     its data at most once per call).  Raises LinearSolveError when the
-    sweeps run out (ValueError for sweeps < 1).  The sweeps start from x0
-    when it is given and |b - A x0| < |b|, else from x = 0."""
+    sweeps run out (ValueError for sweeps < 1); with require_rounding
+    False, a residual within tol that is short of rounding when they run
+    out is accepted.  The sweeps start from x0 when it is given and
+    |b - A x0| < |b|, else from x = 0."""
     if sweeps < 1:
         raise ValueError("%s solve needs at least one sweep, got sweeps=%r" % (what, sweeps))
     bnorm = _norm(b)
@@ -238,6 +260,8 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None):
                 b_inf = np.abs(b).max(axis=0)
             if np.all(np.abs(r).max(axis=0) <= EPS * (a_norm * np.abs(x).max(axis=0) + b_inf)):
                 return x
+            if done == sweeps and not require_rounding:
+                return x
         if done == sweeps:
             break
         x = x + solve(r)
@@ -261,13 +285,17 @@ def rcm_order(A):
     return reverse_cuthill_mckee(A, symmetric_mode=True)
 
 
-def _factor(A, what):
+def _factor(A, what, dtype=np.float64):
+    # the LU of A held in dtype; the CSC copy SuperLU reads is made in that
+    # dtype straight from A, and an entry beyond its range becomes inf
     from scipy.sparse.linalg import splu
 
+    with np.errstate(over="ignore"):
+        A = A.astype(dtype, copy=False).tocsc()
     try:
         # threshold pivoting keeps the minimum degree order when convection
         # dominates; the fresh residual check guards the accuracy
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+        return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
     except (RuntimeError, MemoryError) as exc:
         raise LinearSolveError(
             "%s matrix factorization of %d dofs failed: %s"
@@ -310,27 +338,38 @@ def solve_mass(M, b, degree, tol=1e-12):
 class MomentumFactor:
     """The momentum LU one run keeps across its steps.
 
-    key is the (a0, dt, mu) the LU was built for.  sweeps (LU solves) and
-    refactored describe the latest solve_momentum call."""
+    key is the (a0, dt, mu) the LU was built for and dtype the precision
+    it is held in: float32, or float64 once a float32 factor of the run
+    failed to refine.  sweeps (LU solves) and refactored describe the
+    latest solve_momentum call."""
 
     def __init__(self):
         self.lu = None
         self.key = None
+        self.dtype = np.float32
         self.sweeps = 0
         self.refactored = False
 
     def _sweep(self, r):
         self.sweeps += 1
-        return self.lu.solve(r)
+        # the residual in the factor's dtype (SuperLU's single-precision
+        # solve takes float32 right sides only), the correction back in
+        # float64, the precision of the iterate
+        with np.errstate(over="ignore"):
+            r = np.asarray(r, dtype=self.dtype, order="F")
+        return self.lu.solve(r).astype(np.float64, copy=False)
 
 
 def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
     """Solve the momentum system of one step, reusing factor's LU while key
     matches (see the module docstring); without factor, A is factored
-    afresh.  A stale LU refines from the start vector x0 when it is
-    given and its residual is below |b|; a fresh one always starts from 0.
-    Every step calls it once, so a traced run (perfbench/spans.py) counts
-    one momentum solve per step."""
+    afresh.  The LU is factored in factor.dtype, float32 at first; when a
+    float32 factor fails to factor or to reach tol within four solves, A
+    is factored once more in float64, and factor keeps float64 from then
+    on.  A stale LU refines from the start vector x0 when it is given and
+    its residual is below |b|; a fresh one always starts from 0.  Every
+    step calls it once, so a traced run (perfbench/spans.py) counts one
+    momentum solve per step."""
     if factor is None:
         factor = MomentumFactor()
     b = np.asarray(b, dtype=float)
@@ -344,10 +383,19 @@ def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
             )
         except LinearSolveError:
             pass
-    # drop the stale LU first, so that one momentum LU is alive at a time
-    factor.lu = None
-    factor.lu, factor.key, factor.refactored = _factor(A, "momentum"), key, True
-    return _refine(factor._sweep, A, b, tol, "momentum")
+    while True:
+        # drop the stale LU first, so that one momentum LU is alive at a time
+        factor.lu = None
+        try:
+            factor.lu = _factor(A, "momentum", factor.dtype)
+            factor.key, factor.refactored = key, True
+            return _refine(
+                factor._sweep, A, b, tol, "momentum", to_rounding=True, require_rounding=False
+            )
+        except LinearSolveError:
+            if factor.dtype == np.float64:
+                raise
+            factor.dtype = np.float64
 
 
 def factor_poisson(N, mass):

@@ -30,7 +30,7 @@ import weakref
 
 import numpy as np
 
-from .assembly import CellGeometry, _phys_grads, eval_at_quad, eval_grad_at_quad
+from .assembly import CellGeometry, eval_at_quad, eval_grad_at_quad
 from .fe import quad_rule
 from .mesh import generate_structured_unit_square
 from .scheme import SchemeConfig, first_failed_rule, run
@@ -203,13 +203,13 @@ def _l2_sq(geom, sq):
     return float(np.einsum("q,cq,c->", geom.rule.weights, sq, geom.detJ))
 
 
-def _velocity_errors_at(traj, case, geom, grad_psi, level):
+def _velocity_errors_at(traj, case, geom, level):
     """Squared L2 errors of the end-of-step and the intermediate velocity
-    of a level; grad_psi holds the pressure basis gradients on geom."""
+    of a level."""
     ops = traj.ops
     ue1, ue2 = case.u(level.t, geom.x, geom.y)
     utilde = eval_at_quad(ops.space_u, geom, level.utilde)
-    uh = utilde + eval_grad_at_quad(ops.space_p, geom, level.phi, grad_psi)
+    uh = utilde + eval_grad_at_quad(ops.space_p, geom, level.phi)
 
     def sq(v):
         d1, d2 = v[..., 0] - ue1, v[..., 1] - ue2
@@ -218,13 +218,12 @@ def _velocity_errors_at(traj, case, geom, grad_psi, level):
     return _l2_sq(geom, sq(uh)), _l2_sq(geom, sq(utilde))
 
 
-def _gradient_and_pressure_errors_at(traj, case, geom, grad_phi, level):
+def _gradient_and_pressure_errors_at(traj, case, geom, level):
     """Squared H1-seminorm error of the intermediate velocity and squared
-    L2 error of the pressure; grad_phi holds the velocity basis gradients
-    on geom."""
+    L2 error of the pressure."""
     ops = traj.ops
     g11, g12, g21, g22 = case.grad_u(level.t, geom.x, geom.y)
-    gut = eval_grad_at_quad(ops.space_u, geom, level.utilde, grad_phi)
+    gut = eval_grad_at_quad(ops.space_u, geom, level.utilde)
     sq = (
         (gut[..., 0, 0] - g11) ** 2
         + (gut[..., 0, 1] - g12) ** 2
@@ -242,13 +241,13 @@ def error_norms(traj, case):
     err_u_H1 (seminorm, intermediate field), err_p_L2, and — when every
     level was stored — the squared-in-time L2(0,T; L2) velocity errors
     err_u_L2L2 / err_utilde_L2L2 of the piecewise-constant-in-time
-    interpolants (None otherwise).  The basis gradients of both spaces
-    are pushed through the cells once per call, and every level reads
-    them."""
+    interpolants (None otherwise).  Gradients are evaluated by
+    eval_grad_at_quad, level by level, with no table of basis gradients
+    pushed through the cells: such tables were the memory peak of a run
+    at n=64 (4.7 MB for P2, 2.4 MB for P1)."""
     geom = _error_geometry(traj)
-    grad_phi, grad_psi = (_phys_grads(s, geom) for s in (traj.ops.space_u, traj.ops.space_p))
-    eu, eut = _velocity_errors_at(traj, case, geom, grad_psi, traj.final)
-    eh1, ep = _gradient_and_pressure_errors_at(traj, case, geom, grad_phi, traj.final)
+    eu, eut = _velocity_errors_at(traj, case, geom, traj.final)
+    eh1, ep = _gradient_and_pressure_errors_at(traj, case, geom, traj.final)
     out = {
         "err_u_L2": math.sqrt(eu),
         "err_utilde_L2": math.sqrt(eut),
@@ -261,7 +260,7 @@ def error_norms(traj, case):
         acc_u = 0.0
         acc_ut = 0.0
         for lv in traj.levels[1:]:
-            eu, eut = _velocity_errors_at(traj, case, geom, grad_psi, lv)
+            eu, eut = _velocity_errors_at(traj, case, geom, lv)
             acc_u += eu
             acc_ut += eut
         out["err_u_L2L2"] = math.sqrt(traj.dt * acc_u)

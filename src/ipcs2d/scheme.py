@@ -277,8 +277,13 @@ def _skew_residual(B, w_advect, x, utilde_sq):
     # the skew-symmetrized convection must pair to zero against the field
     # it transports; normalize by the natural magnitude of the form.  B is
     # the free scalar block, x the free values of one component per column
-    # and utilde_sq = x . M x the squared norm of the field
-    value = abs(float(np.sum(x * (B @ x))))
+    # and utilde_sq = x . M x the squared norm of the field.  B x is formed
+    # by one product per column, faster than scipy's multi-vector product,
+    # into the C-ordered array that product returns, so the sum is the same
+    Bx = np.empty(x.shape)
+    for j in range(x.shape[1]):
+        Bx[:, j] = B @ x[:, j]
+    value = abs(float(np.sum(x * Bx)))
     scale = float(np.max(np.abs(w_advect))) * utilde_sq
     return value / scale if scale > 0.0 else value
 

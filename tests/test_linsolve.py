@@ -138,12 +138,13 @@ def test_row_sum_norm_equals_scipys_row_sums(setup_cache):
 
 
 def _counting_splu(monkeypatch):
-    # solve_momentum looks splu up at call time
+    # (dtype, shape) of every factored matrix; solve_momentum looks splu up
+    # at call time
     calls = []
     splu = scipy.sparse.linalg.splu
 
     def counted(A, *args, **kwargs):
-        calls.append(A.shape)
+        calls.append((A.dtype, A.shape))
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
@@ -166,7 +167,8 @@ def test_stale_factor_of_another_matrix_refactors_once(monkeypatch):
     calls = _counting_splu(monkeypatch)
     x = solve_momentum(A, b, tol=1e-12, factor=factor, key="k")
     assert len(calls) == 1
-    assert factor.refactored and factor.sweeps == STALE_SWEEPS + 1
+    # the fresh float32 factor takes a solve and two corrections to rounding
+    assert factor.refactored and factor.sweeps == STALE_SWEEPS + 3
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
     # the fresh factor of A now serves A again without a factorization
     solve_momentum(A, b, tol=1e-12, factor=factor, key="k")
@@ -187,7 +189,7 @@ def test_stale_factor_sweeps_to_rounding_not_to_tol(monkeypatch):
     assert np.linalg.norm(b - A2 @ x) <= 1e-14 * np.linalg.norm(b)
     # a new key refactors at once, without sweeping the old LU
     solve_momentum(A2, b, factor=factor, key=2)
-    assert len(calls) == 1 and factor.refactored and factor.sweeps == 1
+    assert len(calls) == 1 and factor.refactored and factor.sweeps == 3
 
 
 def test_start_vector_gives_the_same_solution_on_a_stale_factor():
@@ -218,8 +220,67 @@ def test_non_finite_stale_sweep_refactors():
     factor = MomentumFactor()
     factor.lu, factor.key = Broken(), 1
     x = solve_momentum(A, b, factor=factor, key=1)
-    assert factor.refactored and factor.sweeps == 2
+    # one stale sweep, then a solve and two corrections of the fresh factor
+    assert factor.refactored and factor.sweeps == 4
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def _vortex_block(ops, su, scale=1.0):
+    # the BDF2 momentum block of the projected vortex at dt = 0.0125, mu = 1
+    w = pk.project_L2_onto_Uh(su, pk.stream_vortex_case(mu=1.0).u0, ops)
+    B = ops.free_convection(scale * w)
+    return sp.csr_matrix(
+        ((1.5 / 0.0125) * ops.M_free.data + B.data + ops.A_free.data, B.indices, B.indptr)
+    )
+
+
+def test_float32_factor_solves_as_a_float64_lu(setup_cache, monkeypatch):
+    _, su, _, ops = setup_cache(16, 2, 1)
+    rng = np.random.default_rng(4)
+    b = np.asfortranarray(rng.standard_normal((ops.M_free.shape[0], 2)))
+    # a fresh factor, then a stale one on the block of another convection
+    blocks = [_vortex_block(ops, su, scale) for scale in (1.0, 1.05)]
+    exact = [scipy.sparse.linalg.splu(S.tocsc()).solve(b) for S in blocks]
+    calls = _counting_splu(monkeypatch)
+    factor = MomentumFactor()
+    for S, x_lu, fresh in zip(blocks, exact, (True, False)):
+        x = solve_momentum(S, b, factor=factor, key=1)
+        assert factor.refactored == fresh and factor.dtype == np.float32
+        assert np.abs(x - x_lu).max() <= 1e-13 * np.abs(x_lu).max()
+    assert [dtype for dtype, _ in calls] == [np.float32]
+
+
+def _shifted_stiffness(ops):
+    # A - s M just above its smallest generalized eigenvalue: condition
+    # number about 1e9, where a float32 LU's sweeps no longer contract
+    import scipy.linalg
+
+    M, A = ops.M_free.toarray(), ops.A_free.toarray()
+    lowest = scipy.linalg.eigh(A, M, eigvals_only=True, subset_by_index=[0, 0])[0]
+    K = ops.A_free - (1.0 - 1e-7) * lowest * ops.M_free
+    assert np.linalg.cond(K.toarray()) >= 1e9
+    return sp.csr_matrix(K)
+
+
+def test_blocks_beyond_float32_solve_in_float64(setup_cache, monkeypatch):
+    _, su, _, ops = setup_cache(16, 2, 1)
+    rng = np.random.default_rng(8)
+    x_true = rng.standard_normal((ops.M_free.shape[0], 2))
+    calls = _counting_splu(monkeypatch)
+    # entries past the float32 range, and a condition number of about 1e9
+    for A in (1e39 * _vortex_block(ops, su), _shifted_stiffness(ops)):
+        b = A @ x_true
+        calls.clear()
+        factor = MomentumFactor()
+        x = solve_momentum(A, b, factor=factor, key=1)
+        assert [dtype for dtype, _ in calls] == [np.float32, np.float64]
+        assert factor.refactored and factor.dtype == np.float64
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+        # the factor stays in float64: its stale solves, and its next factorization
+        solve_momentum(A, b, factor=factor, key=1)
+        assert len(calls) == 2 and not factor.refactored and factor.dtype == np.float64
+        solve_momentum(A, b, factor=factor, key=2)
+        assert [dtype for dtype, _ in calls[2:]] == [np.float64]
 
 
 def test_zero_right_side_needs_no_factor():
@@ -246,9 +307,11 @@ def test_stale_then_fresh_failure_reports_the_fresh_residual(monkeypatch):
     factor.lu, factor.key = WrongSign(), 1
     with pytest.raises(LinearSolveError, match="momentum solve stalled") as info:
         solve_momentum(A, b, tol=1e-3, factor=factor, key=1)
-    # the stale factor spends its sweeps; the fresh one takes the solve and
-    # three corrections, then fails as without a factor
-    assert factor.refactored and factor.sweeps == STALE_SWEEPS + 4
+    # the stale factor spends its sweeps; the fresh float32 one takes the
+    # solve and three corrections, and so does the float64 one after it,
+    # which then fails as without a factor
+    assert factor.refactored and factor.sweeps == STALE_SWEEPS + 8
+    assert factor.dtype == np.float64
     assert info.value.residual == pytest.approx(1.0 / (16.0 * np.sqrt(2.0)), rel=1e-15)
 
 
@@ -391,8 +454,8 @@ def test_lu_fill_does_not_depend_on_the_vertex_numbering(monkeypatch):
     fills = []
     factor = linsolve._factor
 
-    def counted(A, what):
-        lu = factor(A, what)
+    def counted(A, what, *dtype):
+        lu = factor(A, what, *dtype)
         if what == "momentum":
             fills.append(lu.nnz)
         return lu

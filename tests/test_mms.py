@@ -119,6 +119,22 @@ def test_import_leaves_sympy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_the_factorization_modules_unloaded():
+    # scipy.sparse.linalg and scipy.linalg take 0.10-0.14 s to import; the
+    # first factorization loads them, so neither import of the package does
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, ipcs2d, ipcs2d.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_stream_vortex_case_builds_within_budget():
     t0 = time.perf_counter()
     case = pk.stream_vortex_case(mu=1.0)

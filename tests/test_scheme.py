@@ -179,7 +179,7 @@ def test_initialization_splits_orthogonally(setup_cache):
     # phi = -dt * p by construction
     assert np.allclose(state.phi, -dt * state.p, atol=1e-15)
     # end-of-step field is weakly divergence free against every pressure mode
-    wd = ops.weak_divergence(state.utilde, state.phi)
+    wd = ops.G.T @ state.utilde + ops.N_p @ state.phi
     u_sq = ops.yh_norm_sq(state.utilde, state.phi)
     assert np.max(np.abs(wd) / (np.sqrt(u_sq) * ops.grad_psi_norms)) <= 1e-10
     # orthogonal splitting of the projected field
@@ -259,14 +259,16 @@ def test_reused_factor_run_matches_dense_reference(setup_cache, n):
 
 
 def _count_momentum_factorizations(monkeypatch):
-    # splu calls made inside the step's one solve_momentum call
-    counts = {"splu": 0, "momentum": 0, "momentum_splu": 0}
+    # splu calls made inside the step's one solve_momentum call, and the
+    # dtype of every factored matrix
+    counts = {"splu": 0, "momentum": 0, "momentum_splu": 0, "dtypes": []}
     splu = scipy.sparse.linalg.splu
     solve_momentum = scheme.solve_momentum
 
-    def counted_splu(*args, **kwargs):
+    def counted_splu(A, *args, **kwargs):
         counts["splu"] += 1
-        return splu(*args, **kwargs)
+        counts["dtypes"].append(A.dtype)
+        return splu(A, *args, **kwargs)
 
     def counted_momentum(*args, **kwargs):
         counts["momentum"] += 1
@@ -310,8 +312,10 @@ def test_unreachable_momentum_tolerance_fails_at_step_one(setup_cache, monkeypat
     with pytest.raises(pk.LinearSolveError, match="momentum solve stalled") as info:
         pk.run(cfg, ops=ops)
     assert time.perf_counter() - t0 < 5.0
-    # one fresh factorization, its three corrections, no retry
-    assert counts["momentum"] == 1 and counts["momentum_splu"] == 1
+    # one fresh float32 factorization and its three corrections, then the
+    # same in float64, and no retry
+    assert counts["momentum"] == 1 and counts["momentum_splu"] == 2
+    assert counts["dtypes"] == [np.float32, np.float64]
     assert 0.0 < info.value.residual < 1e-13
 
 

@@ -7,16 +7,18 @@ mass is applied once per level (by the step, and by the ledger at level
 0); the ledger takes no direct norm of a combination of levels; the
 momentum refinement stays within its sweep budget; each step assembles
 one convection; the run factors only the Poisson operator and two
-momentum matrices (no mass); no signature of u0 or f is read (they are
-called straight away); and no stored level keeps an image.
-The error norms of that run push the basis gradients forward and take
-the exact fields' sines and cosines once per call, not once per level.
+momentum matrices (no mass), the momentum ones in single precision; no
+signature of u0 or f is read (they are called straight away); and no
+stored level keeps an image.  The error norms of that run build no table
+of pushed basis gradients and take the exact fields' sines and cosines
+once per call, not once per level.
 The VTK writer builds the level-independent part of a file once per
 space pair.  No timing: the counts repeat exactly from run to run.
 """
 
 import gc
 import inspect
+import tracemalloc
 
 import numpy as np
 
@@ -56,9 +58,9 @@ def test_quickstart_run_work_counts(monkeypatch):
     factor = linsolve._factor
     signature = inspect.signature
 
-    def counted_factor(A, what):
-        factored.append(what)
-        return factor(A, what)
+    def counted_factor(A, what, dtype=np.float64):
+        factored.append((what, dtype))
+        return factor(A, what, dtype)
 
     def counted_signature(fn):
         counts["signature"] += 1
@@ -85,35 +87,43 @@ def test_quickstart_run_work_counts(monkeypatch):
     assert counts["yh_norm"] == 0
     assert sum(traj.momentum_sweeps) <= 200
     assert counts["convection"] == n
-    assert factored == ["pressure Poisson", "momentum", "momentum"]
+    # both momentum factorizations are single precision
+    assert factored == [
+        ("pressure Poisson", np.float64), ("momentum", np.float32), ("momentum", np.float32)
+    ]
     assert counts["signature"] == 0
     # no stored level keeps an image once the run is over
     for level in traj.levels:
         assert level.mass_u is level.gt_u is level.riesz is level.div is None
 
-    # the error norms of the 51 levels push the basis gradients forward
-    # once per space and take sin(pi x), sin(pi y) once, not once per level
+    # the error norms of the 51 levels build no table of basis gradients
+    # pushed through the cells: their traced peak stays below three such
+    # tables of the P2 space (0.89 MB), where holding the P2 and P1 tables
+    # took it to 1.00 MB
     assert len(traj.levels) == 51 and traj.is_complete()
-    expect = pk.error_norms(traj, case)
-    grads, sines = [], []
-    phys_grads, sin = assembly._phys_grads, np.sin
+    geom = mms._error_geometry(traj)
+    nq, nloc = geom.rule.points.shape[0], traj.ops.space_u.cell_dofs.shape[1]
+    table = geom.detJ.size * nq * nloc * 2 * 8
+    tracemalloc.start()
+    try:
+        expect = pk.error_norms(traj, case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table
 
-    def counted_grads(space, geom):
-        grads.append(space.degree)
-        return phys_grads(space, geom)
+    # and take sin(pi x), sin(pi y) once, not once per level
+    sines = []
+    sin = np.sin
 
     def counted_sin(a, *args, **kwargs):
         sines.append(np.ndim(a))
         return sin(a, *args, **kwargs)
 
-    monkeypatch.setattr(assembly, "_phys_grads", counted_grads)
-    monkeypatch.setattr(mms, "_phys_grads", counted_grads)
     monkeypatch.setattr(np, "sin", counted_sin)
     for _ in range(2):
-        grads.clear()
         sines.clear()
         assert pk.error_norms(traj, case) == expect
-        assert sorted(grads) == [1, 2]
         assert sines.count(2) == 2
 
 
