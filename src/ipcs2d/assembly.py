@@ -20,6 +20,17 @@ and free_convection), and its inner products read only the free entries,
 so no solve or pairing slices a matrix.  The free dofs are numbered in the
 reverse Cuthill-McKee order of that pattern, so the momentum LU does not
 depend on how the mesh numbers its vertices.
+
+The dense products of a step (the convection's element matrices, the
+load's and the gradients at the rule points) run in blocks of cells
+(_row_products), each gemm of at most GEMM_ONE_THREAD = 2^18 multiply-adds
+m n k.  OpenBLAS runs a gemm that small on the calling thread
+(interface/gemm.c: 65536 times GEMM_MULTITHREAD_THRESHOLD, 4 by default);
+a larger one may wake its worker threads, and with two of them a whole-
+mesh product at n = 64 took 8 ms instead of 0.2 ms in some processes.
+Each block's element matrices are added into the output as they are
+formed (np.add.at, in cell order, the additions one np.bincount of all of
+them makes), so no array of every cell's element matrices is built.
 """
 
 import inspect
@@ -41,6 +52,9 @@ __all__ = [
     "eval_at_quad",
     "eval_grad_at_quad",
 ]
+
+# the most multiply-adds m n k of a gemm OpenBLAS keeps on the calling thread
+GEMM_ONE_THREAD = 2**18
 
 _GAUSS3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -96,9 +110,14 @@ class _Scatter:
     pattern (rcm_order): position k of the block holds the masked dof
     self.order[k].  With a column space cols, the map is the rectangular
     block of the space's scalar dofs by the scalar dofs of cols.  Slots
-    and index arrays are int32.  The index arrays are read-only, and every
-    matrix the map builds shares them: an in-place edit of one raises
-    ValueError."""
+    (one row per cell) and index arrays are int32.  The index arrays are
+    read-only, and every matrix the map builds shares them: an in-place
+    edit of one raises ValueError.
+
+    A call takes the element matrices whole, or as two factors a @ b with
+    one row of a per cell; the product is then formed and added in blocks
+    of cells (_add_products), so that each gemm stays on the calling
+    thread and only one block of element matrices is alive at a time."""
 
     def __init__(self, space, mask=None, cols=None):
         cols = space if cols is None else cols
@@ -125,16 +144,48 @@ class _Scatter:
             spare = np.full(keep.size, keys.size)
             spare[np.flatnonzero(keep)[sort]] = np.arange(keys.size)
             slot = spare[slot]
-        self.slot = slot.astype(np.int32)
+        self.slot = slot.astype(np.int32).reshape(len(cd), -1)
         self.nnz = keys.size
         self.indices, self.indptr = _csr_index(keys, n, m)
         self.indices.flags.writeable = self.indptr.flags.writeable = False
         self.shape = (n, m)
 
-    def __call__(self, elem):
-        # elem: (M, nloc, nloc_col) element matrices -> CSR on the shared pattern
-        data = np.bincount(self.slot, weights=elem.ravel(), minlength=self.nnz + 1)[: self.nnz]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+    def __call__(self, a, b=None):
+        # a: (M, nloc, nloc_col) element matrices, or with b (M, k) factors of
+        # the flat element matrices a @ b -> CSR on the shared pattern; the
+        # spare slot past the end takes the entries outside a masked block
+        data = np.zeros(self.nnz + 1)
+        if b is None:
+            np.add.at(data, self.slot.ravel(), a.ravel())
+        else:
+            _add_products(data, self.slot, a, b)
+        return sp.csr_matrix((data[: self.nnz], self.indices, self.indptr), shape=self.shape)
+
+
+def _row_products(a, b):
+    """a @ b in blocks of cells: yields (start, stop, a[start:stop] @ b).
+
+    a is (cells, ..., k) and b (k, n); each cell gives a[c].size // k rows
+    of the product, and each block's product has a multiple of 8 rows, as
+    many as keep its gemm's m n k at most GEMM_ONE_THREAD, so that OpenBLAS
+    runs it on the calling thread.  A row of the product does not depend on
+    the block it is formed in: the blocks hold the bits of one whole-mesh
+    product."""
+    k, n = b.shape
+    rows = max(8, GEMM_ONE_THREAD // (k * n) // 8 * 8)
+    cells = rows // int(np.prod(a.shape[1:-1]))
+    for start in range(0, len(a), cells):
+        stop = min(start + cells, len(a))
+        yield start, stop, a[start:stop].reshape(-1, k) @ b
+
+
+def _add_products(out, slot, a, b):
+    """out[slot] += a @ b, slot holding one row per cell of a, added block
+    by block (_row_products) with np.add.at as each block is formed: the
+    additions of np.bincount(slot, a @ b), in its order."""
+    for start, stop, block in _row_products(a, b):
+        np.add.at(out, slot[start:stop].ravel(), block.ravel())
+    return out
 
 
 def _csr_index(keys, n, m):
@@ -190,16 +241,18 @@ def assemble_convection(space_u, w_coeffs, geom, scatter, tensor):
     exactly zero, and the quadrature is exact for the cubic-in-k integrand,
     so the cancellation holds to rounding.
 
-    All element matrices come from one matrix product: the advecting
-    field of each cell c pulled back to the reference frame,
+    The element matrix of each cell c is the advecting field of the cell
+    pulled back to the reference frame,
     w_hat[c, e, k] = detJ_c sum_d inv_j[c, e, d] w_d[c, k], times tensor,
     the _convection_tensor of geom's rule (Kirby & Logg, ACM TOMS 2006).
-    scatter (a _Scatter of the space) places the element matrices."""
+    scatter (a _Scatter of the space) is called as scatter(w_hat, tensor)
+    and forms that product in blocks of cells, placing each block's
+    element matrices as it goes."""
     w_hat = sum(
         geom.adj[:, :, d, None] * space_u.component(w_coeffs, d)[space_u.cell_dofs][:, None, :]
         for d in range(2)
     )
-    return scatter(w_hat.reshape(len(w_hat), -1) @ tensor)
+    return scatter(w_hat.reshape(len(w_hat), -1), tensor)
 
 
 def _coupling_elems(space_u, space_p, geom):
@@ -235,8 +288,10 @@ class _LoadForm:
 
     What no field changes is computed once: w_phi[q, i] = w_q phi_i(x_q),
     w_det[c, q] = detJ_c w_q (the quadrature weights of the physical cells)
-    and the slot of every element load entry.  A call contracts with them
-    in one matrix product and scatters with np.bincount."""
+    and the int32 slot of every element load entry.  A call contracts the
+    field, scaled by detJ, with w_phi, (2M x nq)(nq x nloc), in blocks of
+    cells that keep each gemm on the calling thread, and adds each block's
+    loads into the vector as it is formed (_add_products)."""
 
     def __init__(self, space_u, geom):
         phi, _ = space_u.ref.eval(geom.rule.points)
@@ -245,14 +300,15 @@ class _LoadForm:
         self.detJ = geom.detJ
         n = space_u.n_scalar
         # element entry (c, d, i) is component d of the cell's local dof i
-        self.slot = (space_u.cell_dofs[:, None, :] + n * np.arange(2)[:, None]).ravel()
+        slot = space_u.cell_dofs[:, None, :] + n * np.arange(2)[:, None]
+        self.slot = slot.reshape(len(slot), -1).astype(np.int32)
         self.size = 2 * n
 
     def __call__(self, vals):
-        # vals: (M, nq, 2) vector field at the rule points of every cell
+        # vals: (M, nq, 2) vector field at the rule points of every cell;
+        # the product's rows are its (cell, component) pairs
         scaled = (vals * self.detJ[:, None, None]).transpose(0, 2, 1)
-        elem = scaled.reshape(-1, self.w_phi.shape[0]) @ self.w_phi
-        return np.bincount(self.slot, weights=elem.ravel(), minlength=self.size)
+        return _add_products(np.zeros(self.size), self.slot, scaled, self.w_phi)
 
     def norm_sq(self, vals):
         """Squared quadrature L2 norm of the field."""
@@ -348,22 +404,26 @@ def eval_grad_at_quad(space, geom, coeffs):
     """Field gradients at the rule points of every cell.
 
     Scalar spaces give (M, nq, 2); vector spaces give (M, nq, 2, 2) with
-    entry [..., c, d] = d_d u_c.  One matrix product contracts the cell
-    coefficients of every component with the reference basis gradients,
-    and each reference gradient g goes to the physical one g @ inv_j[c]
-    by four multiply-adds: no table of the basis gradients pushed through
-    every cell, (M, nq, nloc, 2), is built."""
+    entry [..., c, d] = d_d u_c.  A matrix product, (cM x nloc)(nloc x 2nq)
+    for c components, contracts the cell coefficients of every component
+    with the reference basis gradients, in blocks of cells that keep each
+    gemm on the calling thread (_row_products), and each reference
+    gradient g goes to the physical one g @ inv_j[c] by four multiply-adds
+    as its block is formed: no table of the basis gradients pushed through
+    every cell, (M, nq, nloc, 2), and no whole-mesh array of reference
+    gradients is built."""
     _, dphi = space.ref.eval(geom.rule.points)
     nq, nloc, _ = dphi.shape
     comps = [coeffs] if space.components == 1 else [space.component(coeffs, c) for c in (0, 1)]
     local = np.stack([u[space.cell_dofs] for u in comps], axis=1)
-    # reference gradients of every component, (M, components, nq, 2)
-    ref = local.reshape(-1, nloc) @ dphi.transpose(1, 0, 2).reshape(nloc, 2 * nq)
-    ref = ref.reshape(local.shape[:2] + (nq, 2))
-    inv_j = geom.inv_j[:, None, None]
-    grad = np.empty(ref.shape)
-    for d in (0, 1):
-        grad[..., d] = ref[..., 0] * inv_j[..., 0, d] + ref[..., 1] * inv_j[..., 1, d]
+    table = dphi.transpose(1, 0, 2).reshape(nloc, 2 * nq)
+    grad = np.empty(local.shape[:2] + (nq, 2))
+    for start, stop, ref in _row_products(local, table):
+        # reference gradients of every component, (cells, components, nq, 2)
+        ref = ref.reshape(-1, len(comps), nq, 2)
+        inv_j, out = geom.inv_j[start:stop, None, None], grad[start:stop]
+        for d in (0, 1):
+            out[..., d] = ref[..., 0] * inv_j[..., 0, d] + ref[..., 1] * inv_j[..., 1, d]
     grad = np.moveaxis(grad, 1, 2)
     return grad[:, :, 0] if space.components == 1 else grad
 

@@ -104,6 +104,8 @@ MASS_SPECTRUM = {1: (0.5, 2.0), 2: ((5.0 - 7.0**0.5) / 6.0, (8.0 + 19.0**0.5) / 
 # 2 / (c^16 + c^-16), c = (sqrt(kappa) + 1) / (sqrt(kappa) - 1): 4.6e-8 for
 # P1 (kappa = 4) and 6.3e-7 for P2 (kappa = 5.25)
 CHEBYSHEV_STEPS = 16
+# rows per block of the infinity norm of a sparse matrix (_inf_norm)
+NORM_ROWS = 4096
 
 
 class LinearSolveError(RuntimeError):
@@ -221,6 +223,19 @@ def _norm(r):
     return float(np.sqrt(dot(r, r)))
 
 
+def _inf_norm(A):
+    # max row sum of |A| for a CSR A with no empty row, NORM_ROWS rows at a
+    # time: a momentum solve takes it while the LU is alive, and |A.data|
+    # of the whole block would be 1.5 MB at n = 64 P2
+    ptr, n = A.indptr, A.shape[0]
+    norm = 0.0
+    for start in range(0, n, NORM_ROWS):
+        rows = ptr[start : start + NORM_ROWS + 1]
+        sums = np.add.reduceat(np.abs(A.data[rows[0] : rows[-1]]), rows[:-1] - rows[0])
+        norm = max(norm, float(sums.max()))
+    return norm
+
+
 def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None, require_rounding=True):
     """Sweeps x <- x + solve(b - A x), at most sweeps of them, until the
     fresh residual r = b - A x has |r| <= tol |b| (Frobenius norm over the
@@ -229,10 +244,10 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None, requir
     normwise backward error |r|_inf / (|A|_inf |x|_inf + |b|_inf) is at
     most EPS (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 12; |A|_inf of the CSR matrix A, with no empty row, is summed over
-    its data at most once per call).  Raises LinearSolveError when the
-    sweeps run out (ValueError for sweeps < 1); with require_rounding
-    False, a residual within tol that is short of rounding when they run
-    out is accepted.  The sweeps start from x0 when it is given and
+    its data at most once per call, in blocks of rows, _inf_norm).  Raises
+    LinearSolveError when the sweeps run out (ValueError for sweeps < 1);
+    with require_rounding False, a residual within tol that is short of
+    rounding when they run out is accepted.  The sweeps start from x0 when it is given and
     |b - A x0| < |b|, else from x = 0."""
     if sweeps < 1:
         raise ValueError("%s solve needs at least one sweep, got sweeps=%r" % (what, sweeps))
@@ -256,7 +271,7 @@ def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None, requir
             if not to_rounding or res >= 0.5 * last:
                 return x
             if a_norm is None:
-                a_norm = float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
+                a_norm = _inf_norm(A)
                 b_inf = np.abs(b).max(axis=0)
             if np.all(np.abs(r).max(axis=0) <= EPS * (a_norm * np.abs(x).max(axis=0) + b_inf)):
                 return x

@@ -332,14 +332,19 @@ def step(
 
     B = ops.free_convection(w_advect)
     # every operator is block diagonal, one scalar block per component, and
-    # both components have the same free dofs: one factorization, two columns
-    data = (a0 / dt) * ops.M_free.data + B.data + mu * ops.A_free.data
+    # both components have the same free dofs: one factorization, two
+    # columns.  The sum is formed in place, in the order (a0/dt) M + B + mu A
+    data = (a0 / dt) * ops.M_free.data
+    data += B.data
+    data += mu * ops.A_free.data
     S = sp.csr_matrix((data, B.indices, B.indptr), shape=B.shape)
     rhs = ops.free_values(F - ops.G @ cur.p + history / dt)
     x0 = None
     if older is not None:
         x0 = ops.free_values(3.0 * (cur.utilde - prev.utilde) + older.utilde)
     x = solve_momentum(S, rhs, tol=tol_momentum, factor=factor, key=(a0, dt, mu), x0=x0)
+    # the rest of the step runs next to the momentum LU without them
+    del S, data, rhs, x0
     utilde = ops.from_free(x)
     _check_finite(utilde, "intermediate velocity", m)
     mass_u, gt_u = ops.apply_free(ops.M_free, utilde), ops.G.T @ utilde

@@ -19,7 +19,6 @@ in that order, so that sums run in the package's order and compare bit for
 bit.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -79,8 +78,16 @@ def full_space_matrix(space, elem):
 
 def full_space_scatter(space):
     """full_space_matrix of space as the scatter argument of
-    assembly.assemble_convection."""
-    return functools.partial(full_space_matrix, space)
+    assembly.assemble_convection.  Like a _Scatter it takes the element
+    matrices whole, scatter(elem), or as the factors of elem = a @ b, one
+    row of a per cell, which assemble_convection passes so that the
+    package can multiply them in blocks of cells; here they are
+    multiplied in one product."""
+
+    def scatter(a, b=None):
+        return full_space_matrix(space, a if b is None else a @ b)
+
+    return scatter
 
 
 def full_velocity_matrices(ops):

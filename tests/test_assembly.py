@@ -664,3 +664,69 @@ def test_operator_set_pushes_no_gradient_to_the_rule_points(monkeypatch):
     sp = pk.build_space(mesh, 1, components=1, zero_mean=True)
     pk.OperatorSet(su, sp)
     assert calls == []
+
+
+def test_dense_products_run_in_one_thread_blocks_with_the_bits_of_one_product(monkeypatch):
+    # every dense product of a run and of its error norms goes through
+    # assembly._row_products in blocks that OpenBLAS keeps on the calling
+    # thread; the blocks give the bits of one whole-mesh product, scattered
+    # by one np.bincount
+    calls = []
+    row_products = assembly._row_products
+
+    def recorded(a, b):
+        call = {"a": a, "b": b, "shapes": []}
+        calls.append(call)
+        for start, stop, block in row_products(a, b):
+            call["shapes"].append((block.shape[0], b.shape[0], block.shape[1]))
+            yield start, stop, block
+
+    monkeypatch.setattr(assembly, "_row_products", recorded)
+    case = pk.stream_vortex_case(mu=1.0)
+    cfg = pk.SchemeConfig(
+        dt=0.01, T=0.04, mu=1.0, mesh_n=40, degree_u=2, degree_p=1,
+        u0=case.u0, f=case.f, case_name=case.name,
+    )
+    traj = pk.run(cfg)
+    pk.error_norms(traj, case)
+    ops = traj.ops
+    products = [m * k * n for call in calls for m, k, n in call["shapes"]]
+    assert len(calls) >= 3 * 4 and max(products) <= assembly.GEMM_ONE_THREAD == 2**18
+    convection = [call for call in calls if call["b"] is ops._conv_tensor]
+    assert len(convection) == 4 and all(len(call["shapes"]) > 1 for call in convection)
+
+    def one_shot(a, b):
+        return a.reshape(-1, b.shape[0]) @ b
+
+    # convection: one product, one bincount over the slots of every entry
+    calls.clear()
+    B = ops.free_convection(traj.final.utilde)
+    (call,) = calls
+    scatter = ops.scatter_free
+    data = np.bincount(
+        scatter.slot.ravel(), one_shot(call["a"], call["b"]).ravel(), scatter.nnz + 1
+    )[: scatter.nnz]
+    assert np.array_equal(B.data, data)
+
+    # load of the averaged forcing
+    calls.clear()
+    F, _ = ops.load(case.f, 0.005, 0.015)
+    (call,) = calls
+    form = ops._load_form
+    expect = np.bincount(form.slot.ravel(), one_shot(call["a"], call["b"]).ravel(), form.size)
+    assert np.array_equal(F, expect)
+
+    # gradients of a vector and a scalar field at the error rule's points
+    geom = CellGeometry(ops.space_u.mesh, pk.quad_rule(4))
+    for space, coeffs in [(ops.space_u, traj.final.utilde), (ops.space_p, traj.final.p)]:
+        calls.clear()
+        grad = eval_grad_at_quad(space, geom, coeffs)
+        (call,) = calls
+        nq = geom.rule.weights.size
+        ref = one_shot(call["a"], call["b"]).reshape(len(geom.detJ), -1, nq, 2)
+        inv_j = geom.inv_j[:, None, None]
+        expect = np.empty(ref.shape)
+        for d in (0, 1):
+            expect[..., d] = ref[..., 0] * inv_j[..., 0, d] + ref[..., 1] * inv_j[..., 1, d]
+        expect = np.moveaxis(expect, 1, 2)
+        assert np.array_equal(grad, expect if space.components == 2 else expect[:, :, 0])
