@@ -21,7 +21,11 @@ every integrand involved, so all three hold to rounding.
 The ledger is the run's one per-level record; beside its CSV columns a
 row keeps extras such as extrap_split_sq = |grad(2 phi^m - phi^{m-1})|^2
 and, in row 1, the start-up jump utilde1_minus_u0_sq.  The energy bound
-and the interpolant-difference norms read only the ledger.
+and the interpolant-difference norms read only the ledger.  A diagnostic
+that needs every level, on a run stored with store_every > 1, returns
+None for that entry of a dict of results (mms.error_norms's err_u_L2L2
+and err_utilde_L2L2), and raises ValueError naming store_every=1 when it
+is the function's only result (time_modulus).
 
 A row reads the images of its levels (scheme.Level): the step hands the
 new level M utilde and G^T utilde, and the row turns them into the Riesz
@@ -333,13 +337,6 @@ def energy_inequality_check(ledger):
     return EnergyReport(Ms, lhs, rhs_exp, rhs_gronwall, utilde_sq[1:], E[1:], forced)
 
 
-def _require_complete(traj):
-    if not traj.is_complete():
-        raise ValueError(
-            "this diagnostic needs the full trajectory; rerun with store_every=1"
-        )
-
-
 def interpolant_difference_norms(traj):
     """Squared L2(0,T; L2) distances between the piecewise-constant
     in-time interpolants of the computed fields: end-of-step vs
@@ -376,7 +373,8 @@ def time_modulus(traj, tau):
           + sum_{j=1}^{n-k-1} theta |utilde^{j+k+1} - utilde^j|^2.
 
     Requires 0 <= tau < T and a full trajectory."""
-    _require_complete(traj)
+    if not traj.is_complete():
+        raise ValueError("this diagnostic needs the full trajectory; rerun with store_every=1")
     dt, ops = traj.dt, traj.ops
     n = traj.n_steps
     T = n * dt

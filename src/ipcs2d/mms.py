@@ -271,7 +271,7 @@ def error_norms(traj, case):
 def _study_grid(mode, config):
     T = config.T
     if mode == "temporal":
-        # fixed fine mesh so the spatial error is subdominant
+        # one fine mesh, whose spatial error cancels in each difference
         return [(32, 2, 1, T / m) for m in (40, 80, 160, 320)]
     if mode == "spatial":
         # the configured dt is the fixed (small) time step
@@ -286,18 +286,19 @@ def _study_grid(mode, config):
 def convergence_study(mode, config, case=None):
     """Run the refinement study of one mode and return (rows, warnings).
 
-    temporal: n=32, quadratic velocity, dt in {T/40, T/80, T/160, T/320};
-    spatial: n in {4, 8, 16, 32} at the config's fixed dt and degrees;
-    coupled: n in {4, 8, 16, 32}, linear velocity, dt halving with h.
+    temporal: n=32 P2/P1, dt in {T/40, ..., T/320}, consecutive differences;
+    spatial: n in {4, 8, 16, 32} at the config's dt and degrees;
+    coupled: n in {4, 8, 16, 32}, P1/P1, dt = 4 dt/n.
+    No mode reads mesh_n; temporal ignores dt and both degrees as well,
+    coupled both degrees.
 
-    Spatial and coupled modes measure errors against the exact case
-    fields.  Temporal mode measures against a reference run on the same
-    mesh with the finest dt quartered: against exact fields the sequence
-    would flatten at the fixed spatial error of the n=32 mesh, while the
-    same-mesh reference isolates the time-stepping error whose order is
-    under study (err_u_L2 is then the end-of-step velocity difference in
-    the L2 norm, err_u_H1 the intermediate-velocity gradient difference,
-    err_p_L2 the pressure difference).
+    Spatial and coupled rows hold errors against the exact case fields.
+    A temporal row holds the final-time differences between a run and the
+    run at half its dt, and carries the coarser dt: an error C dt^p gives
+    a difference C (1 - 2^-p) dt^p, the same order with no reference run
+    (the observed order of Richardson extrapolation).  err_u_L2 is then
+    the end-of-step velocity difference in L2, err_u_H1 the
+    intermediate-velocity gradient difference, err_p_L2 the pressure's.
 
     The case defaults to the one named in the config.  Each row holds the
     final-time errors and the observed rates against the previous row
@@ -314,18 +315,16 @@ def convergence_study(mode, config, case=None):
     rows = []
     warnings = []
     prev = None
+    last = None
     ops_cache = {}
-    mesh_cache = {}
-    grid = _study_grid(mode, config)
-
-    def run_one(n, deg_u, deg_p, dt):
-        if n not in mesh_cache:
-            mesh_cache[n] = generate_structured_unit_square(n)
+    for n, deg_u, deg_p, dt in _study_grid(mode, config):
+        key = (n, deg_u, deg_p)
+        ops = ops_cache.get(key)
         run_cfg = SchemeConfig(
             dt=dt,
             T=config.T,
             mu=config.mu,
-            mesh=mesh_cache[n],
+            mesh=generate_structured_unit_square(n) if ops is None else ops.space_u.mesh,
             degree_u=deg_u,
             degree_p=deg_p,
             u0=case.u0,
@@ -333,32 +332,26 @@ def convergence_study(mode, config, case=None):
             case_name=case.name,
             tol_poisson=config.tol_poisson,
             tol_momentum=config.tol_momentum,
-            store_every=max(1, 10**9),  # only the endpoints matter here
+            store_every=10**9,  # only the endpoints matter here
         )
-        key = (n, deg_u, deg_p)
-        traj = run(run_cfg, ops=ops_cache.get(key))
-        ops_cache[key] = traj.ops
-        return run_cfg, traj
-
-    reference = None
-    if mode == "temporal":
-        n, deg_u, deg_p, dt_fine = grid[-1]
-        reference = run_one(n, deg_u, deg_p, dt_fine / 4.0)[1].final
-
-    for n, deg_u, deg_p, dt in grid:
-        run_cfg, traj = run_one(n, deg_u, deg_p, dt)
+        traj = run(run_cfg, ops=ops)
+        ops = ops_cache[key] = traj.ops
         if mode == "temporal":
-            ops = traj.ops
-            lv = traj.final
-            du_sq = ops.yh_norm_sq(lv.utilde - reference.utilde, lv.phi - reference.phi)
+            # a row pairs the previous run with this one, at half its dt
+            pair, last = last, (dt, run_cfg, traj.final)
+            if pair is None:
+                continue
+            param, run_cfg, lv = pair
+            fine = traj.final
+            du, dphi = lv.utilde - fine.utilde, lv.phi - fine.phi
             errs = {
-                "err_u_L2": math.sqrt(max(0.0, du_sq)),
-                "err_u_H1": math.sqrt(max(0.0, ops.grad_u_sq(lv.utilde - reference.utilde))),
-                "err_p_L2": math.sqrt(max(0.0, ops.norm_p_sq(lv.p - reference.p))),
+                "err_u_L2": math.sqrt(max(0.0, ops.yh_norm_sq(du, dphi))),
+                "err_u_H1": math.sqrt(max(0.0, ops.grad_u_sq(du))),
+                "err_p_L2": math.sqrt(max(0.0, ops.norm_p_sq(lv.p - fine.p))),
             }
         else:
             errs = error_norms(traj, case)
-        param = dt if mode == "temporal" else run_cfg.mesh.h
+            param = run_cfg.mesh.h
         row = {
             "n": n,
             "dt": run_cfg.dt,

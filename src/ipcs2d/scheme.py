@@ -61,7 +61,9 @@ MAX_STEPS = 10**7
 # the largest finite float; bounding by it also rejects integers beyond float range
 _FLOAT_MAX = sys.float_info.max
 
-# (ledger column, tolerance, message) of the gates every level must pass
+# (ledger column, tolerance, message) of the gates every level must pass;
+# residual_skew is rounding noise (3e-18 to 5e-16 across trees that agree to
+# rounding), so it is checked against its tolerance, never a parent's maximum
 GATES = (
     ("residual_identity", 1e-9, "energy identity violated at step %d: relative residual %.3e"),
     ("residual_pythagoras", 1e-10,

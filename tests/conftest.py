@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ipcs2d as pk
+import ipcs2d.mms
 
 
 def build_setup(n, deg_u=1, deg_p=1):
@@ -80,13 +81,22 @@ def splitting_runs():
 @pytest.fixture(scope="session")
 def temporal_study():
     """The design-order time-refinement study (n=32, quadratic velocity,
-    dt in {T/40 .. T/320} against a same-mesh reference)."""
+    dt in {T/40 .. T/320}, each run against the run at half its dt), with
+    the step count of every run the study makes."""
     case = pk.stream_vortex_case(mu=1.0)
     cfg = pk.SchemeConfig(
         dt=0.5 / 40.0, T=0.5, mu=1.0, mesh_n=32, degree_u=2, degree_p=1,
         u0=case.u0, f=case.f, case_name=case.name,
     )
-    t0 = time.perf_counter()
-    rows, warnings = pk.convergence_study("temporal", cfg, case)
-    elapsed = time.perf_counter() - t0
-    return rows, warnings, elapsed
+    steps = []
+
+    def counted_run(config, **kwargs):
+        steps.append(config.n_steps)
+        return pk.run(config, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ipcs2d.mms, "run", counted_run)
+        t0 = time.perf_counter()
+        rows, warnings = pk.convergence_study("temporal", cfg, case)
+        elapsed = time.perf_counter() - t0
+    return rows, warnings, elapsed, steps

@@ -150,7 +150,7 @@ def test_criterion_06_dense_oracle_step_equivalence(setup_cache):
 
 
 def test_criterion_07_temporal_convergence(temporal_study):
-    rows, warnings, elapsed = temporal_study
+    rows, warnings, elapsed, _ = temporal_study
     rate = rows[-1]["rate_u"]
     assert 1.7 <= rate <= 2.5
     assert elapsed < 600.0

@@ -348,8 +348,9 @@ def test_velocity_error_split_obeys_triangle_inequality(vortex_run):
 
 
 def test_temporal_study_is_second_order(temporal_study):
-    rows, warnings, _ = temporal_study
-    assert len(rows) == 4
+    rows, warnings, _, steps = temporal_study
+    assert steps == [40, 80, 160, 320]
+    assert len(rows) == 3
     assert math.isnan(rows[0]["rate_u"])
     dts = [row["dt"] for row in rows]
     assert all(math.isclose(a / b, 2.0) for a, b in zip(dts, dts[1:]))

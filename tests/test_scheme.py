@@ -548,10 +548,16 @@ def test_store_every_keeps_endpoints():
     assert len(traj.ledger.rows) == 11
     assert not traj.is_complete()
     # the interpolant norms read the ledger, which holds every level
-    assert pk.interpolant_difference_norms(traj) == pk.interpolant_difference_norms(
-        stream_case_run(1)
-    )
-    with pytest.raises(ValueError, match="full trajectory"):
+    full = stream_case_run(1)
+    assert pk.interpolant_difference_norms(traj) == pk.interpolant_difference_norms(full)
+    # an entry that needs every level is None; the final-time ones are the same bits
+    case = pk.stream_vortex_case(mu=1.0)
+    errs, full_errs = pk.error_norms(traj, case), pk.error_norms(full, case)
+    assert errs["err_u_L2L2"] is None and errs["err_utilde_L2L2"] is None
+    for key in ("err_u_L2", "err_utilde_L2", "err_u_H1", "err_p_L2"):
+        assert errs[key] == full_errs[key]
+    # a diagnostic whose only result needs every level raises
+    with pytest.raises(ValueError, match="full trajectory.*store_every=1"):
         pk.time_modulus(traj, traj.dt)
 
 
