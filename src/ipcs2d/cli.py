@@ -12,9 +12,10 @@ Subcommands:
                                   for a seeded random case
 
 Exit codes: 0 success; 1 assertion/solver failure; 2 usage or config
-errors (including a missing config file, and an out_dir that cannot be
-created, which run and convergence find before they start).  Since they
-create out_dir first, a run that then fails leaves it behind, empty.
+errors (including a missing config file, an out_dir that cannot be
+created, which run and convergence find before they start, and an output
+file that cannot be written).  Since they create out_dir first, a run
+that then fails leaves it behind, empty.
 """
 
 import argparse
@@ -64,16 +65,20 @@ def _build_parser():
     return parser
 
 
+def _output(args, verb, path, make, *data, **options):
+    # make(*data, path, **options); an out_dir or output file that it
+    # cannot make is a config error that names the path
+    try:
+        make(*data, path, **options)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError("%s: cannot %s %s (%s)" % (args.config, verb, path, reason)) from None
+
+
 def _make_out_dir(args, config):
     # before any work, so that an unusable out_dir costs no run
-    out = config.out_dir
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            "%s: cannot create out_dir %s (%s)" % (args.config, out, exc.strerror or exc)
-        ) from None
-    return out
+    _output(args, "create out_dir", config.out_dir, os.makedirs, exist_ok=True)
+    return config.out_dir
 
 
 def _print_warnings(warnings):
@@ -87,15 +92,11 @@ def _cmd_run(args):
     traj = run(config)
     _print_warnings(traj.warnings)
     ledger_path = os.path.join(out, "ledger.csv")
-    write_ledger_csv(traj.ledger, ledger_path)
+    _output(args, "write", ledger_path, write_ledger_csv, traj.ledger)
+    su, sp = traj.ops.space_u, traj.ops.space_p
     for lv in traj.levels:
-        write_vtk(
-            lv,
-            traj.ops.space_u,
-            traj.ops.space_p,
-            os.path.join(out, "fields_%06d.vtk" % lv.m),
-            cellwise=args.cellwise,
-        )
+        path = os.path.join(out, "fields_%06d.vtk" % lv.m)
+        _output(args, "write", path, write_vtk, lv, su, sp, cellwise=args.cellwise)
     rows = traj.ledger.rows
     print(
         "completed %d steps (dt=%.17g, T=%g): E_h end %.6e, wrote %s and %d VTK levels to %s"
@@ -118,7 +119,7 @@ def _cmd_convergence(args):
     rows, warnings = convergence_study(args.mode, config)
     _print_warnings(warnings)
     path = os.path.join(out, "rates_%s.csv" % args.mode)
-    write_rate_table_csv(rows, path)
+    _output(args, "write", path, write_rate_table_csv, rows)
     print("n      dt            err_u_L2      err_u_H1      err_p_L2      rate_u  rate_p")
     for r in rows:
         print(

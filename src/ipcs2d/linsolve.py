@@ -1,11 +1,18 @@
 """Linear solves used by the time stepper.
 
-Every solve verifies its final residual with a fresh matrix-vector
-product and raises LinearSolveError (carrying the achieved residual)
-instead of returning a silently inaccurate solution.  One refine-and-
-verify routine, a sequence of sweeps x <- x + P^-1 (b - A x) from x = 0
-or from a start vector, serves every solve; P^-1 is an LU solve or, for
-the mass, a fixed polynomial in diag(M)^-1 M:
+Every solve is a sequence of sweeps x <- x + P^-1 (b - A x) from x = 0
+or a start vector, where P^-1 is an LU solve or, for the mass, a fixed
+polynomial in diag(M)^-1 M.  One rule (_refine) stops them all: after
+each sweep a solve stops when the fresh residual r = b - A x is at
+rounding level or its budget runs out, SWEEPS sweeps, or STALE_SWEEPS for
+a stale momentum factor.  Rounding level means that every column's
+normwise backward error |r|_inf / (|A|_inf |x|_inf + |b|_inf) is at most
+EPS (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12), the
+test mixed-precision refinement stops on (Carson & Higham, SIAM J. Sci.
+Comput. 40, 2018), or that the sweep did not halve |r|.  The solve
+returns x only if it stopped at rounding level with |r| <= tol |b|, and
+otherwise raises LinearSolveError carrying the achieved relative
+residual; stopping at tol would leave an error the energy ledger shows.
 
   * solve_mass: the velocity mass system, with no factorization.  On
     affine cells the spectrum of diag(M)^-1 M lies inside that of one
@@ -16,8 +23,7 @@ the mass, a fixed polynomial in diag(M)^-1 M:
     CHEBYSHEV_STEPS steps of Chebyshev semi-iteration on that interval
     (Wathen & Rees, ETNA 34, 2009): sparse matrix-vector products and
     elementwise arithmetic only, no inner product, so the error falls by a
-    fixed factor per sweep on every mesh.  The sweeps run to rounding, as
-    for a stale momentum factor below;
+    fixed factor per sweep on every mesh;
   * solve_momentum: the momentum system of a step, by sparse LU (minimum
     degree ordering on A^T + A, diagonal pivot threshold 0.1), one
     factorization for all columns of b.  Minimum degree is sensitive to the
@@ -29,32 +35,23 @@ the mass, a fixed polynomial in diag(M)^-1 M:
     precision, which halves the bytes of its values, and refined against
     double-precision residuals, so the solution is as accurate as with a
     double-precision LU (mixed-precision iterative refinement:
-    Langou et al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
-    Each sweep casts its residual to float32 and adds the float32
-    correction to the float64 iterate.  A fresh float32 factor cuts the
-    residual by about 1e-6 per sweep on the stock blocks, so where a
-    float64 LU reached rounding in one solve it takes three or four.  Given
-    the run's MomentumFactor it reuses the LU of an earlier step: only the
-    convection changes from step to step, so a stale LU is still a good
-    preconditioner.  A stale factor starts from the caller's start vector
-    (a step passes an extrapolation of its earlier velocities) when that
-    has a smaller residual than x = 0, and sweeps until the residual is at
-    most tol |b| and at rounding level: the normwise backward error of every column is
-    at most EPS in the infinity norm, or the last sweep no longer halved
-    the residual (stopping at tol alone would leave an error the energy
-    ledger shows); tol is only the failure threshold.  It has STALE_SWEEPS
-    sweeps.  When they run out, or a sweep gives non-finite values, the
-    stale LU is dropped and the matrix refactored once; a fresh factor
-    sweeps on to rounding as a stale one does, but with up to three
-    correction sweeps, and raises only if it misses tol (on fine meshes a
-    float32 factor's fourth solve can be within tol and a little short of
-    the backward-error test, as a float64 LU's one solve is).  A float32
-    factor can miss: an entry beyond the float32 range makes it singular
-    or non-finite, and once cond(A) 2^-24 nears 1 its sweeps no longer
-    contract.  The same matrix is then factored once more in float64, and
-    the MomentumFactor stays in float64 for the rest of its run.  The
-    factor is also rebuilt whenever its key, the (a0, dt, mu) of the step,
-    changes;
+    Langou et al., SC'06; Carson & Higham).  Each sweep casts its residual
+    to float32 and adds the float32 correction to the float64 iterate.  A
+    fresh float32 factor cuts the residual by about 1e-6 per sweep on the
+    stock blocks, so where a float64 LU reached rounding in one solve it
+    takes three to five.  Given the run's MomentumFactor it reuses the LU
+    of an earlier step: only the convection changes from step to step, so
+    a stale LU is still a good preconditioner.  A stale factor starts from
+    the caller's start vector (a step passes an extrapolation of its
+    earlier velocities) when that has a smaller residual than x = 0.  When
+    its solve fails, which it does at once if a sweep no longer halves the
+    residual above tol, the stale LU is dropped and the matrix refactored
+    once.  A float32 factor can fail too: an entry beyond the float32
+    range makes it singular or non-finite, and once cond(A) 2^-24 nears 1
+    its sweeps no longer contract.  The same matrix is then factored once
+    more in float64, and the MomentumFactor stays in float64 for the rest
+    of its run.  The factor is also rebuilt whenever its key, the
+    (a0, dt, mu) of the step, changes;
   * factor_poisson: the pure-Neumann pressure Poisson operator, given
     with zero row sums and factored once with one dof pinned, the pinned
     block renumbered the same way, by its reverse Cuthill-McKee order,
@@ -93,6 +90,8 @@ __all__ = [
     "dot",
 ]
 
+# sweeps a pressure Poisson, mass or fresh momentum solve may take
+SWEEPS = 5
 # sweeps a stale momentum factor may take before the matrix is refactored
 STALE_SWEEPS = 10
 # unit roundoff bound of the backward-error stop, 2**-52
@@ -236,50 +235,37 @@ def _inf_norm(A):
     return norm
 
 
-def _refine(solve, A, b, tol, what, sweeps=4, to_rounding=False, x0=None, require_rounding=True):
-    """Sweeps x <- x + solve(b - A x), at most sweeps of them, until the
-    fresh residual r = b - A x has |r| <= tol |b| (Frobenius norm over the
-    columns of a multi-column b) and, with to_rounding, is at rounding
-    level: the last sweep no longer halved it, or in every column the
-    normwise backward error |r|_inf / (|A|_inf |x|_inf + |b|_inf) is at
-    most EPS (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 12; |A|_inf of the CSR matrix A, with no empty row, is summed over
-    its data at most once per call, in blocks of rows, _inf_norm).  Raises
-    LinearSolveError when the sweeps run out (ValueError for sweeps < 1);
-    with require_rounding False, a residual within tol that is short of
-    rounding when they run out is accepted.  The sweeps start from x0 when it is given and
-    |b - A x0| < |b|, else from x = 0."""
+def _refine(solve, A, b, tol, what, sweeps, x0=None):
+    """Sweeps x <- x + solve(b - A x), at most sweeps of them (ValueError
+    for sweeps < 1), from x0 when it is given and |b - A x0| < |b|, else
+    from x = 0, stopped by the rule of the module docstring; |r| is the
+    Frobenius norm over the columns of a multi-column b, and |A|_inf of the
+    CSR matrix A, with no empty row, is summed in blocks of rows once per
+    call (_inf_norm)."""
     if sweeps < 1:
         raise ValueError("%s solve needs at least one sweep, got sweeps=%r" % (what, sweeps))
     bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
-    x, r = 0.0, b
+    x, r, last = 0.0, b, bnorm
     if x0 is not None:
         r0 = _residual(A, b, x0)
-        if _norm(r0) < bnorm:
-            x, r = x0, r0
-    x = x + solve(r)
-    last = np.inf
-    a_norm = None
-    for done in range(1, sweeps + 1):
+        norm0 = _norm(r0)
+        if norm0 < bnorm:
+            x, r, last = x0, r0, norm0
+    a_norm, b_inf = _inf_norm(A), np.abs(b).max(axis=0)
+    for _ in range(sweeps):
+        x = x + solve(r)
         r = _residual(A, b, x)
         res = _norm(r)
         if not np.isfinite(res):
             raise LinearSolveError("%s solve produced non-finite values" % what)
-        if res <= tol * bnorm:
-            if not to_rounding or res >= 0.5 * last:
+        if res >= 0.5 * last or np.all(
+            np.abs(r).max(axis=0) <= EPS * (a_norm * np.abs(x).max(axis=0) + b_inf)
+        ):
+            if res <= tol * bnorm:
                 return x
-            if a_norm is None:
-                a_norm = _inf_norm(A)
-                b_inf = np.abs(b).max(axis=0)
-            if np.all(np.abs(r).max(axis=0) <= EPS * (a_norm * np.abs(x).max(axis=0) + b_inf)):
-                return x
-            if done == sweeps and not require_rounding:
-                return x
-        if done == sweeps:
             break
-        x = x + solve(r)
         last = res
     raise LinearSolveError(
         "%s solve stalled at relative residual %.3e (tolerance %.1e)"
@@ -347,7 +333,7 @@ def solve_mass(M, b, degree, tol=1e-12):
             x += d
         return x.T.reshape(b.shape)
 
-    return _refine(sweep, M, b, tol, "mass", to_rounding=True)
+    return _refine(sweep, M, b, tol, "mass", SWEEPS)
 
 
 class MomentumFactor:
@@ -379,12 +365,12 @@ def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
     """Solve the momentum system of one step, reusing factor's LU while key
     matches (see the module docstring); without factor, A is factored
     afresh.  The LU is factored in factor.dtype, float32 at first; when a
-    float32 factor fails to factor or to reach tol within four solves, A
-    is factored once more in float64, and factor keeps float64 from then
-    on.  A stale LU refines from the start vector x0 when it is given and
-    its residual is below |b|; a fresh one always starts from 0.  Every
-    step calls it once, so a traced run (perfbench/spans.py) counts one
-    momentum solve per step."""
+    float32 factor fails to factor or its solve fails, A is factored once
+    more in float64, and factor keeps float64 from then on.  A stale LU
+    refines from the start vector x0 when it is given and its residual is
+    below |b|; a fresh one always starts from 0.  Every step calls it
+    once, so a traced run (perfbench/spans.py) counts one momentum solve
+    per step."""
     if factor is None:
         factor = MomentumFactor()
     b = np.asarray(b, dtype=float)
@@ -393,9 +379,7 @@ def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
         return np.zeros_like(b)
     if factor.lu is not None and factor.key == key:
         try:
-            return _refine(
-                factor._sweep, A, b, tol, "momentum", STALE_SWEEPS, to_rounding=True, x0=x0
-            )
+            return _refine(factor._sweep, A, b, tol, "momentum", STALE_SWEEPS, x0)
         except LinearSolveError:
             pass
     while True:
@@ -404,9 +388,7 @@ def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
         try:
             factor.lu = _factor(A, "momentum", factor.dtype)
             factor.key, factor.refactored = key, True
-            return _refine(
-                factor._sweep, A, b, tol, "momentum", to_rounding=True, require_rounding=False
-            )
+            return _refine(factor._sweep, A, b, tol, "momentum", SWEEPS)
         except LinearSolveError:
             if factor.dtype == np.float64:
                 raise
@@ -448,7 +430,7 @@ def factor_poisson(N, mass):
         return x
 
     def solve(b, tol=1e-12):
-        x = _refine(spread, N, b - b.mean(), tol, "pressure Poisson")
+        x = _refine(spread, N, b - b.mean(), tol, "pressure Poisson", SWEEPS)
         return x - dot(w, x) / float(w.sum())
 
     return solve

@@ -177,9 +177,10 @@ class SchemeConfig:
     If it is not, set f_cutoff to the time beyond which f is treated as
     zero, which scales clipped windows down proportionally.  dt is
     adjusted to divide T exactly (recorded in the run warnings).
-    tol_poisson and tol_momentum are the relative residuals the
-    pressure/mass and momentum solves must reach.  Arguments that break
-    one of PARAMETER_RULES raise ValueError with its message.
+    tol_poisson and tol_momentum are failure thresholds: a pressure/mass
+    or momentum solve refines to rounding level (see linsolve) and fails if
+    its relative residual is then above its tol.  Arguments that break one
+    of PARAMETER_RULES raise ValueError with its message.
     """
 
     def __init__(

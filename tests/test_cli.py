@@ -172,6 +172,26 @@ def test_out_dir_that_cannot_be_created_is_a_usage_error(
     assert entered == []
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (["run"], "ledger.csv"),
+        (["run"], "fields_000001.vtk"),
+        (["convergence", "--mode", "spatial"], "rates_spatial.csv"),
+    ],
+)
+def test_output_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_cfg(
+        tmp_path,
+        "mesh_n = 4\ndt = 0.02\nT = 0.04\ndegree_u = 1\ncase = zero\nout_dir = %s\n" % out,
+    )
+    assert main([command[0], cfg] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: %s: cannot write %s (Is a directory)\n" % (cfg, out / name)
+
+
 def test_convergence_writes_rate_table(tmp_path, capsys):
     out = tmp_path / "rates_out"
     cfg = write_cfg(

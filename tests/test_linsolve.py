@@ -93,9 +93,10 @@ def test_two_column_failure_reports_stacked_residual(monkeypatch):
         with pytest.raises(LinearSolveError, match="stalled") as info:
             solve_momentum(A, b, tol=1e-3)
         errors.append(info.value.residual)
-    # first column: residual 1/2^4 after the solve and three corrections;
-    # second column: exact.  Relative to the Frobenius norm sqrt(2) of b
-    assert errors[0] == errors[1] == pytest.approx(1.0 / (16.0 * np.sqrt(2.0)), rel=1e-15)
+    # first column: residual 1/4 after the solve and one correction, which
+    # no more than halves it, so the solve stops short of tol; second
+    # column: exact.  Relative to the Frobenius norm sqrt(2) of b
+    assert errors[0] == errors[1] == pytest.approx(1.0 / (4.0 * np.sqrt(2.0)), rel=1e-15)
 
 
 def test_two_column_residual_equals_the_multi_vector_product(setup_cache):
@@ -113,6 +114,26 @@ def test_two_column_residual_equals_the_multi_vector_product(setup_cache):
         # one contiguous column per component, as SuperLU reads them
         assert r.flags.f_contiguous
         assert np.array_equal(_residual(A, b[:, 0], x[:, 0]), b[:, 0] - A @ x[:, 0])
+
+
+def test_refine_goes_on_past_tol_to_rounding():
+    from ipcs2d.linsolve import EPS, _refine
+
+    A = sp.diags([1.0, 2.0, 4.0]).tocsr()
+    b = np.ones(3)
+    sweeps = []
+
+    def solve(r):
+        # cuts the residual 1000-fold per sweep
+        sweeps.append(np.linalg.norm(r))
+        return (1.0 - 1e-3) * r / A.diagonal()
+
+    x = _refine(solve, A, b, 1e-6, "x", 8)
+    # tol is met after two sweeps; the solve sweeps on until the normwise
+    # backward error is at rounding level
+    assert len(sweeps) >= 5
+    r = b - A @ x
+    assert np.abs(r).max() <= EPS * (4.0 * np.abs(x).max() + 1.0)
 
 
 def test_refine_rejects_fewer_than_one_sweep():
@@ -160,15 +181,16 @@ def _random_system(n=60, seed=11):
 def test_stale_factor_of_another_matrix_refactors_once(monkeypatch):
     A, b = _random_system()
     factor = MomentumFactor()
-    # an LU of 2A halves the error per sweep: it never reaches rounding
-    # within its sweeps, so the solve drops it and factors A
+    # an LU of 2A halves the residual per sweep: its first sweep no more
+    # than halves it, short of tol, so the solve drops it and factors A
     solve_momentum(2.0 * A, b, tol=1e-12, factor=factor, key="k")
     assert factor.refactored and factor.key == "k"
     calls = _counting_splu(monkeypatch)
     x = solve_momentum(A, b, tol=1e-12, factor=factor, key="k")
     assert len(calls) == 1
-    # the fresh float32 factor takes a solve and two corrections to rounding
-    assert factor.refactored and factor.sweeps == STALE_SWEEPS + 3
+    # one stale sweep; the fresh float32 factor takes a solve and two
+    # corrections to rounding
+    assert factor.refactored and factor.sweeps == 1 + 3
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
     # the fresh factor of A now serves A again without a factorization
     solve_momentum(A, b, tol=1e-12, factor=factor, key="k")
@@ -190,6 +212,28 @@ def test_stale_factor_sweeps_to_rounding_not_to_tol(monkeypatch):
     # a new key refactors at once, without sweeping the old LU
     solve_momentum(A2, b, factor=factor, key=2)
     assert len(calls) == 1 and factor.refactored and factor.sweeps == 3
+
+
+def test_stale_factor_that_stops_halving_is_dropped_at_once():
+    A, b = _random_system()
+    exact = scipy.sparse.linalg.splu(A.tocsc())
+
+    class Slow:
+        # a stale LU whose sweeps cut the residual by 0.6 only
+        sweeps = 0
+
+        def solve(self, r):
+            self.sweeps += 1
+            return 0.4 * exact.solve(r.astype(np.float64))
+
+    slow = Slow()
+    factor = MomentumFactor()
+    factor.lu, factor.key = slow, 1
+    x = solve_momentum(A, b, tol=1e-12, factor=factor, key=1)
+    # dropped after its first sweep, not after STALE_SWEEPS of them
+    assert slow.sweeps == 1
+    assert factor.refactored and factor.lu is not slow
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_start_vector_gives_the_same_solution_on_a_stale_factor():
@@ -307,12 +351,12 @@ def test_stale_then_fresh_failure_reports_the_fresh_residual(monkeypatch):
     factor.lu, factor.key = WrongSign(), 1
     with pytest.raises(LinearSolveError, match="momentum solve stalled") as info:
         solve_momentum(A, b, tol=1e-3, factor=factor, key=1)
-    # the stale factor spends its sweeps; the fresh float32 one takes the
-    # solve and three corrections, and so does the float64 one after it,
-    # which then fails as without a factor
-    assert factor.refactored and factor.sweeps == STALE_SWEEPS + 8
+    # the stale factor's first sweep does not shrink the residual; the
+    # fresh float32 one takes the solve and one correction, and so does the
+    # float64 one after it, which then fails as without a factor
+    assert factor.refactored and factor.sweeps == 1 + 4
     assert factor.dtype == np.float64
-    assert info.value.residual == pytest.approx(1.0 / (16.0 * np.sqrt(2.0)), rel=1e-15)
+    assert info.value.residual == pytest.approx(1.0 / (4.0 * np.sqrt(2.0)), rel=1e-15)
 
 
 def test_convection_dominated_block_keeps_its_fill(setup_cache):

@@ -12,6 +12,9 @@ signature of u0 or f is read (they are called straight away); and no
 stored level keeps an image.  The error norms of that run build no table
 of pushed basis gradients and take the exact fields' sines and cosines
 once per call, not once per level.
+A low-viscosity run (n=8, mu=1e-4, 40 steps) keeps its momentum LU solves
+bounded: a stale LU whose sweep stops halving the residual is dropped at
+once instead of sweeping on.
 The VTK writer builds the level-independent part of a file once per
 space pair.  No timing: the counts repeat exactly from run to run.
 """
@@ -125,6 +128,21 @@ def test_quickstart_run_work_counts(monkeypatch):
         sines.clear()
         assert pk.error_norms(traj, case) == expect
         assert sines.count(2) == 2
+
+
+def test_low_viscosity_run_work_counts():
+    # convection dominates and most steps refactor: a stale LU that swept
+    # on until STALE_SWEEPS ran out would take 500 LU solves here, 279 when
+    # it goes at its first sweep that does not halve the residual
+    case = pk.stream_vortex_case(mu=1e-4)
+    cfg = pk.SchemeConfig(
+        dt=0.05, T=2.0, mu=1e-4, mesh_n=8, degree_u=2, degree_p=1,
+        u0=case.u0, f=case.f, case_name=case.name,
+    )
+    traj = pk.run(cfg)
+    assert traj.n_steps == 40
+    assert sum(traj.momentum_sweeps) <= 300
+    assert traj.ledger.column("residual_identity").max() <= 1e-13
 
 
 def test_vtk_output_work_counts(tmp_path, monkeypatch):
