@@ -471,6 +471,8 @@ class OperatorSet:
             raise ValueError(
                 "the velocity space must vanish on the boundary (homogeneous_dirichlet=True)"
             )
+        if not space_p.zero_mean:
+            raise ValueError("the pressure space must be used modulo constants (zero_mean=True)")
         self.space_u = space_u
         self.space_p = space_p
         self.geom = CellGeometry(space_u.mesh, assembly_rule(space_u.degree, space_p.degree))

@@ -1,8 +1,11 @@
 """Lagrange reference elements, triangle quadrature, and dof management.
 
 Reference triangle: vertices (0,0), (1,0), (0,1), barycentric coordinates
-l0 = 1-x-y, l1 = x, l2 = y.  Quadratic elements carry one node per edge
-midpoint; local node 3+i sits on the edge opposite vertex i.
+l0 = 1-x-y, l1 = x, l2 = y.  The degree 1 basis is l_i.  The degree 2
+basis is l_i (2 l_i - 1) at vertex i and 4 l_a l_b at local node 3+i, the
+midpoint of the edge (a, b) = mesh._LOCAL_EDGES[i] opposite vertex i, the
+table that also numbers mesh.triangle_edges and so the cell_dofs of a
+degree 2 space.  Gradients follow by the product rule.
 
 Vector spaces store coefficients component-major: entry c*n_scalar + i is
 component c of scalar dof i.  Coefficient vectors always have full length,
@@ -10,6 +13,8 @@ with zeros at constrained entries; constraints are applied at solve time.
 """
 
 import numpy as np
+
+from .mesh import _LOCAL_EDGES
 
 __all__ = [
     "ReferenceElement",
@@ -19,6 +24,9 @@ __all__ = [
     "build_space",
 ]
 
+# gradients of the barycentric coordinates, constant on the triangle
+_GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
 
 class ReferenceElement:
     """Scalar Lagrange basis of degree 1 or 2 on the reference triangle."""
@@ -27,66 +35,25 @@ class ReferenceElement:
         if degree not in (1, 2):
             raise ValueError("only degree 1 and 2 elements are supported, got %r" % (degree,))
         self.degree = degree
-        if degree == 1:
-            self.nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        else:
-            self.nodes = np.array(
-                [
-                    [0.0, 0.0],
-                    [1.0, 0.0],
-                    [0.0, 1.0],
-                    [0.5, 0.5],  # midpoint of the edge opposite vertex 0
-                    [0.0, 0.5],  # opposite vertex 1
-                    [0.5, 0.0],  # opposite vertex 2
-                ]
-            )
-        self.n_basis = len(self.nodes)
 
     def eval(self, points):
         """Basis values and gradients at reference points.
 
         points: (npts, 2).  Returns (values, grads) with shapes
-        (npts, n_basis) and (npts, n_basis, 2).
+        (npts, 3 or 6) and (npts, 3 or 6, 2).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x = pts[:, 0]
-        y = pts[:, 1]
-        l0 = 1.0 - x - y
-        one = np.ones_like(x)
-        zero = np.zeros_like(x)
+        x, y = pts[:, 0], pts[:, 1]
+        lam = np.stack([1.0 - x - y, x, y], axis=1)
         if self.degree == 1:
-            vals = np.stack([l0, x, y], axis=1)
-            grads = np.stack(
-                [
-                    np.stack([-one, -one], axis=1),
-                    np.stack([one, zero], axis=1),
-                    np.stack([zero, one], axis=1),
-                ],
-                axis=1,
-            )
-            return vals, grads
-        vals = np.stack(
+            return lam, np.broadcast_to(_GRAD_LAMBDA, (len(pts), 3, 2)).copy()
+        a, b = np.array(_LOCAL_EDGES).T
+        vals = np.hstack([lam * (2 * lam - 1), 4 * lam[:, a] * lam[:, b]])
+        grads = np.hstack(
             [
-                l0 * (2 * l0 - 1),
-                x * (2 * x - 1),
-                y * (2 * y - 1),
-                4 * x * y,
-                4 * y * l0,
-                4 * l0 * x,
-            ],
-            axis=1,
-        )
-        # d l0/dx = d l0/dy = -1
-        grads = np.stack(
-            [
-                np.stack([1 - 4 * l0, 1 - 4 * l0], axis=1),
-                np.stack([4 * x - 1, zero], axis=1),
-                np.stack([zero, 4 * y - 1], axis=1),
-                np.stack([4 * y, 4 * x], axis=1),
-                np.stack([-4 * y, 4 * (l0 - y)], axis=1),
-                np.stack([4 * (l0 - x), -4 * x], axis=1),
-            ],
-            axis=1,
+                (4 * lam - 1)[..., None] * _GRAD_LAMBDA,
+                4 * (lam[:, b, None] * _GRAD_LAMBDA[a] + lam[:, a, None] * _GRAD_LAMBDA[b]),
+            ]
         )
         return vals, grads
 

@@ -4,8 +4,8 @@ Every solve is a sequence of sweeps x <- x + P^-1 (b - A x) from x = 0
 or a start vector, where P^-1 is an LU solve or, for the mass, a fixed
 polynomial in diag(M)^-1 M.  One rule (_refine) stops them all: after
 each sweep a solve stops when the fresh residual r = b - A x is at
-rounding level or its budget runs out, SWEEPS sweeps, or STALE_SWEEPS for
-a stale momentum factor.  Rounding level means that every column's
+rounding level or its budget of SWEEPS sweeps runs out, the one budget of
+every solve, fresh or stale.  Rounding level means that every column's
 normwise backward error |r|_inf / (|A|_inf |x|_inf + |b|_inf) is at most
 EPS (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12), the
 test mixed-precision refinement stops on (Carson & Higham, SIAM J. Sci.
@@ -90,10 +90,9 @@ __all__ = [
     "dot",
 ]
 
-# sweeps a pressure Poisson, mass or fresh momentum solve may take
-SWEEPS = 5
-# sweeps a stale momentum factor may take before the matrix is refactored
-STALE_SWEEPS = 10
+# sweeps any solve may take; a stale momentum factor that runs out is
+# dropped and the matrix refactored
+SWEEPS = 10
 # unit roundoff bound of the backward-error stop, 2**-52
 EPS = float(np.finfo(float).eps)
 # bounds on the spectrum of diag(M_e)^-1 M_e of the affine Lagrange
@@ -235,15 +234,12 @@ def _inf_norm(A):
     return norm
 
 
-def _refine(solve, A, b, tol, what, sweeps, x0=None):
-    """Sweeps x <- x + solve(b - A x), at most sweeps of them (ValueError
-    for sweeps < 1), from x0 when it is given and |b - A x0| < |b|, else
-    from x = 0, stopped by the rule of the module docstring; |r| is the
-    Frobenius norm over the columns of a multi-column b, and |A|_inf of the
-    CSR matrix A, with no empty row, is summed in blocks of rows once per
-    call (_inf_norm)."""
-    if sweeps < 1:
-        raise ValueError("%s solve needs at least one sweep, got sweeps=%r" % (what, sweeps))
+def _refine(solve, A, b, tol, what, x0=None):
+    """Sweeps x <- x + solve(b - A x), at most SWEEPS of them, from x0
+    when it is given and |b - A x0| < |b|, else from x = 0, stopped by the
+    rule of the module docstring; |r| is the Frobenius norm over the
+    columns of a multi-column b, and |A|_inf of the CSR matrix A, with no
+    empty row, is summed in blocks of rows once per call (_inf_norm)."""
     bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -254,7 +250,7 @@ def _refine(solve, A, b, tol, what, sweeps, x0=None):
         if norm0 < bnorm:
             x, r, last = x0, r0, norm0
     a_norm, b_inf = _inf_norm(A), np.abs(b).max(axis=0)
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         x = x + solve(r)
         r = _residual(A, b, x)
         res = _norm(r)
@@ -333,7 +329,7 @@ def solve_mass(M, b, degree, tol=1e-12):
             x += d
         return x.T.reshape(b.shape)
 
-    return _refine(sweep, M, b, tol, "mass", SWEEPS)
+    return _refine(sweep, M, b, tol, "mass")
 
 
 class MomentumFactor:
@@ -379,7 +375,7 @@ def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
         return np.zeros_like(b)
     if factor.lu is not None and factor.key == key:
         try:
-            return _refine(factor._sweep, A, b, tol, "momentum", STALE_SWEEPS, x0)
+            return _refine(factor._sweep, A, b, tol, "momentum", x0)
         except LinearSolveError:
             pass
     while True:
@@ -388,7 +384,7 @@ def solve_momentum(A, b, tol=1e-12, factor=None, key=None, x0=None):
         try:
             factor.lu = _factor(A, "momentum", factor.dtype)
             factor.key, factor.refactored = key, True
-            return _refine(factor._sweep, A, b, tol, "momentum", SWEEPS)
+            return _refine(factor._sweep, A, b, tol, "momentum")
         except LinearSolveError:
             if factor.dtype == np.float64:
                 raise
@@ -430,7 +426,7 @@ def factor_poisson(N, mass):
         return x
 
     def solve(b, tol=1e-12):
-        x = _refine(spread, N, b - b.mean(), tol, "pressure Poisson", SWEEPS)
+        x = _refine(spread, N, b - b.mean(), tol, "pressure Poisson")
         return x - dot(w, x) / float(w.sum())
 
     return solve

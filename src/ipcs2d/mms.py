@@ -193,11 +193,6 @@ def case_by_name(name, mu):
     return _CASES[name](mu)
 
 
-def _error_geometry(traj):
-    degree = max(traj.ops.space_u.degree, traj.ops.space_p.degree) + 2
-    return CellGeometry(traj.config.mesh, quad_rule(degree))
-
-
 def _l2_sq(geom, sq):
     # quadrature integral of a pointwise square
     return float(np.einsum("q,cq,c->", geom.rule.weights, sq, geom.detJ))
@@ -245,7 +240,9 @@ def error_norms(traj, case):
     eval_grad_at_quad, level by level, with no table of basis gradients
     pushed through the cells: such tables were the memory peak of a run
     at n=64 (4.7 MB for P2, 2.4 MB for P1)."""
-    geom = _error_geometry(traj)
+    ops = traj.ops
+    degree = max(ops.space_u.degree, ops.space_p.degree) + 2
+    geom = CellGeometry(ops.space_u.mesh, quad_rule(degree))
     eu, eut = _velocity_errors_at(traj, case, geom, traj.final)
     eh1, ep = _gradient_and_pressure_errors_at(traj, case, geom, traj.final)
     out = {

@@ -374,13 +374,18 @@ def run(config, ops=None):
     final level always); the energy ledger records every level regardless.
     A level that fails one of the GATES raises SchemeError.  The run owns
     one MomentumFactor, so its steps share a momentum LU and two runs never
-    do."""
+    do.  Given ops must be built on config.mesh, in config's degrees
+    (ValueError otherwise)."""
     if ops is None:
         space_u = build_space(
             config.mesh, config.degree_u, components=2, homogeneous_dirichlet=True
         )
         space_p = build_space(config.mesh, config.degree_p, components=1, zero_mean=True)
         ops = build_operators(space_u, space_p)
+    elif ops.space_u.mesh is not config.mesh or (ops.space_u.degree, ops.space_p.degree) != (
+        config.degree_u, config.degree_p
+    ):
+        raise ValueError("the operator set must be built on the config's mesh and degrees")
 
     dt = config.dt
     N = config.n_steps

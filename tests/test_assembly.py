@@ -451,7 +451,8 @@ def perturbed_mesh(n, seed):
 
 @pytest.mark.parametrize(
     "case", ["jittered-pressure-mesh", "other-size-pressure-mesh", "one-component-velocity",
-             "two-component-pressure", "no-velocity-boundary-condition"],
+             "two-component-pressure", "no-velocity-boundary-condition",
+             "pressure-without-zero-mean"],
 )
 def test_operator_set_rejects_spaces_it_cannot_serve(case):
     mesh = pk.generate_structured_unit_square(4)
@@ -468,8 +469,10 @@ def test_operator_set_rejects_spaces_it_cannot_serve(case):
     elif case == "two-component-pressure":
         sp = pk.build_space(mesh, 1, components=2, zero_mean=True)
         match = "scalar pressure space, got 2 and 2 components"
-    else:
+    elif case == "no-velocity-boundary-condition":
         su, match = pk.build_space(mesh, 2, components=2), "must vanish on the boundary"
+    else:
+        sp, match = pk.build_space(mesh, 1, components=1), r"modulo constants \(zero_mean=True\)"
     with pytest.raises(ValueError, match=match):
         pk.OperatorSet(su, sp)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipcs2d as pk
+from ipcs2d.mesh import _LOCAL_EDGES
 
 
 def reference_point(a, b):
@@ -17,9 +18,17 @@ def reference_point(a, b):
     return a, b
 
 
+# the reference nodes: the vertices, then the midpoints of the local edges
+# in the order of the mesh's table, the order of a degree 2 space's cell_dofs
+VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+NODES = np.vstack([VERTICES, [0.5 * (VERTICES[a] + VERTICES[b]) for a, b in _LOCAL_EDGES]])
+
+
 def test_p1_vertex_kronecker():
     vals, _ = pk.ReferenceElement(1).eval([(0.0, 0.0)])
     assert np.allclose(vals[0], [1.0, 0.0, 0.0])
+    vals, _ = pk.ReferenceElement(1).eval(NODES[:3])
+    assert np.array_equal(vals, np.eye(3))
 
 
 def test_p2_edge_midpoint_kronecker():
@@ -28,6 +37,8 @@ def test_p2_edge_midpoint_kronecker():
     # local node 5 sits at (1/2, 0), the edge opposite vertex 2
     assert np.isclose(vals[0, 5], 1.0)
     assert np.allclose(vals[0, 3:5], 0.0, atol=1e-15)
+    vals, _ = pk.ReferenceElement(2).eval(NODES)
+    assert np.array_equal(vals, np.eye(6))
 
 
 def test_partition_of_unity_barycenter():

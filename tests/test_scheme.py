@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ipcs2d as pk
 from ipcs2d import scheme
 from ipcs2d.diagnostics import EnergyLedger, record_level
-from ipcs2d.linsolve import STALE_SWEEPS
+from ipcs2d.linsolve import SWEEPS
 from ipcs2d.scheme import Level, init_state, step
 
 from oracles import (
@@ -298,7 +298,7 @@ def test_run_reuses_the_momentum_factorization(setup_cache, monkeypatch):
     assert traj.momentum_refactored[:2] == [True, True]
     assert sum(traj.momentum_refactored) == counts["momentum_splu"]
     assert len(traj.momentum_sweeps) == 50
-    assert all(1 <= s <= STALE_SWEEPS + 4 for s in traj.momentum_sweeps)
+    assert all(1 <= s <= SWEEPS + 4 for s in traj.momentum_sweeps)
 
 
 def test_unreachable_momentum_tolerance_fails_at_step_one(setup_cache, monkeypatch):
@@ -317,6 +317,25 @@ def test_unreachable_momentum_tolerance_fails_at_step_one(setup_cache, monkeypat
     assert counts["momentum"] == 1 and counts["momentum_splu"] == 2
     assert counts["dtypes"] == [np.float32, np.float64]
     assert 0.0 < info.value.residual < 1e-13
+
+
+def test_run_rejects_operators_built_for_another_config(setup_cache):
+    _, _, _, ops = setup_cache(4, 1, 1)
+    case = pk.stream_vortex_case(mu=1.0)
+    # another size and other degrees
+    cfg = pk.SchemeConfig(dt=0.05, T=0.05, mesh_n=8, u0=case.u0, f=case.f)
+    with pytest.raises(ValueError, match="config's mesh and degrees"):
+        pk.run(cfg, ops=ops)
+    # the same connectivity with moved interior vertices
+    v = ops.space_u.mesh.vertices.copy()
+    interior = ~ops.space_u.mesh.boundary_vertex_flags
+    v[interior] += np.random.default_rng(0).uniform(-0.03, 0.03, (int(interior.sum()), 2))
+    mesh = pk.Mesh(v, ops.space_u.mesh.triangles)
+    cfg = pk.SchemeConfig(
+        dt=0.05, T=0.05, mesh=mesh, degree_u=1, degree_p=1, u0=case.u0, f=case.f
+    )
+    with pytest.raises(ValueError, match="config's mesh and degrees"):
+        pk.run(cfg, ops=ops)
 
 
 def test_single_step_run_equals_manual_composition(setup_cache):
