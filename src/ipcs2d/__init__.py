@@ -1,7 +1,7 @@
 """Incompressible Navier-Stokes on polygonal domains by a second-order
 incremental pressure-correction scheme, with the discrete energy analysis
 verified at run time.  Any conforming triangulation will do (Mesh,
-read_mesh with a boundary section); config files and
+read_mesh), with the boundary taken from its topology; config files and
 generate_structured_unit_square build meshes of the unit square.
 
 The solver advances a BDF2 projection scheme on conforming Lagrange

@@ -1,11 +1,11 @@
 """Conforming triangulations of polygonal domains.
 
 Any conforming mesh of positively oriented triangles will do:
-SchemeConfig(mesh=...) takes one, and so does read_mesh when the file
-has a boundary section.  Only generate_structured_unit_square (every grid
-cell split along the lower-left to upper-right diagonal) and the
-boundary flags inferred from coordinates when none are given assume the
-unit square.
+SchemeConfig(mesh=...) takes one, and so does read_mesh.  The Dirichlet
+boundary is the whole of the domain's boundary, taken from the topology:
+the edges that belong to one triangle, and their end vertices.  Only
+generate_structured_unit_square (every grid cell split along the
+lower-left to upper-right diagonal) assumes the unit square.
 
 External meshes use a small text format::
 
@@ -13,8 +13,8 @@ External meshes use a small text format::
     x y          (N lines)
     triangles <M>
     i j k        (M lines, 0-based, counter-clockwise)
-    boundary <B> (optional section; without it, boundary vertices are
-    v             inferred as those with a coordinate in {0, 1})
+    boundary <B> (optional section, written by earlier versions; it must
+    v             list exactly the vertices on boundary edges)
 
 A mesh is immutable after construction and safe to share between
 concurrent readers.
@@ -34,8 +34,6 @@ __all__ = [
 # local edge i of a triangle (v0, v1, v2) is the edge opposite vertex i
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
 
-_COORD_TOL = 1e-12
-
 # the finest structured grid: 2 * 1024^2 triangles and 8.4M quadratic
 # velocity dofs; a larger n is a mistake, not a run
 MAX_MESH_N = 1024
@@ -51,57 +49,54 @@ class Mesh:
     Parameters
     ----------
     vertices : (N, 2) float array of vertex coordinates.
-    triangles : (M, 3) int array of vertex indices, counter-clockwise.
-    boundary_vertex_flags : optional (N,) bool array; inferred from the
-        coordinates (a coordinate equal to 0 or 1) when omitted, which fits
-        the unit square only.
+    triangles : (M, 3) array of integer vertex indices, counter-clockwise,
+        with M >= 1.
 
-    Construction validates finite vertices, positive orientation, edge
-    conformity (every edge shared by one or two triangles) and boundary
-    consistency, and precomputes the edge table for quadratic dof numbering.
+    Construction validates finite vertices, integer indices in range,
+    positive orientation and edge conformity (every edge shared by one or
+    two triangles, a shared edge run once in each direction), and
+    precomputes the edge table for quadratic dof numbering.  The boundary
+    edges are those of one triangle; boundary_vertex_flags marks their
+    end vertices.
     """
 
-    def __init__(self, vertices, triangles, boundary_vertex_flags=None):
+    def __init__(self, vertices, triangles):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshFormatError("vertices must be an (N, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshFormatError("triangles must be an (M, 3) array")
+        if triangles.ndim != 2 or triangles.shape[1] != 3 or not len(triangles):
+            raise MeshFormatError("triangles must be an (M, 3) array with M >= 1, got shape %s"
+                                  % (triangles.shape,))
         nv = len(self.vertices)
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if bad.size:
             raise MeshFormatError("vertex %d has non-finite coordinates %s" % (bad[0], self.vertices[bad[0]]))
-        if self.triangles.size and (self.triangles.min() < 0 or self.triangles.max() >= nv):
-            raise MeshFormatError("triangle vertex index out of range")
+        if triangles.dtype.kind not in "iu":  # an integer array is not copied
+            triangles = triangles.astype(float)
+        # 1.7 and nan fail the rounding test, inf the range test
+        ok = (triangles >= 0) & (triangles < nv) & (np.round(triangles) == triangles)
+        bad = np.flatnonzero(~ok.all(axis=1))
+        if bad.size:
+            raise MeshFormatError("triangle %d has vertex indices %s; each must be an integer in [0, %d)"
+                                  % (bad[0], triangles[bad[0]], nv))
+        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
 
         self._check_orientation()
         self._build_edges()
 
-        used = np.zeros(nv, dtype=bool)
-        used[self.triangles.ravel()] = True
-        self.unused_vertices = np.flatnonzero(~used)
-
-        if boundary_vertex_flags is None:
-            on_line = (np.abs(self.vertices) < _COORD_TOL) | (np.abs(self.vertices - 1.0) < _COORD_TOL)
-            boundary_vertex_flags = on_line.any(axis=1)
-        self.boundary_vertex_flags = np.asarray(boundary_vertex_flags, dtype=bool)
-        if self.boundary_vertex_flags.shape != (nv,):
-            raise MeshFormatError("boundary flags must have one entry per vertex")
-        self._check_boundary_consistency()
+        self.unused_vertices = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=nv) == 0)
+        self.boundary_vertex_flags = np.zeros(nv, dtype=bool)
+        self.boundary_vertex_flags[self.boundary_edges.ravel()] = True
         self._compute_metrics()
 
     # -- validation ----------------------------------------------------------
 
-    def _signed_areas(self):
-        v = self.vertices
-        t = self.triangles
+    def _check_orientation(self):
+        v, t = self.vertices, self.triangles
         d1 = v[t[:, 1]] - v[t[:, 0]]
         d2 = v[t[:, 2]] - v[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def _check_orientation(self):
-        areas = self._signed_areas()
+        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         bad = np.flatnonzero(~(areas > 0.0))
         if bad.size:
             raise MeshFormatError(
@@ -113,7 +108,8 @@ class Mesh:
     def _build_edges(self):
         # edges numbered in first-seen order over (triangle, local edge),
         # which keeps the numbering deterministic
-        ends = np.sort(self.triangles[:, np.array(_LOCAL_EDGES)], axis=-1).reshape(-1, 2)
+        runs = self.triangles[:, np.array(_LOCAL_EDGES)].reshape(-1, 2)
+        ends = np.sort(runs, axis=-1)
         _, first, inverse, count = np.unique(
             ends[:, 0] * len(self.vertices) + ends[:, 1],
             return_index=True, return_inverse=True, return_counts=True,
@@ -124,47 +120,36 @@ class Mesh:
         self.edges = ends[first[order]]
         self.triangle_edges = rank[inverse.ravel()].reshape(self.triangles.shape)
         count = count[order]
-        bad = np.flatnonzero(count > 2)
+        # counter-clockwise triangles run an edge once, or twice in opposite
+        # directions; two that run it alike overlap
+        ascending = np.bincount(inverse.ravel(), weights=runs[:, 0] < runs[:, 1])[order]
+        bad = np.flatnonzero((count > 2) | ((count == 2) & (ascending != 1)))
         if bad.size:
+            cells = np.flatnonzero((self.triangle_edges == bad[0]).any(axis=1))
             raise MeshFormatError(
-                "edge %s is shared by %d triangles; a conforming mesh allows 1 or 2"
-                % (tuple(self.edges[bad[0]]), count[bad[0]])
+                "edge (%d, %d) is shared by %d triangles %s; a conforming mesh runs an edge "
+                "once, or twice in opposite directions" % (*self.edges[bad[0]], len(cells), cells.tolist())
             )
         self.boundary_edge_flags = count == 1
         self.boundary_edges = self.edges[self.boundary_edge_flags]
 
-    def _check_boundary_consistency(self):
-        # every endpoint of a topological boundary edge must be flagged
-        ends = np.unique(self.boundary_edges.ravel())
-        missing = ends[~self.boundary_vertex_flags[ends]]
-        if missing.size:
-            raise MeshFormatError(
-                "vertex %d lies on a boundary edge but is not marked as a "
-                "boundary vertex; add a boundary section to the mesh file" % missing[0]
-            )
-
     def _compute_metrics(self):
-        v = self.vertices
-        t = self.triangles
+        v, t = self.vertices, self.triangles
         sides = np.stack(
             [np.linalg.norm(v[t[:, b]] - v[t[:, a]], axis=1) for a, b in _LOCAL_EDGES], axis=1
         )
-        self.diameters = sides.max(axis=1) if len(t) else np.zeros(0)
-        self.h = float(self.diameters.max()) if len(t) else 0.0
+        self.diameters = sides.max(axis=1)
+        self.h = float(self.diameters.max())
         # inscribed-circle diameter 2r with r = area / semiperimeter
-        if len(t):
-            incircle = 2.0 * self.areas / (0.5 * sides.sum(axis=1))
-            self.quasi_uniformity = float(self.h / incircle.min())
-            # law of cosines per corner, smallest angle over all elements
-            a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
-            angles = []
-            for opp, e1, e2 in ((a, b, c), (b, c, a), (c, a, b)):
-                cosv = np.clip((e1**2 + e2**2 - opp**2) / (2 * e1 * e2), -1.0, 1.0)
-                angles.append(np.arccos(cosv))
-            self.min_angle = float(np.degrees(np.min(angles)))
-        else:
-            self.quasi_uniformity = 0.0
-            self.min_angle = 0.0
+        incircle = 2.0 * self.areas / (0.5 * sides.sum(axis=1))
+        self.quasi_uniformity = float(self.h / incircle.min())
+        # law of cosines per corner, smallest angle over all elements
+        a, b, c = sides[:, 0], sides[:, 1], sides[:, 2]
+        angles = []
+        for opp, e1, e2 in ((a, b, c), (b, c, a), (c, a, b)):
+            cosv = np.clip((e1**2 + e2**2 - opp**2) / (2 * e1 * e2), -1.0, 1.0)
+            angles.append(np.arccos(cosv))
+        self.min_angle = float(np.degrees(np.min(angles)))
 
     # -- queries -------------------------------------------------------------
 
@@ -224,10 +209,11 @@ def read_mesh(path):
 
     Parse errors, content after the boundary section included, carry the
     1-based line number, and a file that is not UTF-8 text is rejected
-    with its name; non-conforming meshes (flipped triangles, over-shared
-    edges) are rejected with the offending element named.  Vertices not
-    referenced by any triangle are accepted and reported through
-    ``mesh.unused_vertices``.
+    with its name; non-conforming meshes (flipped triangles, edges
+    over-shared or run alike) with the offending element named, and a
+    boundary section listing other vertices than the ends of the boundary
+    edges with its header line.  Vertices not referenced by any triangle
+    are accepted and reported through ``mesh.unused_vertices``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -275,26 +261,27 @@ def read_mesh(path):
 
     vertices = section("vertices", "vertex", "x y")
     triangles = section("triangles", "triangle", "i j k", len(vertices))
-    flags = None
-    if content:
-        flags = np.zeros(len(vertices), dtype=bool)
-        for (idx,) in section("boundary", "boundary vertex", "v", len(vertices)):
-            flags[idx] = True
+    # files written by earlier versions end with a boundary section
+    header = content[-1] if content else None
+    listed = section("boundary", "boundary vertex", "v", len(vertices)) if content else None
     if content:
         ln, text = content[-1]
         raise MeshFormatError("line %d: unexpected content after the boundary section: %r"
                               % (ln, text))
 
-    return Mesh(
-        np.array(vertices, dtype=float).reshape(-1, 2),
-        np.array(triangles, dtype=np.int64).reshape(-1, 3),
-        boundary_vertex_flags=flags,
-    )
+    mesh = Mesh(np.array(vertices, dtype=float).reshape(-1, 2),
+                np.array(triangles, dtype=np.int64).reshape(-1, 3))
+    if listed is not None:
+        flags = mesh.boundary_vertex_flags
+        wrong = sorted({i for (i,) in listed} ^ set(np.flatnonzero(flags)))
+        if wrong:
+            raise MeshFormatError("line %d: %r must list exactly the vertices on boundary edges; vertex %d %s"
+                                  % (*header, wrong[0], "is missing" if flags[wrong[0]] else "is on none"))
+    return mesh
 
 
 def write_mesh(mesh, path):
-    """Serialize a mesh in the text format (always with an explicit
-    boundary section, so round trips are exact)."""
+    """Serialize a mesh in the text format; the round trip is exact."""
     with open(path, "w") as fh:
         fh.write("vertices %d\n" % mesh.n_vertices)
         for vx, vy in mesh.vertices:
@@ -302,7 +289,3 @@ def write_mesh(mesh, path):
         fh.write("triangles %d\n" % mesh.n_triangles)
         for a, b, c in mesh.triangles:
             fh.write("%d %d %d\n" % (a, b, c))
-        marked = np.flatnonzero(mesh.boundary_vertex_flags)
-        fh.write("boundary %d\n" % len(marked))
-        for idx in marked:
-            fh.write("%d\n" % idx)

@@ -44,7 +44,7 @@ from . import diagnostics
 from .assembly import build_operators, project_L2_onto_Uh
 from .fe import build_space
 from .linsolve import MomentumFactor, dot, solve_momentum
-from .mesh import MAX_MESH_N, generate_structured_unit_square
+from .mesh import MAX_MESH_N, Mesh, generate_structured_unit_square
 
 __all__ = [
     "SchemeError",
@@ -142,6 +142,8 @@ PARAMETER_RULES = (
     (("mu",), _positive_finite, "viscosity mu must be positive and finite"),
     (("mesh_n", "mesh"), lambda n, mesh: (n is None) != (mesh is None),
      "exactly one of mesh / mesh_n must be given"),
+    (("mesh",), lambda mesh: mesh is None or isinstance(mesh, Mesh),
+     "mesh must be a Mesh; read a mesh file with read_mesh(path)"),
     (("mesh_n",), lambda n: n is None or (n >= 1 and n % 1 == 0),
      "mesh_n must be a positive integer"),
     (("mesh_n",), lambda n: n is None or n <= MAX_MESH_N, "mesh_n must be at most %d" % MAX_MESH_N),

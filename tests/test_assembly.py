@@ -28,7 +28,7 @@ from oracles import (
 
 def unit_right_triangle_mesh():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    return pk.Mesh(verts, [[0, 1, 2]], boundary_vertex_flags=[True] * 3)
+    return pk.Mesh(verts, [[0, 1, 2]])
 
 
 def scalar_loads(space, g_comp, rule):
@@ -366,7 +366,7 @@ def test_load_window_clipped_at_cutoff(setup_cache):
 
 def test_gradient_transport_exact_on_skewed_cell():
     verts = np.array([[0.0, 0.0], [2.0, 0.3], [0.4, 1.7]])
-    mesh = pk.Mesh(verts, [[0, 1, 2]], boundary_vertex_flags=[True] * 3)
+    mesh = pk.Mesh(verts, [[0, 1, 2]])
     s1 = pk.build_space(mesh, 1)
     geom = CellGeometry(mesh, pk.quad_rule(2))
     coeffs = s1.interpolate(lambda x, y: 3.0 * x - 2.0 * y + 1.0)

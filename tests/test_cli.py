@@ -148,7 +148,9 @@ def test_unreachable_solver_tolerance_is_a_failure(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["run"], ["convergence", "--mode", "spatial"]])
+@pytest.mark.parametrize(
+    "command", [["run"], ["convergence", "--mode", "spatial"], ["convergence", "--mode", "coupled"]]
+)
 @pytest.mark.parametrize("under_file", [False, True])
 def test_out_dir_that_cannot_be_created_is_a_usage_error(
     tmp_path, capsys, monkeypatch, command, under_file
@@ -178,6 +180,7 @@ def test_out_dir_that_cannot_be_created_is_a_usage_error(
         (["run"], "ledger.csv"),
         (["run"], "fields_000001.vtk"),
         (["convergence", "--mode", "spatial"], "rates_spatial.csv"),
+        (["convergence", "--mode", "coupled"], "rates_coupled.csv"),
     ],
 )
 def test_output_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, command, name):

@@ -478,8 +478,7 @@ def shuffled(mesh, seed):
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
     perm_t = rng.permutation(mesh.n_triangles)
-    flags = mesh.boundary_vertex_flags[perm]
-    return pk.Mesh(mesh.vertices[perm], inv[mesh.triangles][perm_t], flags)
+    return pk.Mesh(mesh.vertices[perm], inv[mesh.triangles][perm_t])
 
 
 def test_lu_fill_does_not_depend_on_the_vertex_numbering(monkeypatch):

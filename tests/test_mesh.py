@@ -111,15 +111,43 @@ def test_mesh_file_round_trip(tmp_path):
     assert np.array_equal(m2.boundary_vertex_flags, m.boundary_vertex_flags)
 
 
+def with_boundary_section(path, listed):
+    """Append the boundary section that earlier versions wrote at the end
+    of every mesh file, listing the vertices in listed."""
+    path.write_text(path.read_text() + "boundary %d\n" % len(listed) + "".join("%d\n" % i for i in listed))
+
+
 def test_mesh_file_round_trip_with_boundary_section(tmp_path):
+    # write_mesh writes no section; a file that has one still reads when
+    # it lists exactly the ends of the boundary edges
     m = pk.generate_structured_unit_square(3)
     path = tmp_path / "m3.txt"
     pk.write_mesh(m, str(path))
-    text = path.read_text()
-    assert "boundary" in text
+    assert "boundary" not in path.read_text()
+    with_boundary_section(path, np.flatnonzero(m.boundary_vertex_flags))
     m2 = pk.read_mesh(str(path))
     assert np.array_equal(m2.vertices, m.vertices)
+    assert np.array_equal(m2.triangles, m.triangles)
     assert np.array_equal(m2.boundary_vertex_flags, m.boundary_vertex_flags)
+
+
+@pytest.mark.parametrize(
+    "listed, fragment",
+    [
+        ([0, 1, 2, 3, 5, 6, 7], "'boundary 7' must list exactly the vertices on boundary edges; vertex 8 is missing"),
+        (range(9), "'boundary 9' must list exactly the vertices on boundary edges; vertex 4 is on none"),
+        ([], "'boundary 0' must list exactly the vertices on boundary edges; vertex 0 is missing"),
+    ],
+    ids=["omits-a-boundary-vertex", "lists-an-interior-vertex", "empty"],
+)
+def test_boundary_section_must_list_the_ends_of_boundary_edges(tmp_path, listed, fragment):
+    # n=2: 9 vertices, 8 triangles, the section header on line 20;
+    # vertex 4 is the only interior one
+    path = tmp_path / "legacy.txt"
+    pk.write_mesh(pk.generate_structured_unit_square(2), str(path))
+    with_boundary_section(path, listed)
+    with pytest.raises(pk.MeshFormatError, match="^line 20: " + fragment + "$"):
+        pk.read_mesh(str(path))
 
 
 def test_flipped_triangle_names_the_triangle(tmp_path):
@@ -165,6 +193,8 @@ def test_dangling_vertex_flagged_unused(tmp_path):
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 1\n99999999999999999999\n", "line 8: .*out of range"),
         ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3\n0\n1\n2\nvertices 99\ngarbage here\n",
          "line 11: unexpected content after the boundary section: 'vertices 99'"),
+        ("vertices 0\ntriangles 0\n", "an \\(M, 3\\) array with M >= 1"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 0\n", "an \\(M, 3\\) array with M >= 1"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, fragment):
@@ -252,13 +282,32 @@ def test_constructor_rejects_bad_shapes():
         pk.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2, 0]])
     with pytest.raises(pk.MeshFormatError):
         pk.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 3]])
+    with pytest.raises(pk.MeshFormatError, match=r"an \(M, 3\) array with M >= 1, got shape \(0, 3\)"):
+        pk.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("index", [1.7, np.nan, np.inf, -np.inf, -1, 4])
+def test_constructor_rejects_an_index_that_is_not_a_vertex_by_triangle(index):
+    # a fractional index must not run as its integer part, nor nan
+    # escape as numpy's own ValueError
+    verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(pk.MeshFormatError, match=r"triangle 1 has vertex indices .*; each must be an integer in \[0, 4\)"):
+        pk.Mesh(verts, [[0, 1, 2], [0, 2, index]])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, float])
+def test_constructor_takes_integer_valued_indices_of_any_dtype(dtype):
+    verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    triangles = np.array([[0, 1, 2], [0, 2, 3]])
+    taken = pk.Mesh(verts, triangles.astype(dtype)).triangles
+    assert taken.dtype == np.int64 and np.array_equal(taken, triangles)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_constructor_rejects_non_finite_vertex_by_index(bad):
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 1.0]]
     with pytest.raises(pk.MeshFormatError, match="vertex 3 has non-finite coordinates"):
-        pk.Mesh(verts, [[0, 1, 2], [1, 3, 2]], [True] * 4)
+        pk.Mesh(verts, [[0, 1, 2], [1, 3, 2]])
 
 
 def test_constructor_rejects_triangle_with_nan_area():
@@ -267,7 +316,7 @@ def test_constructor_rejects_triangle_with_nan_area():
     verts = [[-1e308, -1e308], [1e308, 1e308], [1e308, -1e308]]
     with pytest.raises(pk.MeshFormatError, match="triangle 0 has non-positive signed area nan"):
         with np.errstate(over="ignore", invalid="ignore"):
-            pk.Mesh(verts, [[0, 1, 2]], [True] * 3)
+            pk.Mesh(verts, [[0, 1, 2]])
 
 
 def test_constructor_rejects_flat_triangle():
@@ -281,15 +330,11 @@ def test_constructor_rejects_flat_triangle():
     n=st.integers(min_value=1, max_value=5),
     scale=st.tuples(*[st.floats(min_value=1e-3, max_value=1e3)] * 2),
     shift=st.tuples(*[st.floats(min_value=-1e6, max_value=1e6)] * 2),
-    extra=st.lists(st.integers(min_value=0, max_value=35), max_size=4),
 )
-def test_write_read_round_trip_is_exact(tmp_path_factory, n, scale, shift, extra):
-    # arbitrary doubles through an affine map, and boundary flags beyond
-    # the topological boundary, must come back bit for bit
+def test_write_read_round_trip_is_exact(tmp_path_factory, n, scale, shift):
+    # arbitrary doubles through an affine map must come back bit for bit
     base = pk.generate_structured_unit_square(n)
-    flags = base.boundary_vertex_flags.copy()
-    flags[[i for i in extra if i < len(flags)]] = True
-    mesh = pk.Mesh(base.vertices * np.array(scale) + np.array(shift), base.triangles, flags)
+    mesh = pk.Mesh(base.vertices * np.array(scale) + np.array(shift), base.triangles)
     path = tmp_path_factory.getbasetemp() / "round_trip.txt"
     pk.write_mesh(mesh, str(path))
     back = pk.read_mesh(str(path))
@@ -335,10 +380,46 @@ def test_edge_table_matches_the_loop_reference(n, relabel):
     assert np.array_equal(mesh.boundary_edges, edges[boundary])
 
 
+@pytest.mark.parametrize(
+    "triangles, message",
+    [
+        ([[0, 1, 2], [0, 1, 2]], r"edge \(1, 2\) is shared by 2 triangles \[0, 1\]"),
+        ([[0, 1, 2], [1, 2, 0]], r"edge \(1, 2\) is shared by 2 triangles \[0, 1\]"),
+        ([[0, 1, 2], [0, 1, 3]], r"edge \(0, 1\) is shared by 2 triangles \[0, 1\]"),
+    ],
+    ids=["copy", "rotated-copy", "folded-neighbour"],
+)
+def test_triangles_that_run_an_edge_alike_overlap(triangles, message):
+    # two copies of a triangle would make a mesh with no boundary edge
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+    with pytest.raises(pk.MeshFormatError, match=message + "; a conforming mesh runs an edge once"):
+        pk.Mesh(verts, triangles)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_boundary_vertices_are_the_ends_of_boundary_edges(n):
+    # on the unit square the topology flags what the coordinates did; on a
+    # jittered, relabelled copy the flags follow the vertices
+    mesh = pk.generate_structured_unit_square(n)
+    v = mesh.vertices
+    on_line = ((np.abs(v) < 1e-12) | (np.abs(v - 1.0) < 1e-12)).any(axis=1)
+    assert np.array_equal(mesh.boundary_vertex_flags, on_line)
+    rng = np.random.default_rng(n)
+    jittered = v.copy()
+    jittered[~on_line] += rng.uniform(-0.2 / n, 0.2 / n, (int((~on_line).sum()), 2))
+    perm = rng.permutation(len(v))
+    triangles = np.argsort(perm)[mesh.triangles][rng.permutation(mesh.n_triangles)]
+    moved = pk.Mesh(jittered[perm], np.roll(triangles, rng.integers(0, 3), axis=1))
+    ends = np.zeros(len(v), dtype=bool)
+    ends[moved.boundary_edges.ravel()] = True
+    assert np.array_equal(moved.boundary_vertex_flags, ends)
+    assert np.array_equal(moved.boundary_vertex_flags, on_line[perm])
+
+
 def test_over_shared_edge_names_the_edge_and_its_count():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 1.0]]
     with pytest.raises(pk.MeshFormatError, match=r"edge \(.*0.*1.*\) is shared by 3 triangles"):
-        pk.Mesh(verts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]], boundary_vertex_flags=[True] * 5)
+        pk.Mesh(verts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
 
 
 def structured_triangles_by_loop(n):

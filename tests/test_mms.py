@@ -374,6 +374,21 @@ def test_spatial_study_superconverges_with_quadratic_elements():
     assert warnings == []
 
 
+def test_coupled_study_refines_dt_with_h_on_linear_elements():
+    # P1/P1 whatever the config's degrees, dt = 4 dt/n: the velocity error
+    # falls as h^2
+    case = pk.stream_vortex_case(mu=1.0)
+    cfg = pk.SchemeConfig(
+        dt=0.05, T=0.1, mu=1.0, mesh_n=4, degree_u=2, degree_p=1,
+        u0=case.u0, f=case.f, case_name=case.name,
+    )
+    rows, warnings = pk.convergence_study("coupled", cfg, case)
+    assert [row["n"] for row in rows] == [4, 8, 16, 32]
+    assert all(math.isclose(row["dt"], 4 * 0.05 / row["n"]) for row in rows)
+    assert 1.7 <= rows[-1]["rate_u"] <= 2.5
+    assert warnings == []
+
+
 def test_zero_case_study_has_zero_errors_and_nan_rates():
     case = pk.zero_case(mu=1.0)
     cfg = pk.SchemeConfig(

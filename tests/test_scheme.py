@@ -77,6 +77,8 @@ def vortex_u0(x, y):
         (dict(dt=0.1, T=10**400), "must be finite"),
         (dict(dt=0.1, T=1.0, mu=10**400), "mu must be positive and finite"),
         (dict(dt=0.1, T=1.0, degree_p=float("nan")), "degree_p must be 1 or 2"),
+        (dict(dt=0.1, T=1.0, mesh_n=None, mesh="square.txt"), "mesh must be a Mesh; .*read_mesh"),
+        (dict(dt=0.1, T=1.0, mesh_n=None, mesh=4), "mesh must be a Mesh; .*\\(got 4\\)"),
     ],
 )
 def test_config_rejects_bad_parameters(kwargs, match):
@@ -147,7 +149,7 @@ def test_config_cannot_take_a_mesh_with_a_non_finite_vertex():
     # h would be nan
     with pytest.raises(pk.MeshFormatError, match="vertex 2 has non-finite coordinates"):
         pk.SchemeConfig(
-            dt=0.01, T=0.1, mesh=pk.Mesh([[0, 0], [1, 0], [math.nan, 1]], [[0, 1, 2]], [True] * 3),
+            dt=0.01, T=0.1, mesh=pk.Mesh([[0, 0], [1, 0], [math.nan, 1]], [[0, 1, 2]]),
             u0=vortex_u0,
         )
 
@@ -479,15 +481,14 @@ def l_shaped_mesh(rng):
     used, triangles = np.unique(kept, return_inverse=True)
     triangles = triangles.reshape(-1, 3)
     vertices = base.vertices[used]
-    flags = np.zeros(len(vertices), dtype=bool)
-    flags[pk.Mesh(vertices, triangles, ~flags).boundary_edges.ravel()] = True
+    flags = pk.Mesh(vertices, triangles).boundary_vertex_flags
     vertices[~flags] += rng.uniform(-0.2 / 8, 0.2 / 8, (int((~flags).sum()), 2))
-    return pk.Mesh(vertices, triangles, flags)
+    return pk.Mesh(vertices, triangles)
 
 
 def test_run_on_a_jittered_l_shaped_mesh(tmp_path):
     # the scheme and its gates need no unit square: an L-shaped mesh, read
-    # back from a file with a boundary section, steps with every gate held
+    # back from a file, steps with every gate held
     path = tmp_path / "l_shape.txt"
     pk.write_mesh(l_shaped_mesh(np.random.default_rng(11)), path)
     mesh = pk.read_mesh(str(path))
@@ -495,6 +496,31 @@ def test_run_on_a_jittered_l_shaped_mesh(tmp_path):
     case = pk.stream_vortex_case(mu=1.0)
     cfg = pk.SchemeConfig(dt=0.01, T=0.05, mesh=mesh, u0=case.u0, f=case.f)
     traj = pk.run(cfg)
+    for column, tol, _ in scheme.GATES:
+        assert traj.ledger.column(column).max() <= tol
+    report = pk.energy_inequality_check(traj.ledger)
+    assert report.ok and report.max_ratio <= 1.0
+
+
+def rectangle_mesh():
+    # the n=8 grid stretched to [0, 2] x [0, 1]
+    base = pk.generate_structured_unit_square(8)
+    return pk.Mesh(base.vertices * [2.0, 1.0], base.triangles)
+
+
+@pytest.mark.parametrize(
+    "make_mesh, area",
+    [(lambda: l_shaped_mesh(np.random.default_rng(5)), 0.75), (rectangle_mesh, 2.0)],
+    ids=["l-shape", "rectangle"],
+)
+def test_run_on_a_mesh_from_vertices_and_triangles_alone(make_mesh, area):
+    # the Dirichlet boundary comes from the topology, so any polygon runs
+    # from Mesh(vertices, triangles) with every gate held
+    mesh = make_mesh()
+    assert np.isclose(mesh.areas.sum(), area)
+    case = pk.stream_vortex_case(mu=1.0)
+    traj = pk.run(pk.SchemeConfig(dt=0.01, T=0.05, mesh=mesh, u0=case.u0, f=case.f))
+    assert traj.is_complete() and len(traj.levels) == 6
     for column, tol, _ in scheme.GATES:
         assert traj.ledger.column(column).max() <= tol
     report = pk.energy_inequality_check(traj.ledger)
