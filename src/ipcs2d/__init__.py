@@ -33,14 +33,7 @@ from .diagnostics import (
 from .fe import FESpace, QuadratureRule, ReferenceElement, build_space, quad_rule
 from .fileio import ConfigError, parse_config, write_ledger_csv, write_rate_table_csv, write_vtk
 from .linsolve import LinearSolveError, solve_momentum, solve_spd
-from .mesh import (
-    Mesh,
-    MeshFormatError,
-    generate_structured_unit_square,
-    mesh_metrics,
-    read_mesh,
-    write_mesh,
-)
+from .mesh import Mesh, MeshFormatError, generate_structured_unit_square, read_mesh, write_mesh
 from .mms import (
     ManufacturedCase,
     case_by_name,

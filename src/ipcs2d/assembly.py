@@ -61,32 +61,19 @@ _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 class CellGeometry:
-    """Affine map data per triangle for one quadrature rule.
+    """The rule points of one quadrature rule on every triangle.
 
-    detJ : (M,) Jacobian determinants (twice the areas, positive)
-    inv_j : (M, 2, 2) inverse Jacobians; a reference gradient g maps to the
-        physical gradient via g @ inv_j[c]
-    adj : (M, 2, 2) adjugates detJ * inv_j, the edge vectors rearranged,
-        with no division
+    detJ, inv_j, adj : the mesh's own read-only arrays (Mesh documents them)
     phys : (M, nq, 2) physical coordinates of the rule points, read-only
     x, y : views of phys's two coordinates, held once: every load passes f the same arrays
     """
 
     def __init__(self, mesh, rule):
-        v = mesh.vertices
-        t = mesh.triangles
-        p0 = v[t[:, 0]]
-        e1 = v[t[:, 1]] - p0
-        e2 = v[t[:, 2]] - p0
-        self.detJ = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        self.adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1).reshape(-1, 2, 2)
-        self.inv_j = self.adj / self.detJ[:, None, None]
+        self.detJ, self.inv_j, self.adj = mesh.detJ, mesh.inv_j, mesh.adj
+        e1, e2 = mesh.jac[:, None, :, 0], mesh.jac[:, None, :, 1]
         q = rule.points
-        self.phys = (
-            p0[:, None, :]
-            + q[None, :, 0, None] * e1[:, None, :]
-            + q[None, :, 1, None] * e2[:, None, :]
-        )
+        p0 = mesh.vertices[mesh.triangles[:, 0], None, :]
+        self.phys = p0 + q[None, :, 0, None] * e1 + q[None, :, 1, None] * e2
         self.phys.flags.writeable = False
         self.x, self.y = self.phys[..., 0], self.phys[..., 1]
         self.rule = rule

@@ -143,17 +143,14 @@ class FESpace:
         of every boundary node when homogeneous_dirichlet is set)
     free : inverse mask
     zero_mean : the space is used modulo constants (pressure)
+
+    A degree 1 space shares the mesh's read-only triangles (as cell_dofs),
+    vertices (as dof_points) and boundary vertex flags; it copies none.
     """
 
     def __init__(self, mesh, degree, components, homogeneous_dirichlet, zero_mean):
         if components not in (1, 2):
             raise ValueError("components must be 1 or 2")
-        if len(mesh.unused_vertices):
-            raise ValueError(
-                "mesh has %d vertices not referenced by any triangle "
-                "(first: %d); a Lagrange space needs every dof supported"
-                % (len(mesh.unused_vertices), mesh.unused_vertices[0])
-            )
         self.mesh = mesh
         self.degree = degree
         self.components = components
@@ -164,9 +161,9 @@ class FESpace:
         nv = mesh.n_vertices
         if degree == 1:
             self.n_scalar = nv
-            self.cell_dofs = mesh.triangles.copy()
-            self.dof_points = mesh.vertices.copy()
-            scalar_bnd = mesh.boundary_vertex_flags.copy()
+            self.cell_dofs = mesh.triangles
+            self.dof_points = mesh.vertices
+            scalar_bnd = mesh.boundary_vertex_flags
         else:
             self.n_scalar = nv + mesh.n_edges
             self.cell_dofs = np.hstack([mesh.triangles, nv + mesh.triangle_edges])

@@ -33,11 +33,10 @@ write_vtk keeps one output plan per pressure space, in a weak-keyed
 cache private to this module, for the velocity space it was last used
 with; a different velocity space rebuilds it.  The plan holds what no
 level changes: the encoded mesh blocks from POINTS through POINT_DATA,
-the cell geometry, the gradient factors, the vertex area weights and the
-centroid basis values.  It caches inputs and factors, never a reordered
-sum, so every value written is bit for bit what the unoptimised einsums
-give.  It assumes the mesh is not edited in place once the spaces are
-built, as FESpace already does.
+the gradient factors from the mesh's inverse Jacobians, the vertex area
+weights and the centroid basis values.  It caches inputs and factors,
+never a reordered sum, so every value written is bit for bit what the
+unoptimised einsums give.  A mesh is read-only, so no plan goes stale.
 """
 
 import inspect
@@ -46,9 +45,8 @@ import weakref
 
 import numpy as np
 
-from .assembly import CellGeometry
 from .diagnostics import CSV_COLUMNS
-from .fe import quad_rule, require_one_mesh
+from .fe import require_one_mesh
 from .mms import case_by_name
 from .scheme import SchemeConfig, first_failed_rule
 
@@ -202,7 +200,6 @@ class _OutputPlan:
 
     def __init__(self, space_u, space_p):
         mesh = space_p.mesh
-        geom = CellGeometry(mesh, quad_rule(1))
         ref_vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         _, dpsi = space_p.ref.eval(ref_vertices)
         self.space_u = space_u
@@ -212,7 +209,7 @@ class _OutputPlan:
         self.local_dofs_p = np.ascontiguousarray(space_p.cell_dofs.T)
         self.factors = (
             dpsi.transpose(1, 2, 0)[:, :, :, None, None]
-            * geom.inv_j.transpose(1, 2, 0)[None, :, None, :, :]
+            * mesh.inv_j.transpose(1, 2, 0)[None, :, None, :, :]
         )
         self.areas = mesh.areas
         self.vertex_ids = mesh.triangles.ravel()
@@ -221,7 +218,7 @@ class _OutputPlan:
         centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
         self.phi_u_centroid, _ = space_u.ref.eval(centroid)
         _, self.dpsi_centroid = space_p.ref.eval(centroid)
-        self.inv_j = geom.inv_j
+        self.inv_j = mesh.inv_j
 
     def vertex_grad(self, phi):
         """Gradient of the pressure-space field phi at the mesh vertices,

@@ -16,8 +16,9 @@ External meshes use a small text format::
     boundary <B> (optional section, written by earlier versions; it must
     v             list exactly the vertices on boundary edges)
 
-A mesh is immutable after construction and safe to share between
-concurrent readers.
+A mesh copies its inputs and holds only read-only arrays, so it is
+immutable after construction and safe to share between concurrent
+readers.
 """
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "generate_structured_unit_square",
     "read_mesh",
     "write_mesh",
-    "mesh_metrics",
 ]
 
 # local edge i of a triangle (v0, v1, v2) is the edge opposite vertex i
@@ -52,17 +52,26 @@ class Mesh:
     triangles : (M, 3) array of integer vertex indices, counter-clockwise,
         with M >= 1.
 
-    Construction validates finite vertices, integer indices in range,
-    positive orientation and edge conformity (every edge shared by one or
-    two triangles, a shared edge run once in each direction), and
-    precomputes the edge table for quadratic dof numbering.  The boundary
-    edges are those of one triangle; boundary_vertex_flags marks their
-    end vertices.
+    Construction copies both inputs and validates real finite vertices,
+    integer indices in range, every vertex in some triangle, positive
+    orientation and edge conformity (every edge shared by one or two
+    triangles, a shared edge run once in each direction); each failure
+    raises MeshFormatError.  It precomputes the edge table for quadratic
+    dof numbering and each cell's affine map x = v0 + jac[c] @ q: jac
+    (M, 2, 2) has the edges v1 - v0 and v2 - v0 as columns, detJ its
+    determinants (twice the areas), adj the adjugates detJ * inv_j and
+    inv_j the inverses, so a reference gradient g maps to g @ inv_j[c].
+    The boundary edges are those of one triangle; boundary_vertex_flags
+    marks their end vertices.  Every array attribute is read-only, and
+    the other layers share them rather than copy or recompute them.
     """
 
     def __init__(self, vertices, triangles):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        triangles = np.asarray(triangles)
+        vertices, triangles = np.asarray(vertices), np.asarray(triangles)
+        for name, a in (("vertices", vertices), ("triangles", triangles)):
+            if a.dtype.kind not in "iuf":
+                raise MeshFormatError("%s must be an array of real numbers, got dtype %s" % (name, a.dtype))
+        self.vertices = np.array(vertices, dtype=float, order="C")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshFormatError("vertices must be an (N, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3 or not len(triangles):
@@ -72,38 +81,45 @@ class Mesh:
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if bad.size:
             raise MeshFormatError("vertex %d has non-finite coordinates %s" % (bad[0], self.vertices[bad[0]]))
-        if triangles.dtype.kind not in "iu":  # an integer array is not copied
-            triangles = triangles.astype(float)
         # 1.7 and nan fail the rounding test, inf the range test
         ok = (triangles >= 0) & (triangles < nv) & (np.round(triangles) == triangles)
         bad = np.flatnonzero(~ok.all(axis=1))
         if bad.size:
             raise MeshFormatError("triangle %d has vertex indices %s; each must be an integer in [0, %d)"
                                   % (bad[0], triangles[bad[0]], nv))
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        self.triangles = np.array(triangles, dtype=np.int64, order="C")
 
         self._check_orientation()
         self._build_edges()
+        bad = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=nv) == 0)
+        if bad.size:
+            raise MeshFormatError("vertex %d belongs to no triangle; a Lagrange space needs every vertex in one"
+                                  % bad[0])
 
-        self.unused_vertices = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=nv) == 0)
         self.boundary_vertex_flags = np.zeros(nv, dtype=bool)
         self.boundary_vertex_flags[self.boundary_edges.ravel()] = True
         self._compute_metrics()
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     # -- validation ----------------------------------------------------------
 
     def _check_orientation(self):
-        v, t = self.vertices, self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        bad = np.flatnonzero(~(areas > 0.0))
+        corners = self.vertices[self.triangles.T]
+        edges = corners[1:] - corners[0]  # v1 - v0 and v2 - v0, each (M, 2)
+        self.jac = edges.transpose(1, 2, 0)
+        e1, e2 = edges
+        self.detJ = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        self.areas = 0.5 * self.detJ
+        bad = np.flatnonzero(~(self.detJ > 0.0))
         if bad.size:
             raise MeshFormatError(
                 "triangle %d has non-positive signed area %.3e "
-                "(vertices must be counter-clockwise)" % (bad[0], areas[bad[0]])
+                "(vertices must be counter-clockwise)" % (bad[0], self.areas[bad[0]])
             )
-        self.areas = areas
+        self.adj = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1).reshape(-1, 2, 2)
+        self.inv_j = self.adj / self.detJ[:, None, None]
 
     def _build_edges(self):
         # edges numbered in first-seen order over (triangle, local edge),
@@ -134,9 +150,10 @@ class Mesh:
         self.boundary_edges = self.edges[self.boundary_edge_flags]
 
     def _compute_metrics(self):
+        # side i is opposite vertex i; sides 1 and 2 are -/+ the columns of jac
         v, t = self.vertices, self.triangles
-        sides = np.stack(
-            [np.linalg.norm(v[t[:, b]] - v[t[:, a]], axis=1) for a, b in _LOCAL_EDGES], axis=1
+        sides = np.linalg.norm(
+            np.stack([v[t[:, 2]] - v[t[:, 1]], self.jac[:, :, 1], self.jac[:, :, 0]], axis=1), axis=2
         )
         self.diameters = sides.max(axis=1)
         self.h = float(self.diameters.max())
@@ -189,21 +206,6 @@ def generate_structured_unit_square(n):
     return Mesh(vertices, np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], 1).reshape(-1, 3))
 
 
-def mesh_metrics(mesh):
-    """Size metrics of a mesh: h is the longest edge over all triangles,
-    min_angle is in degrees, quasi_uniformity is h divided by the smallest
-    inscribed-circle diameter.  Unused vertices are reported but excluded
-    from the geometric quantities (those are per-triangle)."""
-    return {
-        "h": mesh.h,
-        "min_angle": mesh.min_angle,
-        "quasi_uniformity": mesh.quasi_uniformity,
-        "n_vertices": mesh.n_vertices,
-        "n_triangles": mesh.n_triangles,
-        "n_unused_vertices": int(len(mesh.unused_vertices)),
-    }
-
-
 def read_mesh(path):
     """Read a mesh from the text format, validating conformity.
 
@@ -212,14 +214,17 @@ def read_mesh(path):
     with its name; non-conforming meshes (flipped triangles, edges
     over-shared or run alike) with the offending element named, and a
     boundary section listing other vertices than the ends of the boundary
-    edges with its header line.  Vertices not referenced by any triangle
-    are accepted and reported through ``mesh.unused_vertices``.
+    edges with its header line.  A vertex that no triangle uses is
+    rejected by Mesh, and a path that cannot be read (missing, a
+    directory, no permission) raises MeshFormatError with the OS reason.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise MeshFormatError("%s: not a UTF-8 text file (%s)" % (path, exc)) from None
+    except OSError as exc:
+        raise MeshFormatError("%s: cannot read the mesh file (%s)" % (path, exc.strerror)) from None
     # (line number, text) of the content lines, last first so pop() reads in order
     content = [(ln, raw.strip()) for ln, raw in enumerate(lines, 1)]
     content = [(ln, text) for ln, text in reversed(content) if text and not text.startswith("#")]

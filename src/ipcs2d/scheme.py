@@ -63,7 +63,9 @@ _FLOAT_MAX = sys.float_info.max
 
 # (ledger column, tolerance, message) of the gates every level must pass;
 # residual_skew is rounding noise (3e-18 to 5e-16 across trees that agree to
-# rounding), so it is checked against its tolerance, never a parent's maximum
+# rounding), so it is checked against its tolerance, never a parent's maximum.
+# The skew form feeds no energy for any advecting field at any scale, so the
+# gates hold for a wrong convection too; the error norms are what see it.
 GATES = (
     ("residual_identity", 1e-9, "energy identity violated at step %d: relative residual %.3e"),
     ("residual_pythagoras", 1e-10,

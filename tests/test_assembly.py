@@ -391,6 +391,13 @@ def test_gradient_transport_exact_on_skewed_cell():
     assert np.allclose(g2[0, :, 1], xq[:, 0], atol=1e-12)
 
 
+def test_cell_geometry_shares_the_mesh_affine_map():
+    mesh = pk.generate_structured_unit_square(3)
+    geom = CellGeometry(mesh, pk.quad_rule(4))
+    assert geom.detJ is mesh.detJ and geom.inv_j is mesh.inv_j and geom.adj is mesh.adj
+    assert not geom.phys.flags.writeable
+
+
 def test_projection_idempotent_on_space_members(setup_cache):
     _, su, _, ops = setup_cache(2, 2, 1)
     rng = np.random.default_rng(17)

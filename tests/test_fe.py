@@ -126,6 +126,12 @@ def test_dof_counts_n2():
     assert int(sv.free.sum()) == 2
 
 
+def test_p1_space_shares_the_mesh_arrays():
+    mesh = pk.generate_structured_unit_square(2)
+    s = pk.build_space(mesh, 1, components=2, homogeneous_dirichlet=True)
+    assert s.cell_dofs is mesh.triangles and s.dof_points is mesh.vertices
+
+
 def test_dirichlet_dofs_sit_on_the_boundary():
     mesh = pk.generate_structured_unit_square(3)
     s = pk.build_space(mesh, 2, components=2, homogeneous_dirichlet=True)

@@ -32,8 +32,7 @@ def test_h_is_diagonal_length():
 
 
 def test_min_angle_right_isoceles():
-    metrics = pk.mesh_metrics(pk.generate_structured_unit_square(1))
-    assert np.isclose(metrics["min_angle"], 45.0)
+    assert np.isclose(pk.generate_structured_unit_square(1).min_angle, 45.0)
 
 
 def test_uniform_mesh_diameters_brute_force():
@@ -161,17 +160,18 @@ def test_flipped_triangle_names_the_triangle(tmp_path):
 
 
 def test_dangling_vertex_flagged_unused(tmp_path):
+    # no Lagrange space can use vertex 4, so neither way in accepts it
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.25, 0.5]]
+    triangles = [[0, 1, 2], [0, 2, 3]]
+    with pytest.raises(pk.MeshFormatError, match="^vertex 4 belongs to no triangle"):
+        pk.Mesh(verts, triangles)
     path = tmp_path / "dangle.txt"
     path.write_text(
         "vertices 5\n0 0\n1 0\n1 1\n0 1\n0.25 0.5\n"
         "triangles 2\n0 1 2\n0 2 3\n"
     )
-    m = pk.read_mesh(str(path))
-    metrics = pk.mesh_metrics(m)
-    assert metrics["n_unused_vertices"] == 1
-    assert list(m.unused_vertices) == [4]
-    assert metrics["n_vertices"] == 5
-    assert metrics["n_triangles"] == 2
+    with pytest.raises(pk.MeshFormatError, match="^vertex 4 belongs to no triangle"):
+        pk.read_mesh(str(path))
 
 
 @pytest.mark.parametrize(
@@ -284,6 +284,51 @@ def test_constructor_rejects_bad_shapes():
         pk.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 3]])
     with pytest.raises(pk.MeshFormatError, match=r"an \(M, 3\) array with M >= 1, got shape \(0, 3\)"):
         pk.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.zeros((0, 3), dtype=np.int64))
+    # numpy's own conversion errors must not escape, even for numeric strings
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(pk.MeshFormatError, match="^vertices must be an array of real numbers, got dtype <U1$"):
+        pk.Mesh([["a", "b"], ["1", "0"], ["0", "1"]], [[0, 1, 2]])
+    with pytest.raises(pk.MeshFormatError, match="^triangles must be an array of real numbers, got dtype <U1$"):
+        pk.Mesh(verts, [["0", "1", "2"]])
+    with pytest.raises(pk.MeshFormatError, match="^vertices must be an array of real numbers, got dtype complex128$"):
+        pk.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0 + 0j]], [[0, 1, 2]])
+
+
+def test_mesh_copies_its_inputs():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    t = np.array([[0, 1, 2], [0, 2, 3]])
+    m = pk.Mesh(v, t)
+    kept = [m.vertices.copy(), m.triangles.copy(), m.areas.copy()]
+    v[2] = [5.0, 5.0]
+    t[1] = [0, 3, 2]  # clockwise: a folded mesh
+    for array, before in zip([m.vertices, m.triangles, m.areas], kept):
+        assert np.array_equal(array, before)
+
+
+def test_every_mesh_array_is_read_only():
+    m = pk.generate_structured_unit_square(2)
+    arrays = {name: a for name, a in vars(m).items() if isinstance(a, np.ndarray)}
+    assert {"vertices", "triangles", "areas", "jac", "detJ", "adj", "inv_j", "edges"} <= set(arrays)
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+
+def test_mesh_affine_map():
+    # columns of jac are the edges from v0; detJ, adj and inv_j follow from it
+    m = pk.Mesh([[0.0, 0.0], [2.0, 0.5], [0.5, 1.0], [-1.0, 0.25]], [[0, 1, 2], [0, 2, 3]])
+    v, t = m.vertices, m.triangles
+    assert np.array_equal(m.jac[:, :, 0], v[t[:, 1]] - v[t[:, 0]])
+    assert np.array_equal(m.jac[:, :, 1], v[t[:, 2]] - v[t[:, 0]])
+    assert np.allclose(m.detJ, np.linalg.det(m.jac)) and np.array_equal(m.areas, 0.5 * m.detJ)
+    assert np.allclose(m.inv_j @ m.jac, np.eye(2)) and np.allclose(m.adj, m.detJ[:, None, None] * m.inv_j)
+
+
+def test_unreadable_path_is_a_mesh_format_error(tmp_path):
+    with pytest.raises(pk.MeshFormatError, match=r"missing.txt: cannot read the mesh file \(No such file or directory\)$"):
+        pk.read_mesh(str(tmp_path / "missing.txt"))
+    with pytest.raises(pk.MeshFormatError, match=r": cannot read the mesh file \(Is a directory\)$"):
+        pk.read_mesh(str(tmp_path))
 
 
 @pytest.mark.parametrize("index", [1.7, np.nan, np.inf, -np.inf, -1, 4])

@@ -472,6 +472,25 @@ def test_gates_fire_inside_run(setup_cache):
         pk.run(cfg, ops=ops)
 
 
+def test_gates_pass_a_wrong_convection_that_the_error_norms_see():
+    # the skew-symmetric form feeds no energy whatever field advects and
+    # at any scale, so every gate holds for s * B(w); only the error sees it
+    case = pk.stream_vortex_case(mu=1.0)
+    errors = {}
+    for scale in (1.0, 0.0, 0.5, 2.0, -1.0):
+        cfg = pk.SchemeConfig(dt=0.05, T=0.15, mu=1.0, mesh_n=8, u0=case.u0, f=case.f)
+        space_u = pk.build_space(cfg.mesh, cfg.degree_u, components=2, homogeneous_dirichlet=True)
+        space_p = pk.build_space(cfg.mesh, cfg.degree_p, components=1, zero_mean=True)
+        ops = pk.build_operators(space_u, space_p)
+        convection = ops.free_convection
+        ops.free_convection = lambda w, s=scale: s * convection(w)
+        traj = pk.run(cfg, ops=ops)
+        for column, tol, _ in scheme.GATES:
+            assert traj.ledger.column(column).max() <= tol
+        errors[scale] = pk.error_norms(traj, case)["err_u_L2"]
+    assert min(errors[s] for s in (0.0, 0.5, 2.0, -1.0)) >= 1.5 * errors[1.0]
+
+
 def l_shaped_mesh(rng):
     # the n=8 grid without its upper-right quarter, boundary flags from the
     # topology, every interior vertex moved by up to h/5
